@@ -12,7 +12,6 @@ from .model import (  # noqa: F401
     ClockModel,
     Direction,
     Encoder,
-    FrameObservation,
     Marker,
     NtpSample,
     ProcessingModel,

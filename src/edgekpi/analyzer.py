@@ -8,14 +8,13 @@ from __future__ import annotations
 
 import statistics
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
 from .model import (
     CaptureRecord,
     Direction,
-    FrameObservation,
     Marker,
     NODES,
     NtpSample,
@@ -331,10 +330,6 @@ def owd_packet(ue_records: Sequence[CaptureRecord], app_records: Sequence[Captur
     return SampleSet(tuple(samples), excluded)
 
 
-def _positions_by_pid(records: Sequence[CaptureRecord]) -> dict[int, int]:
-    return {r.pid: i for i, r in enumerate(records)}
-
-
 class _AckIndex:
     """Capture-ordered pure ACKs of one flow, searchable by capture position."""
 
@@ -355,103 +350,54 @@ class _AckIndex:
         return None
 
 
-def frame_latency(ue_records: Sequence[CaptureRecord], flow: int) -> SampleSet:
-    """Per-frame service latency at the UE tap: from a frame's first data
-    segment to the first subsequent ACK covering its final byte."""
-    view = reassemble(ue_records, flow, Direction.UPLINK)
-    frames = segment_frames(view)
-    pos = _positions_by_pid(ue_records)
-    acks = _AckIndex(ue_records, flow)
-    samples = []
-    excluded = 0
-    for fr in frames:
-        if not fr.complete or not fr.segments or not fr.contiguous:
-            excluded += 1
-            continue
-        last_pos = max(pos[s.record.pid] for s in fr.segments)
-        covering = acks.covering_after(last_pos, fr.end)
-        if covering is None:
-            excluded += 1
-            continue
-        samples.append((covering.t_us - fr.segments[0].record.t_us) / 1000.0)
-    return SampleSet(tuple(samples), excluded)
+def frame_samples(ue_records: Sequence[CaptureRecord], app_records: Sequence[CaptureRecord],
+                  flow: int, offsets: Mapping[Tap, float] | None = None,
+                  endpoints: FrameEndpoints = FrameEndpoints.FIRST_TO_LAST,
+                  ) -> tuple[SampleSet, SampleSet]:
+    """Per-frame service latency and clock-corrected uplink frame OWD of one
+    video flow, from one reassembly of each tap.
 
-
-def frame_owd(ue_records: Sequence[CaptureRecord], app_records: Sequence[CaptureRecord],
-              offsets: Mapping[Tap, float] | None = None,
-              endpoints: FrameEndpoints = FrameEndpoints.FIRST_TO_LAST,
-              flow: int | None = None) -> SampleSet:
-    """Clock-corrected uplink one-way delay of whole frames.
-
-    FIRST_TO_LAST (default) runs from the frame's first segment leaving the
-    UE to its last segment reaching the app, so serialization time is part of
-    the sample and larger frames read slower. Frames not fully delivered are
-    excluded.
+    Latency runs at the UE tap from a frame's first data segment to the first
+    subsequent ACK covering its final byte. FIRST_TO_LAST OWD (default) runs
+    from the frame's first segment leaving the UE to its last segment reaching
+    the app, so serialization time is part of the sample and larger frames
+    read slower. Frames that are incomplete or have gaps at the UE count as
+    excluded in both sets; frames without a covering ACK, or not delivered
+    whole to the app, are excluded from the latency or OWD set respectively.
     """
-    if flow is None:
-        flows = video_flows(ue_records)
-        if not flows:
-            return SampleSet((), 0)
-        flow = flows[0]
     ue_frames = segment_frames(reassemble(ue_records, flow, Direction.UPLINK))
     app_frames = segment_frames(reassemble(app_records, flow, Direction.UPLINK))
     app_by_start = {f.start: f for f in app_frames if f.segments}
+    pos = {r.pid: i for i, r in enumerate(ue_records)}
+    acks = _AckIndex(ue_records, flow)
     off_ue = _offset_us(offsets, Tap.UE)
     off_app = _offset_us(offsets, Tap.APP)
-    samples = []
-    excluded = 0
+    latency: list[float] = []
+    owd: list[float] = []
+    latency_excluded = owd_excluded = 0
     for fr in ue_frames:
         if not fr.complete or not fr.segments or not fr.contiguous:
-            excluded += 1
+            latency_excluded += 1
+            owd_excluded += 1
             continue
+        first = fr.segments[0].record
+        last_pos = max(pos[s.record.pid] for s in fr.segments)
+        covering = acks.covering_after(last_pos, fr.end)
+        if covering is None:
+            latency_excluded += 1
+        else:
+            latency.append((covering.t_us - first.t_us) / 1000.0)
         af = app_by_start.get(fr.start)
         if af is None or not af.contiguous or af.end != fr.end:
-            excluded += 1
+            owd_excluded += 1
             continue
-        t_ue = fr.segments[0].record.t_us - off_ue
+        t_ue = first.t_us - off_ue
         if endpoints is FrameEndpoints.FIRST_TO_LAST:
             t_app = af.segments[-1].record.t_us - off_app
         else:
             t_app = af.segments[0].record.t_us - off_app
-        samples.append((t_app - t_ue) / 1000.0)
-    return SampleSet(tuple(samples), excluded)
-
-
-def observe_frames(ue_records: Sequence[CaptureRecord], app_records: Sequence[CaptureRecord],
-                   flow: int, offsets: Mapping[Tap, float] | None = None) -> list[FrameObservation]:
-    """Join per-frame timing across taps into FrameObservation values."""
-    ue_frames = segment_frames(reassemble(ue_records, flow, Direction.UPLINK))
-    app_frames = segment_frames(reassemble(app_records, flow, Direction.UPLINK))
-    app_by_start = {f.start: f for f in app_frames if f.segments}
-    pos = _positions_by_pid(ue_records)
-    acks = _AckIndex(ue_records, flow)
-    off_ue = _offset_us(offsets, Tap.UE)
-    off_app = _offset_us(offsets, Tap.APP)
-    out: list[FrameObservation] = []
-    for fr in ue_frames:
-        if not fr.segments:
-            continue
-        t_first_ue = fr.segments[0].record.t_us - off_ue
-        t_last_ue = fr.segments[-1].record.t_us - off_ue
-        t_ack = None
-        if fr.complete and fr.contiguous:
-            last_pos = max(pos[s.record.pid] for s in fr.segments)
-            covering = acks.covering_after(last_pos, fr.end)
-            if covering is not None:
-                t_ack = float(covering.t_us - off_ue)
-        af = app_by_start.get(fr.start)
-        delivered = af is not None and af.contiguous and af.end == fr.end
-        out.append(FrameObservation(
-            frame_idx=fr.index,
-            byte_len=fr.byte_len,
-            t_first_ue=t_first_ue,
-            t_last_ue=t_last_ue,
-            t_ack_ue=t_ack,
-            t_first_app=(af.segments[0].record.t_us - off_app) if delivered else None,
-            t_last_app=(af.segments[-1].record.t_us - off_app) if delivered else None,
-            complete=bool(fr.complete and fr.contiguous and delivered and t_ack is not None),
-        ))
-    return out
+        owd.append((t_app - t_ue) / 1000.0)
+    return SampleSet(tuple(latency), latency_excluded), SampleSet(tuple(owd), owd_excluded)
 
 
 def stream_flows(records: Sequence[CaptureRecord]) -> list[int]:
@@ -519,7 +465,6 @@ class AnalysisResult:
     delivered_uplink: int
     goodput_mbps: float | None
     offered_mbps: float | None
-    frame_observations: list[FrameObservation] = field(default_factory=list)
 
 
 def analyze_captures(ue_records: Sequence[CaptureRecord],
@@ -547,13 +492,10 @@ def analyze_captures(ue_records: Sequence[CaptureRecord],
 
     vflows = video_flows(ue_records)
     if vflows:
-        flat = frame_latency(ue_records, vflows[0])
-        fowd = frame_owd(ue_records, app_records, offsets_ms, cfg.owd_frame_endpoints, vflows[0])
-        observations = observe_frames(ue_records, app_records, vflows[0], offsets_ms)
+        flat, fowd = frame_samples(ue_records, app_records, vflows[0], offsets_ms,
+                                   cfg.owd_frame_endpoints)
     else:
-        flat = SampleSet((), 0)
-        fowd = SampleSet((), 0)
-        observations = []
+        flat = fowd = SampleSet((), 0)
 
     powd = owd_packet(ue_records, app_records, offsets_ms, cfg.match_mode, Direction.UPLINK)
     # Downlink OWD restricted to stream packets so it reads the app's command
@@ -584,5 +526,4 @@ def analyze_captures(ue_records: Sequence[CaptureRecord],
         delivered_uplink=delivered,
         goodput_mbps=goodput,
         offered_mbps=offered_rate_mbps(ue_records),
-        frame_observations=observations,
     )

@@ -27,6 +27,7 @@ from .analyzer import (
 from .config import ConfigError, parse_config, write_manifest
 from .emulator import EmulationRun, RunResult, run as run_emulation, write_truth_file
 from .kpis import (
+    KpiReport,
     ReportOptions,
     boxplot_stats,
     build_report,
@@ -181,19 +182,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _read_captures(indir: Path) -> dict[Tap, list]:
-    records = {}
-    for tap, name in TAP_FILES.items():
-        path = indir / name
-        if not path.exists():
-            raise CliError(f"missing capture file: {path}")
-        records[tap] = read_capture_file(path)
-        check = validate(records[tap])
-        if not check.ok:
-            raise CliError(f"{path}: invalid capture at record {check.index}: {check.error}")
-    return records
-
-
 def _write_samples(path: Path, analysis) -> None:
     classes = (
         ("CTRL", analysis.ctrl_rtt),
@@ -211,10 +199,14 @@ def _write_samples(path: Path, analysis) -> None:
                 fh.write("\n")
 
 
-def _analyze_dir(indir: Path, args, scenario_meta: tuple[str, str, str] = ("", "", "")) -> tuple:
-    records = _read_captures(indir)
-    ntp_path = indir / NTP_FILE
-    ntp = read_ntp_file(ntp_path) if ntp_path.exists() else None
+def _analyze_and_write(outdir: Path, records: dict[Tap, list], ntp, args,
+                       scenario_meta: tuple[str, str, str]) -> KpiReport:
+    """Validate each tap's capture, analyze them and write the samples and
+    report files into ``outdir``."""
+    for tap, name in TAP_FILES.items():
+        check = validate(records[tap])
+        if not check.ok:
+            raise CliError(f"{outdir / name}: invalid capture at record {check.index}: {check.error}")
     cfg = AnalyzerConfig(
         alpha=args.alpha,
         match_mode=MatchMode.BY_PID if args.match == "pid" else MatchMode.BY_SEQ,
@@ -235,7 +227,11 @@ def _analyze_dir(indir: Path, args, scenario_meta: tuple[str, str, str] = ("", "
         range_band=range_band,
     )
     report = build_report(analysis, opts)
-    return analysis, report
+    _write_samples(outdir / SAMPLES_FILE, analysis)
+    rows = report_rows(report)
+    write_report_csv(outdir / REPORT_CSV, rows)
+    write_report_ndjson(outdir / REPORT_NDJSON, rows)
+    return report
 
 
 def _scenario_meta_from_manifest(indir: Path) -> tuple[str, str, str]:
@@ -257,11 +253,15 @@ def cmd_analyze(args) -> int:
         raise CliError(f"capture directory not found: {indir}")
     targets = [indir / name for name in (SAMPLES_FILE, REPORT_CSV, REPORT_NDJSON)]
     _require_new(targets, args.force)
-    analysis, report = _analyze_dir(indir, args, _scenario_meta_from_manifest(indir))
-    _write_samples(indir / SAMPLES_FILE, analysis)
-    rows = report_rows(report)
-    write_report_csv(indir / REPORT_CSV, rows)
-    write_report_ndjson(indir / REPORT_NDJSON, rows)
+    records = {}
+    for tap, name in TAP_FILES.items():
+        path = indir / name
+        if not path.exists():
+            raise CliError(f"missing capture file: {path}")
+        records[tap] = read_capture_file(path)
+    ntp_path = indir / NTP_FILE
+    ntp = read_ntp_file(ntp_path) if ntp_path.exists() else None
+    report = _analyze_and_write(indir, records, ntp, args, _scenario_meta_from_manifest(indir))
     for name in report.absent:
         print(f"note: no {name} samples in this capture; KPIs marked absent")
     print(f"analyzed {indir}: wrote {SAMPLES_FILE}, {REPORT_CSV}, {REPORT_NDJSON}")
@@ -293,11 +293,8 @@ def cmd_sweep(args) -> int:
         result = run_emulation(run_cfg)
         scen_dir = outdir / label
         _write_run_outputs(result, run_cfg, scen_dir, args.force)
-        analysis, report = _analyze_dir(scen_dir, args, (label, tech.value, range_band.value))
-        _write_samples(scen_dir / SAMPLES_FILE, analysis)
-        rows = report_rows(report)
-        write_report_csv(scen_dir / REPORT_CSV, rows)
-        write_report_ndjson(scen_dir / REPORT_NDJSON, rows)
+        report = _analyze_and_write(scen_dir, result.records, result.ntp, args,
+                                    (label, tech.value, range_band.value))
 
         def med(cls):
             stats = report.classes.get(cls)

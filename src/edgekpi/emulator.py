@@ -305,30 +305,6 @@ def write_truth_file(path: str | Path, truth: TruthLog) -> None:
             fh.write("\n")
 
 
-def read_truth_file(path: str | Path) -> TruthLog:
-    truth = TruthLog()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            d = json.loads(line)
-            if d["kind"] == "packet":
-                truth.packets.append(TruthPacket(
-                    pid=d["pid"], flow=d["flow"], dir=Direction(d["dir"]),
-                    proto=Proto(d["proto"]), seq=d["seq"], payload_len=d["len"],
-                    t_ue_us=d["t_ue_us"], t_core_us=d["t_core_us"], t_app_us=d["t_app_us"],
-                    delivered=d["delivered"]))
-            else:
-                truth.frames.append(TruthFrame(
-                    frame_idx=d["frame_idx"], byte_len=d["byte_len"],
-                    t_first_emit_us=d["t_first_emit_us"], t_last_emit_us=d["t_last_emit_us"],
-                    t_first_app_us=d["t_first_app_us"], t_last_app_us=d["t_last_app_us"],
-                    t_cmd_emit_us=d["t_cmd_emit_us"], t_cmd_ue_us=d["t_cmd_ue_us"],
-                    delivered=d["delivered"]))
-    return truth
-
-
 @dataclass
 class RunResult:
     """Captures at the three taps plus oracle data."""

@@ -9,6 +9,7 @@ microseconds on the stamping node's local clock; configuration values
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from enum import Enum
@@ -217,9 +218,13 @@ def validate(records: Sequence[CaptureRecord]) -> ValidationResult:
 
     Checked per tap: unique pid, non-negative payload, boundary markers carry
     payload, and non-decreasing stream seq per (flow, dir) at the origin tap.
+    A seq below the highest seen so far is accepted only as a retransmission:
+    the same (seq, payload_len) range was already emitted on that tap, flow
+    and direction.
     """
     seen_pids: dict[Tap, set[int]] = {}
     last_seq: dict[tuple[Tap, int, Direction], int] = {}
+    emitted: defaultdict[tuple[Tap, int, Direction], set[tuple[int, int]]] = defaultdict(set)
     for i, rec in enumerate(records):
         if rec.payload_len < 0:
             return ValidationResult(False, f"negative payload_len {rec.payload_len} (pid {rec.pid})", i)
@@ -233,10 +238,14 @@ def validate(records: Sequence[CaptureRecord]) -> ValidationResult:
         # observed where they were emitted.
         if rec.proto is Proto.STREAM and rec.payload_len > 0 and rec.tap is _origin_tap(rec.dir):
             key = (rec.tap, rec.flow, rec.dir)
+            span = (rec.seq, rec.payload_len)
             prev = last_seq.get(key)
             if prev is not None and rec.seq < prev:
-                return ValidationResult(False, f"seq regression {prev} -> {rec.seq} (flow {rec.flow})", i)
-            last_seq[key] = rec.seq
+                if span not in emitted[key]:
+                    return ValidationResult(False, f"seq regression {prev} -> {rec.seq} (flow {rec.flow})", i)
+            else:
+                last_seq[key] = rec.seq
+            emitted[key].add(span)
     return ValidationResult(True)
 
 
@@ -367,28 +376,6 @@ class ProcessingModel:
 
 
 @dataclass(frozen=True)
-class FrameObservation:
-    """One video frame's reconstructed timing across taps.
-
-    Timestamps are clock-corrected microseconds; APP-side fields and
-    ``t_ack_ue`` are ``None`` when the frame never completed there.
-    """
-
-    frame_idx: int
-    byte_len: int
-    t_first_ue: float
-    t_last_ue: float
-    t_ack_ue: float | None
-    t_first_app: float | None
-    t_last_app: float | None
-    complete: bool
-
-    def __post_init__(self):
-        if self.t_last_ue < self.t_first_ue:
-            raise ValueError("t_last_ue precedes t_first_ue")
-
-
-@dataclass(frozen=True)
 class NtpSample:
     """One measured clock offset (ms) of one node at wall time ``t_s``."""
 
@@ -418,11 +405,3 @@ def read_ntp_file(path: str | Path) -> list[NtpSample]:
             except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
                 raise CaptureFormatError(f"bad ntp sample: {exc}", lineno) from exc
     return samples
-
-
-def ms_to_us(ms: float) -> float:
-    return ms * 1000.0
-
-
-def us_to_ms(us: float) -> float:
-    return us / 1000.0

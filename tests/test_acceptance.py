@@ -191,8 +191,8 @@ def test_criterion_09_throughput_verdicts_and_queue_growth():
         duration_s=3.0, fps=20, mean_frame_bytes=340_000, cv=0.1,
         tech=Tech.FOUR_G, range_band=RangeBand.REGIONAL,
         base_up=20.0, base_down=10.0, seed=91))
-    owd = analyzer.frame_owd(overload.records[Tap.UE], overload.records[Tap.APP],
-                             flow=VIDEO_FLOW)
+    _, owd = analyzer.frame_samples(overload.records[Tap.UE], overload.records[Tap.APP],
+                                    VIDEO_FLOW)
     assert len(owd.values_ms) >= 50
     assert all(b > a for a, b in zip(owd.values_ms, owd.values_ms[1:]))
     elapsed = time.monotonic() - started

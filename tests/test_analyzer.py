@@ -15,9 +15,7 @@ from edgekpi.analyzer import (
     MatchMode,
     analyze_captures,
     estimate_offsets,
-    frame_latency,
-    frame_owd,
-    observe_frames,
+    frame_samples,
     owd_packet,
     reassemble,
     rtt_control,
@@ -298,7 +296,7 @@ class TestFrameLatency:
                    rec(seq=64, payload_len=100, t_us=0),
                    rec(seq=164, payload_len=64, marker=Marker.FRAME_BOUNDARY, t_us=0),
                    rec(seq=0, payload_len=0, ack=164, dir=Direction.DOWNLINK, t_us=0)]
-        samples = frame_latency(records, flow=1)
+        samples, _ = frame_samples(records, [], flow=1)
         assert samples.values_ms == (0.0,)
 
     def test_hand_computed_event_trace(self):
@@ -306,13 +304,13 @@ class TestFrameLatency:
         # serialization 64B + 10*1400B = 2060.66 us, last byte at app at
         # 12060.66 us, final-segment ACK back at UE at 17060.66 -> 17061 us.
         result = run(video_run(duration_s=0.05, fps=20, mean_frame_bytes=14_000, cv=0.0))
-        samples = frame_latency(result.records[Tap.UE], VIDEO_FLOW)
+        samples, _ = frame_samples(result.records[Tap.UE], result.records[Tap.APP], VIDEO_FLOW)
         assert samples.values_ms == (17.061,)
 
     def test_truncated_frame_excluded(self):
         records = [rec(seq=0, payload_len=64, marker=Marker.FRAME_BOUNDARY, t_us=0),
                    rec(seq=64, payload_len=100, t_us=0)]
-        samples = frame_latency(records, flow=1)
+        samples, _ = frame_samples(records, [], flow=1)
         assert samples.values_ms == ()
         assert samples.excluded == 1
 
@@ -321,7 +319,7 @@ class TestFrameLatency:
                    rec(seq=64, payload_len=100, t_us=0),
                    rec(seq=164, payload_len=64, marker=Marker.FRAME_BOUNDARY, t_us=0),
                    rec(seq=0, payload_len=0, ack=64, dir=Direction.DOWNLINK, t_us=10)]
-        samples = frame_latency(records, flow=1)
+        samples, _ = frame_samples(records, [], flow=1)
         assert samples.values_ms == ()
         assert samples.excluded == 1
 
@@ -341,12 +339,12 @@ class TestFrameOwd:
     def test_single_segment_same_under_both_endpoint_modes(self):
         ue, app = self._single_frame_taps()
         for endpoints in FrameEndpoints:
-            samples = frame_owd(ue, app, endpoints=endpoints, flow=1)
+            _, samples = frame_samples(ue, app, flow=1, endpoints=endpoints)
             assert samples.values_ms == (10.0,)
 
     def test_matches_truth_log(self):
         result = run(video_run(duration_s=1.0, cv=0.1, seed=24))
-        samples = frame_owd(result.records[Tap.UE], result.records[Tap.APP], flow=VIDEO_FLOW)
+        _, samples = frame_samples(result.records[Tap.UE], result.records[Tap.APP], VIDEO_FLOW)
         truth = [f.owd_first_last_ms() for f in result.truth.frames if f.delivered]
         assert len(samples.values_ms) == len(truth)
         for got, expected in zip(samples.values_ms, truth):
@@ -356,7 +354,7 @@ class TestFrameOwd:
         cfg = video_run(duration_s=1.0, mean_frame_bytes=None, cv=0.1, seed=35,
                         base_up=8.0, base_down=4.0)
         result = run(cfg)
-        samples = frame_owd(result.records[Tap.UE], result.records[Tap.APP], flow=VIDEO_FLOW)
+        _, samples = frame_samples(result.records[Tap.UE], result.records[Tap.APP], VIDEO_FLOW)
         truth_mean = statistics.fmean(
             f.owd_first_last_ms() for f in result.truth.frames if f.delivered)
         assert statistics.fmean(samples.values_ms) == pytest.approx(truth_mean, abs=0.05)
@@ -364,21 +362,21 @@ class TestFrameOwd:
     def test_larger_frames_read_slower(self):
         small = run(video_run(duration_s=1.0, mean_frame_bytes=120_000, cv=0.1, seed=25))
         large = run(video_run(duration_s=1.0, mean_frame_bytes=340_000, cv=0.1, seed=25))
-        owd_small = frame_owd(small.records[Tap.UE], small.records[Tap.APP], flow=VIDEO_FLOW)
-        owd_large = frame_owd(large.records[Tap.UE], large.records[Tap.APP], flow=VIDEO_FLOW)
+        _, owd_small = frame_samples(small.records[Tap.UE], small.records[Tap.APP], VIDEO_FLOW)
+        _, owd_large = frame_samples(large.records[Tap.UE], large.records[Tap.APP], VIDEO_FLOW)
         assert statistics.median(owd_large.values_ms) > statistics.median(owd_small.values_ms)
 
     def test_first_to_first_excludes_serialization(self):
         result = run(video_run(duration_s=0.5, cv=0.0, seed=26))
-        last = frame_owd(result.records[Tap.UE], result.records[Tap.APP],
-                         endpoints=FrameEndpoints.FIRST_TO_LAST, flow=VIDEO_FLOW)
-        first = frame_owd(result.records[Tap.UE], result.records[Tap.APP],
-                          endpoints=FrameEndpoints.FIRST_TO_FIRST, flow=VIDEO_FLOW)
+        _, last = frame_samples(result.records[Tap.UE], result.records[Tap.APP], VIDEO_FLOW,
+                                endpoints=FrameEndpoints.FIRST_TO_LAST)
+        _, first = frame_samples(result.records[Tap.UE], result.records[Tap.APP], VIDEO_FLOW,
+                                 endpoints=FrameEndpoints.FIRST_TO_FIRST)
         assert all(a > b for a, b in zip(last.values_ms, first.values_ms))
 
     def test_incomplete_at_app_excluded(self):
         ue, app = self._single_frame_taps()
-        samples = frame_owd(ue, app[:1] + app[2:], flow=1)  # data segment missing at app
+        _, samples = frame_samples(ue, app[:1] + app[2:], flow=1)  # data segment missing at app
         assert samples.values_ms == ()
         assert samples.excluded == 1
 
@@ -399,23 +397,10 @@ class TestCrossMetricInvariants:
 
     def test_frame_latency_at_least_frame_owd(self):
         result = run(video_run(duration_s=1.0, cv=0.1, seed=28))
-        lat = frame_latency(result.records[Tap.UE], VIDEO_FLOW)
-        owd = frame_owd(result.records[Tap.UE], result.records[Tap.APP], flow=VIDEO_FLOW)
+        lat, owd = frame_samples(result.records[Tap.UE], result.records[Tap.APP], VIDEO_FLOW)
         assert len(lat.values_ms) == len(owd.values_ms)
         for a, b in zip(lat.values_ms, owd.values_ms):
             assert a >= b - 1e-9
-
-
-class TestObserveFrames:
-    def test_complete_frame_observation(self):
-        result = run(video_run(duration_s=0.25, cv=0.0, seed=29))
-        obs = observe_frames(result.records[Tap.UE], result.records[Tap.APP], VIDEO_FLOW)
-        assert len(obs) == 5
-        for ob in obs:
-            assert ob.complete
-            assert ob.byte_len == 14_000
-            assert ob.t_ack_ue >= ob.t_last_ue
-            assert ob.t_last_app >= ob.t_first_app >= ob.t_first_ue
 
 
 class TestAnalyzeCaptures:

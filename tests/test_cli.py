@@ -150,6 +150,32 @@ class TestAnalyze:
         assert main(["analyze", "--in", str(capture_dir)]) == 1
         assert main(["analyze", "--in", str(capture_dir), "--force"]) == 0
 
+    def test_retransmit_capture_analyzes(self, tmp_path, capsys):
+        cfg = tmp_path / "rtx.ini"
+        cfg.write_text(CONFIG.replace("jitter_std = 0",
+                                      "jitter_std = 0\nloss_prob = 0.02\nretransmit = true"))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--seed", "3", "--out", str(out)]) == 0
+        ue = [json.loads(line) for line in (out / "ue.ndjson").read_text().splitlines()]
+        ranges = [(d["seq"], d["len"]) for d in ue
+                  if d["dir"] == "UPLINK" and d["proto"] == "STREAM" and d["len"] > 0]
+        assert len(set(ranges)) < len(ranges)  # the capture holds retransmissions
+        assert main(["analyze", "--in", str(out)]) == 0, capsys.readouterr().err
+
+    def test_perturbed_timestamp_ends_in_report_or_error(self, capture_dir, capsys):
+        # Move the last data segment of a mid-stream frame 1 s earlier, so it
+        # precedes its frame's first segment.
+        ue = capture_dir / "ue.ndjson"
+        records = [json.loads(line) for line in ue.read_text().splitlines()]
+        boundaries = [i for i, d in enumerate(records)
+                      if d["tap"] == "UE" and d["marker"] == "FRAME_BOUNDARY"]
+        last = max(i for i in range(boundaries[5]) if records[i]["dir"] == "UPLINK"
+                   and records[i]["len"] > 0 and records[i]["marker"] == "NONE")
+        records[last]["t_us"] -= 1_000_000
+        ue.write_text("".join(json.dumps(d, separators=(",", ":")) + "\n" for d in records))
+        code = main(["analyze", "--in", str(capture_dir)])
+        assert code == 0 or (code == 1 and capsys.readouterr().err.startswith("error:"))
+
 
 class TestSweep:
     @pytest.fixture

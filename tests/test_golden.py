@@ -39,6 +39,7 @@ CASES = {
     ],
     "retransmit": [
         ["simulate", "--config", "{golden}/retransmit.ini", "--seed", "3", "--out", "{out}"],
+        ["analyze", "--in", "{out}"],
     ],
 }
 

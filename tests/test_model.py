@@ -12,7 +12,6 @@ from edgekpi.model import (
     ClockModel,
     Direction,
     Encoder,
-    FrameObservation,
     Marker,
     NtpSample,
     ProcessingModel,
@@ -125,6 +124,21 @@ class TestValidate:
         result = validate(records)
         assert not result.ok and result.index == 1
         assert "regression" in result.error
+
+    def test_retransmitted_range_accepted(self):
+        records = [rec(seq=0, payload_len=100), rec(seq=100, payload_len=100),
+                   rec(seq=0, payload_len=100), rec(seq=200, payload_len=100)]
+        assert validate(records).ok
+
+    def test_regression_to_unsent_range_rejected(self):
+        # Neither a new range below the highest seq nor a resized range counts
+        # as a retransmission, even right after one.
+        for late in (rec(seq=50, payload_len=100), rec(seq=0, payload_len=50)):
+            records = [rec(seq=0, payload_len=100), rec(seq=100, payload_len=100),
+                       rec(seq=200, payload_len=100), rec(seq=0, payload_len=100), late]
+            result = validate(records)
+            assert not result.ok and result.index == 4
+            assert result.error == f"seq regression 200 -> {late.seq} (flow 1)"
 
     def test_seq_regression_only_checked_at_origin_tap(self):
         # Downlink records at the UE are arrivals, not emissions.
@@ -243,8 +257,3 @@ class TestClockModel:
         with pytest.raises(ValueError):
             ClockModel(resync_interval_s=0)
 
-
-def test_frame_observation_ordering_enforced():
-    with pytest.raises(ValueError):
-        FrameObservation(frame_idx=0, byte_len=10, t_first_ue=100.0, t_last_ue=50.0,
-                         t_ack_ue=None, t_first_app=None, t_last_app=None, complete=False)
