@@ -264,6 +264,8 @@ def cmd_analyze(args) -> int:
     report = _analyze_and_write(indir, records, ntp, args, _scenario_meta_from_manifest(indir))
     for name in report.absent:
         print(f"note: no {name} samples in this capture; KPIs marked absent")
+    if not ntp:
+        print("note: no NTP samples; one-way delays are uncorrected")
     print(f"analyzed {indir}: wrote {SAMPLES_FILE}, {REPORT_CSV}, {REPORT_NDJSON}")
     return 0
 

@@ -32,6 +32,7 @@ from .model import (
     Scenario,
     Tap,
     VideoConfig,
+    check_finite,
 )
 
 # Well-known flow ids used by the built-in generators.
@@ -75,6 +76,7 @@ class Workload:
     bulk_offered_mbps: float | None = None  # None -> 2x the scenario cap
 
     def __post_init__(self):
+        check_finite(self)
         if self.ping_count < 0:
             raise ValueError("ping_count must be >= 0")
         if self.ping_count > 0 and self.ping_interval_ms <= 0:
@@ -224,7 +226,7 @@ def sample_ntp_trace(clocks: ClockModel, duration_s: float,
     return _ntp_trace(clocks, duration_s, rng if rng is not None else random.Random(0))
 
 
-@dataclass
+@dataclass(slots=True)
 class TruthPacket:
     """True (noise-free) per-tap times of one packet; None where never seen."""
 
@@ -282,16 +284,20 @@ class TruthLog:
         return {p.pid: p for p in self.packets}
 
 
+def _json_int(value: int | None) -> str | int:
+    return "null" if value is None else value
+
+
 def write_truth_file(path: str | Path, truth: TruthLog) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for p in truth.packets:
-            fh.write(json.dumps({
-                "kind": "packet", "pid": p.pid, "flow": p.flow, "dir": p.dir.value,
-                "proto": p.proto.value, "seq": p.seq, "len": p.payload_len,
-                "t_ue_us": p.t_ue_us, "t_core_us": p.t_core_us, "t_app_us": p.t_app_us,
-                "delivered": p.delivered,
-            }, separators=(",", ":")))
-            fh.write("\n")
+        # Packet lines are formatted directly, in the bytes json.dumps gives
+        # for their int / None / bool fields; frame lines carry floats.
+        fh.writelines(
+            f'{{"kind":"packet","pid":{p.pid},"flow":{p.flow},"dir":"{p.dir.value}",'
+            f'"proto":"{p.proto.value}","seq":{p.seq},"len":{p.payload_len},'
+            f'"t_ue_us":{_json_int(p.t_ue_us)},"t_core_us":{_json_int(p.t_core_us)},'
+            f'"t_app_us":{_json_int(p.t_app_us)},"delivered":{"true" if p.delivered else "false"}}}\n'
+            for p in truth.packets)
         for f in truth.frames:
             fh.write(json.dumps({
                 "kind": "frame", "frame_idx": f.frame_idx, "byte_len": f.byte_len,
@@ -314,7 +320,7 @@ class RunResult:
     ntp: list[NtpSample]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Pkt:
     pid: int
     flow: int
@@ -363,6 +369,34 @@ class _ReceiveBuffer:
         return any(lo <= start and end <= hi for lo, hi in self._ranges)
 
 
+class _AckBook:
+    """A sender's outstanding segments of one flow: segment end -> (emission
+    time, retransmitted), plus a min-heap holding each of those ends once so
+    that an ACK pops the ends it covers in ascending order."""
+
+    __slots__ = ("_book", "_ends")
+
+    def __init__(self):
+        self._book: dict[int, tuple[float, bool]] = {}
+        self._ends: list[int] = []
+
+    def __contains__(self, end: int) -> bool:
+        return end in self._book
+
+    def arm(self, end: int, t_us: float, retransmitted: bool) -> None:
+        if end not in self._book:
+            heapq.heappush(self._ends, end)
+        self._book[end] = (t_us, retransmitted)
+
+    def pop_acked(self, ack: int) -> list[tuple[float, bool]]:
+        """Remove every end <= ``ack``; return their entries, lowest end first."""
+        ends, book = self._ends, self._book
+        acked = []
+        while ends and ends[0] <= ack:
+            acked.append(book.pop(heapq.heappop(ends)))
+        return acked
+
+
 class _Simulation:
     def __init__(self, run: EmulationRun):
         self.run = run
@@ -388,9 +422,11 @@ class _Simulation:
                         run.clocks.resync_interval_s)
         self.ntp = _ntp_trace(run.clocks, horizon_s, self.rng_clock)
         self._resync_us = run.clocks.resync_interval_s * 1e6
-        self._clock_err_ms: dict[Tap, list[float]] = {n: [] for n in NODES}
+        # Clock error (us) each node applies from each resync on; the trace
+        # holds at least one sample per node.
+        self._clock_err_us: dict[Tap, list[float]] = {n: [] for n in NODES}
         for s in self.ntp:
-            self._clock_err_ms[s.node].append(s.offset_ms)
+            self._clock_err_us[s.node].append(s.offset_ms * 1000.0)
 
         # Event queue: (true time us, insertion counter, callback).
         self._q: list[tuple[float, int, Callable[[float], None]]] = []
@@ -410,7 +446,7 @@ class _Simulation:
         self._proc_free_us = 0.0
         self._dl_seq: dict[int, int] = {}
         self._sender_cum_ack: dict[int, int] = {}
-        self._outstanding: dict[int, dict[int, tuple[float, bool]]] = {}
+        self._outstanding: dict[int, _AckBook] = {}
         self._srtt_ms: dict[int, float | None] = {}
 
         # Frame bookkeeping for the truth log: data-segment pid -> frame,
@@ -436,17 +472,12 @@ class _Simulation:
         self._next_pid += 1
         return pid
 
-    def _clock_err_us(self, node: Tap, t_us: float) -> float:
-        errs = self._clock_err_ms[node]
-        k = min(int(t_us // self._resync_us), len(errs) - 1) if errs else 0
-        return errs[k] * 1000.0 if errs else 0.0
-
     def _stamp(self, node: Tap, t_us: float, pkt: _Pkt) -> None:
-        local = round(t_us + self._clock_err_us(node, t_us))
+        errs = self._clock_err_us[node]
+        err = errs[min(int(t_us // self._resync_us), len(errs) - 1)]
         self.records[node].append(CaptureRecord(
-            tap=node, t_us=local, flow=pkt.flow, dir=pkt.dir, proto=pkt.proto,
-            seq=pkt.seq, ack=pkt.ack, payload_len=pkt.payload_len,
-            marker=pkt.marker, pid=pkt.pid))
+            node, round(t_us + err), pkt.flow, pkt.dir, pkt.proto,
+            pkt.seq, pkt.ack, pkt.payload_len, pkt.marker, pkt.pid))
         tp = self._truth_by_pid[pkt.pid]
         true_us = round(t_us)
         if node is Tap.UE:
@@ -457,8 +488,7 @@ class _Simulation:
             tp.t_app_us = true_us
 
     def _track(self, pkt: _Pkt) -> TruthPacket:
-        tp = TruthPacket(pid=pkt.pid, flow=pkt.flow, dir=pkt.dir, proto=pkt.proto,
-                         seq=pkt.seq, payload_len=pkt.payload_len)
+        tp = TruthPacket(pkt.pid, pkt.flow, pkt.dir, pkt.proto, pkt.seq, pkt.payload_len)
         self._truth_by_pid[pkt.pid] = tp
         self.truth.packets.append(tp)
         return tp
@@ -604,8 +634,8 @@ class _Simulation:
     def _arm_retransmit(self, t_us: float, pkt: _Pkt) -> None:
         flow = pkt.flow
         end = pkt.seq + pkt.payload_len
-        book = self._outstanding.setdefault(flow, {})
-        book[end] = (t_us, pkt.retransmission or end in book)
+        book = self._outstanding.setdefault(flow, _AckBook())
+        book.arm(end, t_us, pkt.retransmission or end in book)
         timeout = self._srtt_ms.get(flow) or INITIAL_TIMEOUT_MS
         self._schedule(t_us + timeout * 1000.0,
                        lambda t, p=pkt, a=1: self._retransmit_check(t, p, a))
@@ -626,8 +656,7 @@ class _Simulation:
         start = max(t_us, self._uplink_free_us)
         tx = 0.0 if math.isinf(self._cap) else clone.payload_len * 8.0 / self._cap
         self._uplink_free_us = start + tx
-        book = self._outstanding.setdefault(flow, {})
-        book[end] = (t_us, True)
+        self._outstanding.setdefault(flow, _AckBook()).arm(end, t_us, True)
         if not self._lost(self.rng_loss_up):
             t_core = self._fifo("up_core", flow, start + tx + self._base_up_us + self._jitter(self.rng_jitter_up))
             self._schedule(t_core, lambda t, p=clone: self._arrive_core_up(t, p))
@@ -638,10 +667,9 @@ class _Simulation:
     def _sender_sees_ack(self, t_us: float, flow: int, ack: int) -> None:
         self._sender_cum_ack[flow] = max(self._sender_cum_ack.get(flow, 0), ack)
         book = self._outstanding.get(flow)
-        if not book:
+        if book is None:
             return
-        for end in sorted(k for k in book if k <= ack):
-            emitted_at, retransmitted = book.pop(end)
+        for emitted_at, retransmitted in book.pop_acked(ack):
             if retransmitted:
                 continue  # Karn: no timing from retransmitted ranges
             sample_ms = (t_us - emitted_at) / 1000.0

@@ -9,8 +9,9 @@ microseconds on the stamping node's local clock; configuration values
 from __future__ import annotations
 
 import json
+import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from enum import Enum
 from typing import Iterable, Sequence
@@ -98,6 +99,17 @@ def default_mean_frame_bytes(encoder: Encoder, resolution: Resolution) -> int:
     return base
 
 
+def check_finite(obj, allow_inf: tuple[str, ...] = ()) -> None:
+    """Reject NaN, and an infinity outside the fields named in ``allow_inf``,
+    in every float field (or tuple of floats) of the dataclass ``obj``."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, float) and not math.isfinite(v) and not (
+                    math.isinf(v) and f.name in allow_inf):
+                raise ValueError(f"{f.name} must be a finite number, got {v!r}")
+
+
 class CaptureFormatError(ValueError):
     """A capture file line could not be decoded."""
 
@@ -108,7 +120,7 @@ class CaptureFormatError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CaptureRecord:
     """One timestamped packet observation at one tap.
 
@@ -129,41 +141,44 @@ class CaptureRecord:
     marker: Marker
     pid: int
 
-    def to_dict(self) -> dict:
-        return {
-            "tap": self.tap.value,
-            "t_us": self.t_us,
-            "flow": self.flow,
-            "dir": self.dir.value,
-            "proto": self.proto.value,
-            "seq": self.seq,
-            "ack": self.ack,
-            "len": self.payload_len,
-            "marker": self.marker.value,
-            "pid": self.pid,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CaptureRecord":
-        try:
-            return cls(
-                tap=Tap(d["tap"]),
-                t_us=int(d["t_us"]),
-                flow=int(d["flow"]),
-                dir=Direction(d["dir"]),
-                proto=Proto(d["proto"]),
-                seq=int(d["seq"]),
-                ack=int(d["ack"]),
-                payload_len=int(d["len"]),
-                marker=Marker(d["marker"]),
-                pid=int(d["pid"]),
-            )
-        except (KeyError, ValueError, TypeError) as exc:
-            raise CaptureFormatError(f"bad capture record: {exc}") from exc
-
 
 def record_to_json(record: CaptureRecord) -> str:
-    return json.dumps(record.to_dict(), separators=(",", ":"))
+    """One compact JSON object, keys in wire order: the bytes
+    ``json.dumps(..., separators=(",", ":"))`` gives for integer fields."""
+    return (f'{{"tap":"{record.tap.value}","t_us":{record.t_us},"flow":{record.flow},'
+            f'"dir":"{record.dir.value}","proto":"{record.proto.value}","seq":{record.seq},'
+            f'"ack":{record.ack},"len":{record.payload_len},"marker":"{record.marker.value}",'
+            f'"pid":{record.pid}}}')
+
+
+#: Wire value -> member, per enum-valued capture field.
+_ENUM_FIELDS = {
+    "tap": {m.value: m for m in Tap},
+    "dir": {m.value: m for m in Direction},
+    "proto": {m.value: m for m in Proto},
+    "marker": {m.value: m for m in Marker},
+}
+_TAPS, _DIRS, _PROTOS, _MARKERS = _ENUM_FIELDS.values()
+_WIRE_KEYS = ("tap", "t_us", "flow", "dir", "proto", "seq", "ack", "len", "marker", "pid")
+
+
+def _record_error(d: dict) -> str:
+    """Name the first field of a decoded object that cannot form a record."""
+    for key in _WIRE_KEYS:
+        if key not in d:
+            return f"bad capture record: missing field {key!r}"
+        value = d[key]
+        if key in _ENUM_FIELDS:
+            try:
+                _ENUM_FIELDS[key][value]
+            except (KeyError, TypeError):
+                return f"bad capture record: {key}: unknown value {value!r}"
+        else:
+            try:
+                int(value)
+            except (ValueError, TypeError, OverflowError):
+                return f"bad capture record: {key}: not an integer: {value!r}"
+    return "bad capture record"
 
 
 def record_from_json(line: str, lineno: int | None = None) -> CaptureRecord:
@@ -174,9 +189,11 @@ def record_from_json(line: str, lineno: int | None = None) -> CaptureRecord:
     if not isinstance(d, dict):
         raise CaptureFormatError("record is not an object", lineno)
     try:
-        return CaptureRecord.from_dict(d)
-    except CaptureFormatError as exc:
-        raise CaptureFormatError(str(exc), lineno) from exc
+        return CaptureRecord(_TAPS[d["tap"]], int(d["t_us"]), int(d["flow"]), _DIRS[d["dir"]],
+                             _PROTOS[d["proto"]], int(d["seq"]), int(d["ack"]), int(d["len"]),
+                             _MARKERS[d["marker"]], int(d["pid"]))
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
+        raise CaptureFormatError(_record_error(d), lineno) from exc
 
 
 def write_capture_file(path: str | Path, records: Iterable[CaptureRecord]) -> None:
@@ -263,6 +280,7 @@ class ClockModel:
     resync_interval_s: float = 10.0
 
     def __post_init__(self):
+        check_finite(self)
         for name in ("sigma_ue_ms", "sigma_core_ms", "sigma_app_ms"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -301,6 +319,7 @@ class Scenario:
     retransmit: bool = False
 
     def __post_init__(self):
+        check_finite(self, allow_inf=("bandwidth_cap",))
         if self.range is RangeBand.EDGE and self.tech is not Tech.FIVE_G:
             raise ValueError("EDGE range is only available with FIVE_G")
         mapped = ADDED_OWD_MS[self.range]
@@ -336,6 +355,7 @@ class VideoConfig:
     frame_size_cv: float = 0.1
 
     def __post_init__(self):
+        check_finite(self)
         if self.fps <= 0:
             raise ValueError("fps must be > 0")
         if self.mean_frame_bytes is None:
@@ -360,6 +380,7 @@ class ProcessingModel:
     response_bytes: int = 200
 
     def __post_init__(self):
+        check_finite(self)
         if self.total_ms < 0:
             raise ValueError("total_ms must be >= 0")
         if len(self.stage_fractions) != len(PROCESSING_STAGES):

@@ -94,6 +94,23 @@ class TestSimulate:
         assert "line" in capsys.readouterr().err.lower()
 
 
+class TestNonFiniteConfig:
+    @pytest.mark.parametrize("old, new, field", [
+        ("fps = 20", "fps = nan", "fps"),
+        ("jitter_std = 0", "jitter_std = nan", "jitter_std"),
+        ("duration_s = 1", "duration_s = inf", "video_duration_s"),
+    ])
+    def test_simulate_exits_1_with_one_line_error(self, tmp_path, capsys, old, new, field):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(CONFIG.replace(old, new))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"{field} must be a finite number" in err
+        assert not (out / "manifest.ini").exists()
+
+
 class TestAnalyze:
     @pytest.fixture
     def capture_dir(self, tmp_path, config_path):
@@ -101,8 +118,11 @@ class TestAnalyze:
         main(["simulate", "--config", str(config_path), "--seed", "3", "--out", str(out)])
         return out
 
-    def test_simulate_then_analyze(self, capture_dir):
+    NTP_NOTE = "note: no NTP samples; one-way delays are uncorrected"
+
+    def test_simulate_then_analyze(self, capture_dir, capsys):
         assert main(["analyze", "--in", str(capture_dir)]) == 0
+        assert self.NTP_NOTE not in capsys.readouterr().out
         for name in ("samples.ndjson", "report.csv", "report.ndjson"):
             assert (capture_dir / name).exists()
         classes = {json.loads(line)["class"]
@@ -144,6 +164,19 @@ class TestAnalyze:
             (capture_dir / name).unlink()
         main(["analyze", "--in", str(capture_dir)])
         assert (capture_dir / "report.csv").read_bytes() == first
+
+    def test_no_ntp_samples_noted_once(self, capture_dir, capsys):
+        ntp_path = capture_dir / "ntp.ndjson"
+        ntp_path.write_text("")
+        assert main(["analyze", "--in", str(capture_dir)]) == 0
+        assert capsys.readouterr().out.splitlines().count(self.NTP_NOTE) == 1
+        empty = digest_dir(capture_dir)
+        ntp_path.unlink()
+        assert main(["analyze", "--in", str(capture_dir), "--force"]) == 0
+        assert capsys.readouterr().out.splitlines().count(self.NTP_NOTE) == 1
+        missing = digest_dir(capture_dir)
+        del empty["ntp.ndjson"]
+        assert missing == empty
 
     def test_refuses_overwrite(self, capture_dir, capsys):
         assert main(["analyze", "--in", str(capture_dir)]) == 0

@@ -398,3 +398,48 @@ class TestRetransmit:
         seqs = [r.seq for r in commands]
         assert len(seqs) == len(set(seqs))
         assert len(commands) <= len(result.truth.frames)
+
+
+def old_sorted_scan(book: dict, srtt, t_us: float, ack: int):
+    """The sender's ACK handling before the heap: sort the whole book."""
+    gain = emulator.SRTT_GAIN
+    for end in sorted(k for k in book if k <= ack):
+        emitted_at, retransmitted = book.pop(end)
+        if retransmitted:
+            continue
+        sample_ms = (t_us - emitted_at) / 1000.0
+        srtt = sample_ms if srtt is None else (1 - gain) * srtt + gain * sample_ms
+    return srtt
+
+
+class TestAckBook:
+    # (end, emission time us, retransmitted), armed out of order; end 2800
+    # is armed again by its retransmission.
+    ARMS = [(4200, 1_000.0, False), (1400, 1_300.0, False), (2800, 1_700.0, False),
+            (5600, 2_100.0, False), (7000, 2_350.0, False), (2800, 9_900.0, True)]
+    ACKS = [(12_000.0, 3000), (13_100.0, 3000), (15_750.0, 5600), (19_000.0, 9000)]
+
+    def test_pops_each_end_once_in_ascending_order(self):
+        book = emulator._AckBook()
+        for end, t_us, rtx in self.ARMS:
+            book.arm(end, t_us, rtx)
+        assert book.pop_acked(3000) == [(1_300.0, False), (9_900.0, True)]
+        assert book.pop_acked(3000) == []
+        assert 4200 in book and 2800 not in book
+        assert book.pop_acked(9000) == [(1_000.0, False), (2_100.0, False), (2_350.0, False)]
+        assert book.pop_acked(10**9) == []
+
+    def test_srtt_equals_sorted_scan(self):
+        sim = emulator._Simulation(video_run(retransmit=True, loss_prob=0.02))
+        flow = VIDEO_FLOW
+        reference: dict[int, tuple[float, bool]] = {}
+        book = sim._outstanding.setdefault(flow, emulator._AckBook())
+        for end, t_us, rtx in self.ARMS:
+            book.arm(end, t_us, rtx)
+            reference[end] = (t_us, rtx)
+        srtt = None
+        for t_us, ack in self.ACKS:
+            sim._sender_sees_ack(t_us, flow, ack)
+            srtt = old_sorted_scan(reference, srtt, t_us, ack)
+            assert sim._srtt_ms[flow] == srtt
+        assert srtt is not None and not reference

@@ -1,10 +1,15 @@
 """Domain types, capture validation and the NDJSON wire format."""
 
+import dataclasses
+import json
+import math
 import random
 
 import pytest
 
 from conftest import rec
+from edgekpi import emulator
+from edgekpi.emulator import EmulationRun, Workload
 from edgekpi.model import (
     ADDED_OWD_MS,
     CaptureFormatError,
@@ -79,19 +84,144 @@ class TestNdjsonRoundTrip:
             read_capture_file(path)
 
     def test_missing_field_rejected(self):
-        with pytest.raises(CaptureFormatError):
+        with pytest.raises(CaptureFormatError, match="missing field 't_us'"):
             record_from_json('{"tap":"UE"}')
 
-    def test_unknown_enum_rejected(self):
-        line = record_to_json(rec()).replace('"UPLINK"', '"SIDEWAYS"')
-        with pytest.raises(CaptureFormatError):
-            record_from_json(line)
+    def test_unknown_enum_rejected(self, tmp_path):
+        path = tmp_path / "ue.ndjson"
+        bad = record_to_json(rec()).replace('"UPLINK"', '"SIDEWAYS"')
+        path.write_text(record_to_json(rec()) + "\n" + bad + "\n")
+        with pytest.raises(CaptureFormatError) as err:
+            read_capture_file(path)
+        assert str(err.value) == "line 2: bad capture record: dir: unknown value 'SIDEWAYS'"
+        assert err.value.lineno == 2
+
+    def test_unhashable_enum_value_rejected(self):
+        line = record_to_json(rec()).replace('"UE"', '["UE"]')
+        with pytest.raises(CaptureFormatError, match=r"tap: unknown value \['UE'\]"):
+            record_from_json(line, 7)
+
+    def test_non_integer_field_names_it(self):
+        line = record_to_json(rec(seq=5)).replace('"seq":5', '"seq":"five"')
+        with pytest.raises(CaptureFormatError, match="line 4: .*seq: not an integer: 'five'"):
+            record_from_json(line, 4)
 
     def test_ntp_file_round_trip(self, tmp_path):
         samples = [NtpSample(0.0, Tap.UE, 0.25), NtpSample(10.0, Tap.APP, -0.5)]
         path = tmp_path / "ntp.ndjson"
         write_ntp_file(path, samples)
         assert read_ntp_file(path) == samples
+
+
+def old_record_json(r: CaptureRecord) -> str:
+    """The capture line as json.dumps wrote it before the direct encoder."""
+    return json.dumps({
+        "tap": r.tap.value, "t_us": r.t_us, "flow": r.flow, "dir": r.dir.value,
+        "proto": r.proto.value, "seq": r.seq, "ack": r.ack, "len": r.payload_len,
+        "marker": r.marker.value, "pid": r.pid,
+    }, separators=(",", ":"))
+
+
+def old_truth_packet_json(p) -> str:
+    return json.dumps({
+        "kind": "packet", "pid": p.pid, "flow": p.flow, "dir": p.dir.value,
+        "proto": p.proto.value, "seq": p.seq, "len": p.payload_len,
+        "t_ue_us": p.t_ue_us, "t_core_us": p.t_core_us, "t_app_us": p.t_app_us,
+        "delivered": p.delivered,
+    }, separators=(",", ":"))
+
+
+def codec_run(retransmit: bool) -> EmulationRun:
+    """The default video + pings scenario, 2 s long, optionally lossy with
+    retransmission; default clocks give negative and noisy stamps."""
+    scenario = Scenario(tech=Tech.FIVE_G, range=RangeBand.EDGE,
+                        jitter_std=1.0 if retransmit else 0.0,
+                        loss_prob=0.02 if retransmit else 0.0, retransmit=retransmit)
+    return EmulationRun(
+        scenario=scenario,
+        workload=Workload(ping_count=20, video=VideoConfig(), video_duration_s=2.0),
+        clocks=ClockModel(offset_ue_ms=-3.5, offset_app_ms=2.25),
+        seed=1)
+
+
+class TestCodecBytes:
+    @pytest.mark.parametrize("retransmit", [False, True])
+    def test_encoder_matches_json_dumps_on_emulated_records(self, retransmit):
+        result = emulator.run(codec_run(retransmit))
+        records = [r for tap in Tap for r in result.records[tap]]
+        assert any(r.t_us < 0 for r in records)
+        for r in records:
+            assert record_to_json(r) == old_record_json(r)
+
+    def test_encoder_matches_json_dumps_on_edge_ints(self):
+        edge = [rec(t_us=-1, pid=2**53 + 1), rec(t_us=-(2**40), seq=2**63, ack=2**64 + 3, pid=0),
+                rec(t_us=0, flow=-7, payload_len=0, pid=10**30)]
+        for r in edge:
+            line = record_to_json(r)
+            assert line == old_record_json(r)
+            assert record_from_json(line) == r
+
+    def test_truth_packet_lines_match_json_dumps(self, tmp_path):
+        result = emulator.run(codec_run(retransmit=True))
+        packets = result.truth.packets
+        assert any(p.t_app_us is None for p in packets)
+        assert {p.delivered for p in packets} == {True, False}
+        path = tmp_path / "truth.ndjson"
+        emulator.write_truth_file(path, result.truth)
+        lines = path.read_text().splitlines()
+        assert lines[:len(packets)] == [old_truth_packet_json(p) for p in packets]
+        assert len(lines) == len(packets) + len(result.truth.frames)
+
+
+class TestCaptureRecordValue:
+    def test_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rec().t_us = 5
+
+    def test_equal_and_hashable(self):
+        a, b = rec(pid=3, t_us=9), rec(pid=3, t_us=9)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, rec(pid=4)}) == 2
+
+    def test_slotted(self):
+        assert not hasattr(rec(), "__dict__")
+
+
+class TestFiniteConfig:
+    FIELDS = [
+        (ClockModel, {}, name) for name in (
+            "offset_ue_ms", "offset_core_ms", "offset_app_ms",
+            "sigma_ue_ms", "sigma_core_ms", "sigma_app_ms", "resync_interval_s")
+    ] + [
+        (Scenario, {"tech": Tech.FIVE_G, "range": RangeBand.EDGE}, name) for name in (
+            "added_owd", "base_owd_up", "base_owd_down", "jitter_std", "loss_prob")
+    ] + [
+        (VideoConfig, {}, name) for name in ("fps", "frame_size_cv")
+    ] + [
+        (ProcessingModel, {}, "total_ms"),
+    ] + [
+        (Workload, {"ping_count": 1}, name) for name in (
+            "ping_interval_ms", "video_duration_s", "bulk_duration_s", "bulk_offered_mbps")
+    ]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("cls, base, name", FIELDS)
+    def test_non_finite_rejected(self, cls, base, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+            cls(**base, **{name: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_stage_fraction_rejected(self, value):
+        with pytest.raises(ValueError, match="stage_fractions must be a finite number"):
+            ProcessingModel(stage_fractions=(value, 0.6, 0.1, 0.05))
+
+    def test_bandwidth_cap_inf_means_no_cap(self):
+        assert math.isinf(Scenario(Tech.FIVE_G, RangeBand.EDGE, bandwidth_cap=math.inf).bandwidth_cap)
+
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_bandwidth_cap_nan_and_negative_inf_rejected(self, value):
+        with pytest.raises(ValueError, match="bandwidth_cap"):
+            Scenario(Tech.FIVE_G, RangeBand.EDGE, bandwidth_cap=value)
 
 
 class TestValidate:
