@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -69,6 +70,9 @@ SAMPLES_FILE = "samples.ndjson"
 REPORT_CSV = "report.csv"
 REPORT_NDJSON = "report.ndjson"
 MANIFEST_FILE = "manifest.ini"
+#: What ``simulate`` writes, and what ``analyze`` adds, in a run directory.
+RUN_FILES = (*TAP_FILES.values(), TRUTH_FILE, NTP_FILE, MANIFEST_FILE)
+ANALYSIS_FILES = (SAMPLES_FILE, REPORT_CSV, REPORT_NDJSON)
 
 #: The five-scenario comparison. Every scenario runs with the same seed so
 #: the generated workload (frame sizes, noise draws) is identical across
@@ -162,8 +166,7 @@ def _require_new(paths: list[Path], force: bool) -> None:
 
 def _write_run_outputs(result: RunResult, run_cfg: EmulationRun, outdir: Path, force: bool) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
-    targets = [outdir / name for name in (*TAP_FILES.values(), TRUTH_FILE, NTP_FILE, MANIFEST_FILE)]
-    _require_new(targets, force)
+    _require_new([outdir / name for name in RUN_FILES], force)
     for tap, name in TAP_FILES.items():
         write_capture_file(outdir / name, result.records[tap])
     write_truth_file(outdir / TRUTH_FILE, result.truth)
@@ -251,8 +254,7 @@ def cmd_analyze(args) -> int:
     indir = Path(args.indir)
     if not indir.is_dir():
         raise CliError(f"capture directory not found: {indir}")
-    targets = [indir / name for name in (SAMPLES_FILE, REPORT_CSV, REPORT_NDJSON)]
-    _require_new(targets, args.force)
+    _require_new([indir / name for name in ANALYSIS_FILES], args.force)
     records = {}
     for tap, name in TAP_FILES.items():
         path = indir / name
@@ -270,15 +272,43 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _sweep_scenario(label: str, run_cfg: EmulationRun, outdir: Path, args) -> dict:
+    """Emulate one sweep scenario, write its outputs into ``outdir`` and
+    return its ``comparison.csv`` row. Runs in a pool worker, so everything
+    it takes and returns pickles."""
+    result = run_emulation(run_cfg)
+    _write_run_outputs(result, run_cfg, outdir, args.force)
+    tech, range_band = run_cfg.scenario.tech.value, run_cfg.scenario.range.value
+    report = _analyze_and_write(outdir, result.records, result.ntp, args, (label, tech, range_band))
+
+    def med(cls):
+        stats = report.classes.get(cls)
+        return round(stats.median_ms, 6) if stats else ""
+
+    return {
+        "scenario": label, "tech": tech, "range": range_band,
+        "ctrl_median_ms": med("CTRL"),
+        "stream_packet_median_ms": med("STREAM-packet"),
+        "stream_frame_median_ms": med("STREAM-frame"),
+        "owd_frame_p95_ms": round(report.reliability.latency_at_percentile_ms, 6)
+                            if report.reliability else "",
+        "e2e_srt_p95_ms": round(report.e2e_srt_p95_ms, 6) if report.e2e_srt_p95_ms else "",
+        "velocity_kmh": round(report.velocity_kmh[1.0], 4)
+                        if report.velocity_kmh and 1.0 in report.velocity_kmh else "",
+    }
+
+
 def cmd_sweep(args) -> int:
+    # Imported here: at module level the pool's multiprocessing imports would
+    # slow every edgekpi start-up, not only sweep's.
+    from concurrent.futures import ProcessPoolExecutor
+
     parsed = parse_config(args.config)
     base_seed = args.seed if args.seed is not None else (parsed.seed or 0)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _require_new([outdir / COMPARISON_FILE], args.force)
     raw = parsed.raw_scenario
-    comparison = []
-    for index, (label, tech, range_band) in enumerate(SWEEP_SCENARIOS):
+    runs = []
+    for label, tech, range_band in SWEEP_SCENARIOS:
         scenario = Scenario(
             tech=tech,
             range=range_band,
@@ -292,28 +322,25 @@ def cmd_sweep(args) -> int:
         run_cfg = EmulationRun(scenario=scenario, workload=parsed.workload,
                                clocks=parsed.clocks, processing=parsed.processing,
                                seed=base_seed, mss=parsed.mss)
-        result = run_emulation(run_cfg)
-        scen_dir = outdir / label
-        _write_run_outputs(result, run_cfg, scen_dir, args.force)
-        report = _analyze_and_write(scen_dir, result.records, result.ntp, args,
-                                    (label, tech.value, range_band.value))
-
-        def med(cls):
-            stats = report.classes.get(cls)
-            return round(stats.median_ms, 6) if stats else ""
-
-        comparison.append({
-            "scenario": label, "tech": tech.value, "range": range_band.value,
-            "ctrl_median_ms": med("CTRL"),
-            "stream_packet_median_ms": med("STREAM-packet"),
-            "stream_frame_median_ms": med("STREAM-frame"),
-            "owd_frame_p95_ms": round(report.reliability.latency_at_percentile_ms, 6)
-                                if report.reliability else "",
-            "e2e_srt_p95_ms": round(report.e2e_srt_p95_ms, 6) if report.e2e_srt_p95_ms else "",
-            "velocity_kmh": round(report.velocity_kmh[1.0], 4)
-                            if report.velocity_kmh and 1.0 in report.velocity_kmh else "",
-        })
-        print(f"[{index + 1}/5] {label}: done")
+        runs.append((label, run_cfg, outdir / label))
+    # Refuse before any scenario starts, so a refused sweep writes nothing.
+    names = (*RUN_FILES, *ANALYSIS_FILES)
+    _require_new([scen_dir / name for _, _, scen_dir in runs for name in names]
+                 + [outdir / COMPARISON_FILE], args.force)
+    outdir.mkdir(parents=True, exist_ok=True)
+    # The scenarios share no state and each writes only its own directory,
+    # so they run in parallel; results are taken, and errors raised, in order.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    comparison = []
+    with ProcessPoolExecutor(max_workers=min(len(runs), cpus)) as pool:
+        futures = [pool.submit(_sweep_scenario, *run, args) for run in runs]
+        for index, ((label, _, _), future) in enumerate(zip(runs, futures)):
+            try:
+                comparison.append(future.result())
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
+            print(f"[{index + 1}/{len(runs)}] {label}: done")
     with open(outdir / COMPARISON_FILE, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=COMPARISON_COLUMNS)
         writer.writeheader()
@@ -322,20 +349,29 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _load_samples(path: Path) -> dict[str, list[float]]:
-    if not path.exists():
-        raise CliError(f"samples file not found: {path}")
-    by_class: dict[str, list[float]] = {}
+def _read_ndjson(path: Path, kind: str, parse) -> list:
+    """``parse(record)`` of each non-blank line of ``path``. A line that does
+    not decode, or that ``parse`` rejects, ends in a CliError naming it."""
+    rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                d = json.loads(line)
-                by_class.setdefault(d["class"], []).append(float(d["value_ms"]))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise CliError(f"{path} line {lineno}: bad sample record: {exc}")
+                rows.append(parse(json.loads(line)))
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                why = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+                raise CliError(f"{path} line {lineno}: bad {kind} record: {why}")
+    return rows
+
+
+def _load_samples(path: Path) -> dict[str, list[float]]:
+    if not path.exists():
+        raise CliError(f"samples file not found: {path}")
+    by_class: dict[str, list[float]] = {}
+    for cls, value in _read_ndjson(path, "sample", lambda d: (d["class"], float(d["value_ms"]))):
+        by_class.setdefault(cls, []).append(value)
     return by_class
 
 
@@ -383,16 +419,13 @@ def cmd_plot(args) -> int:
         else:
             if not args.infile:
                 raise CliError("--in (a report.ndjson) or --defaults is required for throughput plots")
-            bars = []
-            with open(args.infile, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    d = json.loads(line)
-                    if d.get("metric") == "demanded_throughput":
-                        label = d.get("scenario") or "demand"
-                        bars.append((label, float(d["value"])))
+
+            def demand_bar(d):
+                if d.get("metric") != "demanded_throughput":
+                    return None
+                return (d.get("scenario") or "demand", float(d["value"]))
+
+            bars = [bar for bar in _read_ndjson(Path(args.infile), "report", demand_bar) if bar]
             if not bars:
                 raise CliError("report contains no demanded_throughput rows")
         text = render_throughput_ascii(bars) if args.ascii else render_throughput_svg(bars)
@@ -426,7 +459,7 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command](args)
     except (CliError, ConfigError, CaptureFormatError, MalformedCaptureError,
-            InsufficientDataError) as exc:
+            InsufficientDataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

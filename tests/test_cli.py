@@ -55,6 +55,13 @@ def digest_dir(outdir: Path) -> dict:
             for p in sorted(outdir.iterdir()) if p.is_file()}
 
 
+def one_line_error(capsys) -> str:
+    """The stderr of a run that failed cleanly: one ``error:`` line."""
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    return err
+
+
 class TestSimulate:
     def test_writes_capture_set(self, tmp_path, config_path, capsys):
         out = tmp_path / "out"
@@ -92,6 +99,12 @@ class TestSimulate:
         assert main(["simulate", "--config", str(bad), "--seed", "1",
                      "--out", str(tmp_path / "x")]) == 1
         assert "line" in capsys.readouterr().err.lower()
+
+    def test_out_is_an_existing_file(self, tmp_path, config_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 1
+        assert str(out) in one_line_error(capsys)
 
 
 class TestNonFiniteConfig:
@@ -251,6 +264,47 @@ class TestSweep:
             for name in ("ue.ndjson", "report.csv", "samples.ndjson", "manifest.ini"):
                 assert (sweep_dir / label / name).exists()
 
+    def test_progress_lines_in_scenario_order(self, tmp_path, config_path, capsys):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(config_path), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "[1/5] 5g_edge: done",
+            "[2/5] 5g_regional: done",
+            "[3/5] 5g_national: done",
+            "[4/5] 4g_regional: done",
+            "[5/5] 4g_national: done",
+            f"sweep complete: {out / 'comparison.csv'}",
+        ]
+
+    @pytest.mark.parametrize("scenario, name", [("4g_national", "ue.ndjson"),
+                                                ("5g_edge", "report.csv")])
+    def test_refuses_overwrite_before_any_scenario_runs(self, tmp_path, config_path, capsys,
+                                                        scenario, name):
+        out = tmp_path / "sweep"
+        existing = out / scenario / name
+        existing.parent.mkdir(parents=True)
+        existing.write_text("")
+        assert main(["sweep", "--config", str(config_path), "--out", str(out)]) == 1
+        err = one_line_error(capsys)
+        assert "overwrite" in err and str(existing) in err
+        assert [p.name for p in out.iterdir()] == [scenario]
+        assert [p.name for p in existing.parent.iterdir()] == [name]
+
+    def test_out_is_an_existing_file(self, tmp_path, config_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["sweep", "--config", str(config_path), "--out", str(out)]) == 1
+        assert str(out) in one_line_error(capsys)
+
+    def test_scenario_dir_is_an_existing_file(self, tmp_path, config_path, capsys):
+        # the error is raised in a pool worker and reported by the parent
+        out = tmp_path / "sweep"
+        out.mkdir()
+        (out / "5g_edge").write_text("")
+        assert main(["sweep", "--config", str(config_path), "--out", str(out)]) == 1
+        assert str(out / "5g_edge") in one_line_error(capsys)
+        assert not (out / "comparison.csv").exists()
+
 
 class TestPlot:
     @pytest.fixture
@@ -301,6 +355,33 @@ class TestPlot:
         assert main(["plot", "--kind", "throughput",
                      "--in", str(analyzed_dir / "report.ndjson"), "--out", str(out)]) == 0
         assert "32.2 Mbit/s" in out.read_text()
+
+    def test_throughput_missing_report(self, tmp_path, capsys):
+        missing = tmp_path / "missing.ndjson"
+        assert main(["plot", "--kind", "throughput", "--in", str(missing),
+                     "--out", str(tmp_path / "tp.svg")]) == 1
+        assert str(missing) in one_line_error(capsys)
+
+    def test_out_in_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "nodir" / "x.svg"
+        assert main(["plot", "--kind", "throughput", "--defaults", "--out", str(out)]) == 1
+        assert str(out) in one_line_error(capsys)
+
+    @pytest.mark.parametrize("line, why", [
+        ("not json", "Expecting value"),
+        ('{"metric":"demanded_throughput","scenario":"x"}', "missing field 'value'"),
+        ('{"metric":"demanded_throughput","value":"fast"}', "could not convert"),
+        ("[1, 2]", "has no attribute"),
+    ])
+    def test_throughput_bad_report_line(self, analyzed_dir, tmp_path, capsys, line, why):
+        report = analyzed_dir / "report.ndjson"
+        lines = report.read_text().splitlines()
+        lines.insert(2, line)
+        report.write_text("\n".join(lines) + "\n")
+        assert main(["plot", "--kind", "throughput", "--in", str(report),
+                     "--out", str(tmp_path / "tp.svg")]) == 1
+        err = one_line_error(capsys)
+        assert f"{report} line 3: bad report record: " in err and why in err
 
     def test_unknown_kind_usage_error(self, analyzed_dir, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 from pathlib import Path
 
 import pytest
@@ -49,9 +50,7 @@ def _digests(root: Path) -> dict[str, str]:
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_output_digests(case, tmp_path, capsys):
-    out = tmp_path / case
+def _check_case(case: str, out: Path, capsys) -> None:
     for argv in CASES[case]:
         argv = [a.format(golden=GOLDEN, out=out) for a in argv]
         assert main(argv) == 0, capsys.readouterr().err
@@ -61,3 +60,19 @@ def test_output_digests(case, tmp_path, capsys):
                for name in sorted(set(got) | set(expected)) if got.get(name) != expected.get(name)}
     assert not changed, f"{case}: outputs differ from golden/digests.json:\n" + json.dumps(
         changed, indent=2)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_output_digests(case, tmp_path, capsys):
+    _check_case(case, tmp_path / case, capsys)
+
+
+def test_sweep_digests_under_spawn(tmp_path, capsys):
+    # spawn pickles the sweep's worker function and its arguments, as the
+    # forkserver default of newer Pythons and macOS's spawn default do
+    previous = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("spawn", force=True)
+    try:
+        _check_case("sweep", tmp_path / "sweep", capsys)
+    finally:
+        multiprocessing.set_start_method(previous, force=True)
