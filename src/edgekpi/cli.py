@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -202,33 +203,38 @@ def _write_samples(path: Path, analysis) -> None:
                 fh.write("\n")
 
 
-def _analyze_and_write(outdir: Path, records: dict[Tap, list], ntp, args,
-                       scenario_meta: tuple[str, str, str]) -> KpiReport:
+def _analysis_options(args) -> tuple[AnalyzerConfig, ReportOptions]:
+    """The analyzer config and report options the analysis flags ask for;
+    a bad flag value ends in a CliError before any work starts."""
+    try:
+        cfg = AnalyzerConfig(
+            alpha=args.alpha,
+            match_mode=MatchMode.BY_PID if args.match == "pid" else MatchMode.BY_SEQ,
+            owd_frame_endpoints=(FrameEndpoints.FIRST_TO_LAST if args.frame_owd == "first-last"
+                                 else FrameEndpoints.FIRST_TO_FIRST),
+        )
+        opts = ReportOptions(
+            processing_ms=args.processing_ms,
+            owd_down_assumed_ms=args.owd_down_ms,
+            distances_m=tuple(args.distance_m) if args.distance_m else (1.0,),
+            reliability_percentile=args.reliability_p,
+            reliability_bound_ms=args.bound_ms,
+            alpha=args.alpha,
+        )
+    except ValueError as exc:
+        raise CliError(f"bad analysis option: {exc}") from None
+    return cfg, opts
+
+
+def _analyze_and_write(outdir: Path, records: dict[Tap, list], ntp, cfg: AnalyzerConfig,
+                       opts: ReportOptions) -> KpiReport:
     """Validate each tap's capture, analyze them and write the samples and
     report files into ``outdir``."""
     for tap, name in TAP_FILES.items():
         check = validate(records[tap])
         if not check.ok:
             raise CliError(f"{outdir / name}: invalid capture at record {check.index}: {check.error}")
-    cfg = AnalyzerConfig(
-        alpha=args.alpha,
-        match_mode=MatchMode.BY_PID if args.match == "pid" else MatchMode.BY_SEQ,
-        owd_frame_endpoints=(FrameEndpoints.FIRST_TO_LAST if args.frame_owd == "first-last"
-                             else FrameEndpoints.FIRST_TO_FIRST),
-    )
     analysis = analyze_captures(records[Tap.UE], records[Tap.CORE], records[Tap.APP], ntp, cfg)
-    label, tech, range_band = scenario_meta
-    opts = ReportOptions(
-        processing_ms=args.processing_ms,
-        owd_down_assumed_ms=args.owd_down_ms,
-        distances_m=tuple(args.distance_m) if args.distance_m else (1.0,),
-        reliability_percentile=args.reliability_p,
-        reliability_bound_ms=args.bound_ms,
-        alpha=args.alpha,
-        scenario_label=label,
-        tech=tech,
-        range_band=range_band,
-    )
     report = build_report(analysis, opts)
     _write_samples(outdir / SAMPLES_FILE, analysis)
     rows = report_rows(report)
@@ -237,20 +243,22 @@ def _analyze_and_write(outdir: Path, records: dict[Tap, list], ntp, args,
     return report
 
 
-def _scenario_meta_from_manifest(indir: Path) -> tuple[str, str, str]:
+def _scenario_meta_from_manifest(indir: Path) -> dict[str, str]:
+    """The ReportOptions scenario fields the run's manifest gives, if any."""
     manifest = indir / MANIFEST_FILE
     if not manifest.exists():
-        return ("", "", "")
+        return {}
     try:
         parsed = parse_config(manifest)
     except ConfigError:
-        return ("", "", "")
+        return {}
     s = parsed.scenario
     label = f"{'5g' if s.tech is Tech.FIVE_G else '4g'}_{s.range.value.lower()}"
-    return (label, s.tech.value, s.range.value)
+    return {"scenario_label": label, "tech": s.tech.value, "range_band": s.range.value}
 
 
 def cmd_analyze(args) -> int:
+    cfg, opts = _analysis_options(args)
     indir = Path(args.indir)
     if not indir.is_dir():
         raise CliError(f"capture directory not found: {indir}")
@@ -263,7 +271,8 @@ def cmd_analyze(args) -> int:
         records[tap] = read_capture_file(path)
     ntp_path = indir / NTP_FILE
     ntp = read_ntp_file(ntp_path) if ntp_path.exists() else None
-    report = _analyze_and_write(indir, records, ntp, args, _scenario_meta_from_manifest(indir))
+    opts = dataclasses.replace(opts, **_scenario_meta_from_manifest(indir))
+    report = _analyze_and_write(indir, records, ntp, cfg, opts)
     for name in report.absent:
         print(f"note: no {name} samples in this capture; KPIs marked absent")
     if not ntp:
@@ -272,14 +281,16 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _sweep_scenario(label: str, run_cfg: EmulationRun, outdir: Path, args) -> dict:
+def _sweep_scenario(label: str, run_cfg: EmulationRun, outdir: Path, cfg: AnalyzerConfig,
+                    opts: ReportOptions, force: bool) -> dict:
     """Emulate one sweep scenario, write its outputs into ``outdir`` and
     return its ``comparison.csv`` row. Runs in a pool worker, so everything
     it takes and returns pickles."""
     result = run_emulation(run_cfg)
-    _write_run_outputs(result, run_cfg, outdir, args.force)
+    _write_run_outputs(result, run_cfg, outdir, force)
     tech, range_band = run_cfg.scenario.tech.value, run_cfg.scenario.range.value
-    report = _analyze_and_write(outdir, result.records, result.ntp, args, (label, tech, range_band))
+    opts = dataclasses.replace(opts, scenario_label=label, tech=tech, range_band=range_band)
+    report = _analyze_and_write(outdir, result.records, result.ntp, cfg, opts)
 
     def med(cls):
         stats = report.classes.get(cls)
@@ -303,6 +314,7 @@ def cmd_sweep(args) -> int:
     # slow every edgekpi start-up, not only sweep's.
     from concurrent.futures import ProcessPoolExecutor
 
+    cfg, opts = _analysis_options(args)
     parsed = parse_config(args.config)
     base_seed = args.seed if args.seed is not None else (parsed.seed or 0)
     outdir = Path(args.out)
@@ -333,7 +345,7 @@ def cmd_sweep(args) -> int:
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     comparison = []
     with ProcessPoolExecutor(max_workers=min(len(runs), cpus)) as pool:
-        futures = [pool.submit(_sweep_scenario, *run, args) for run in runs]
+        futures = [pool.submit(_sweep_scenario, *run, cfg, opts, args.force) for run in runs]
         for index, ((label, _, _), future) in enumerate(zip(runs, futures)):
             try:
                 comparison.append(future.result())

@@ -200,7 +200,17 @@ def gen_bulk_probe(duration_s: float, mss: int = DEFAULT_MSS,
     return plans
 
 
-def _ntp_trace(clocks: ClockModel, duration_s: float, rng: random.Random) -> list[NtpSample]:
+def sample_ntp_trace(clocks: ClockModel, duration_s: float,
+                     rng: random.Random | None = None) -> list[NtpSample]:
+    """Per-node offset samples, one per resync interval (incl. t=0).
+
+    The most recent sample is also what the emulator applies as the node's
+    clock error between resyncs, so the trace is exactly the error a capture
+    stamp carries at that time.
+    """
+    if duration_s < clocks.resync_interval_s:
+        raise ValueError("duration_s must be >= resync_interval_s")
+    rng = rng if rng is not None else random.Random(0)
     samples = []
     n = int(math.floor(duration_s / clocks.resync_interval_s + 1e-9)) + 1
     offsets = clocks.offsets_ms()
@@ -213,22 +223,11 @@ def _ntp_trace(clocks: ClockModel, duration_s: float, rng: random.Random) -> lis
     return samples
 
 
-def sample_ntp_trace(clocks: ClockModel, duration_s: float,
-                     rng: random.Random | None = None) -> list[NtpSample]:
-    """Per-node offset samples, one per resync interval (incl. t=0).
-
-    The most recent sample is also what the emulator applies as the node's
-    clock error between resyncs, so the trace is exactly the error a capture
-    stamp carries at that time.
-    """
-    if duration_s < clocks.resync_interval_s:
-        raise ValueError("duration_s must be >= resync_interval_s")
-    return _ntp_trace(clocks, duration_s, rng if rng is not None else random.Random(0))
-
-
 @dataclass(slots=True)
 class TruthPacket:
-    """True (noise-free) per-tap times of one packet; None where never seen."""
+    """One emulated packet: what it carries, and its true (noise-free)
+    per-tap times, None where never seen. The simulation routes this object
+    and the truth log keeps it."""
 
     pid: int
     flow: int
@@ -240,6 +239,11 @@ class TruthPacket:
     t_core_us: int | None = None
     t_app_us: int | None = None
     delivered: bool = False
+    ack: int = 0
+    marker: Marker = Marker.NONE
+    frame_idx: int | None = None
+    end_of_frame: bool = False
+    retransmission: bool = False
 
     def owd_ms(self) -> float | None:
         if self.t_ue_us is None or self.t_app_us is None:
@@ -284,6 +288,49 @@ class TruthLog:
         return {p.pid: p for p in self.packets}
 
 
+def frame_truth(packets: Iterable[TruthPacket]) -> list[TruthFrame]:
+    """Per-frame truth of a packet log, in ``frame_idx`` order.
+
+    A frame's data segments are the uplink packets carrying its index and no
+    marker; its size and emit times come from the original segments, its
+    app arrival times from every copy. It is delivered when the distinct
+    segments that reached the app add up to its size. Its command is the
+    downlink packet carrying its index.
+    """
+    segments: dict[int, list[TruthPacket]] = {}
+    commands: dict[int, TruthPacket] = {}
+    for p in packets:
+        k = p.frame_idx
+        if k is None:
+            continue
+        if p.dir is Direction.DOWNLINK:
+            commands[k] = p
+        elif p.marker is Marker.NONE:
+            group = segments.get(k)
+            if group is None:
+                segments[k] = [p]
+            else:
+                group.append(p)
+    frames = []
+    for k in sorted(segments):
+        segs = segments[k]
+        originals = [p for p in segs if not p.retransmission]
+        tf = TruthFrame(frame_idx=k, byte_len=sum(p.payload_len for p in originals))
+        emits = [p.t_ue_us for p in originals if p.t_ue_us is not None]
+        if emits:
+            tf.t_first_emit_us, tf.t_last_emit_us = min(emits), max(emits)
+        arrived = [p for p in segs if p.t_app_us is not None]
+        if arrived and sum({p.seq: p.payload_len for p in arrived}.values()) == tf.byte_len:
+            tf.t_first_app_us = min(p.t_app_us for p in arrived)
+            tf.t_last_app_us = max(p.t_app_us for p in arrived)
+            tf.delivered = True
+        cmd = commands.get(k)
+        if cmd is not None:
+            tf.t_cmd_emit_us, tf.t_cmd_ue_us = cmd.t_app_us, cmd.t_ue_us
+        frames.append(tf)
+    return frames
+
+
 def _json_int(value: int | None) -> str | int:
     return "null" if value is None else value
 
@@ -320,21 +367,6 @@ class RunResult:
     ntp: list[NtpSample]
 
 
-@dataclass(frozen=True, slots=True)
-class _Pkt:
-    pid: int
-    flow: int
-    dir: Direction
-    proto: Proto
-    seq: int
-    ack: int
-    payload_len: int
-    marker: Marker
-    frame_idx: int | None = None
-    end_of_frame: bool = False
-    retransmission: bool = False
-
-
 class _ReceiveBuffer:
     """Tracks contiguously received bytes per flow (cumulative-ACK view)."""
 
@@ -364,9 +396,6 @@ class _ReceiveBuffer:
         if self._ranges and self._ranges[0][0] == 0:
             return self._ranges[0][1]
         return 0
-
-    def covers(self, start: int, end: int) -> bool:
-        return any(lo <= start and end <= hi for lo, hi in self._ranges)
 
 
 class _AckBook:
@@ -413,14 +442,12 @@ class _Simulation:
 
         self.records: dict[Tap, list[CaptureRecord]] = {t: [] for t in NODES}
         self.truth = TruthLog()
-        self._truth_by_pid: dict[int, TruthPacket] = {}
-        self._truth_frames: dict[int, TruthFrame] = {}
 
         # At least one full resync interval so the trace always holds two or
         # more samples per node, enough for offset estimation.
         horizon_s = max(run.workload.horizon_s() + CLOCK_TRACE_SLACK_S,
                         run.clocks.resync_interval_s)
-        self.ntp = _ntp_trace(run.clocks, horizon_s, self.rng_clock)
+        self.ntp = sample_ntp_trace(run.clocks, horizon_s, self.rng_clock)
         self._resync_us = run.clocks.resync_interval_s * 1e6
         # Clock error (us) each node applies from each resync on; the trace
         # holds at least one sample per node.
@@ -449,12 +476,6 @@ class _Simulation:
         self._outstanding: dict[int, _AckBook] = {}
         self._srtt_ms: dict[int, float | None] = {}
 
-        # Frame bookkeeping for the truth log: data-segment pid -> frame,
-        # original (non-retransmitted) pids, and per-frame byte extents.
-        self._pid_frame: dict[int, int] = {}
-        self._original_pids: set[int] = set()
-        self._frame_extent: dict[int, tuple[int, int]] = {}
-
         base = self.scenario
         self._base_up_us = base.base_owd_up * 1000.0
         self._base_down_us = base.base_owd_down * 1000.0
@@ -472,26 +493,19 @@ class _Simulation:
         self._next_pid += 1
         return pid
 
-    def _stamp(self, node: Tap, t_us: float, pkt: _Pkt) -> None:
+    def _stamp(self, node: Tap, t_us: float, pkt: TruthPacket) -> None:
         errs = self._clock_err_us[node]
         err = errs[min(int(t_us // self._resync_us), len(errs) - 1)]
         self.records[node].append(CaptureRecord(
             node, round(t_us + err), pkt.flow, pkt.dir, pkt.proto,
             pkt.seq, pkt.ack, pkt.payload_len, pkt.marker, pkt.pid))
-        tp = self._truth_by_pid[pkt.pid]
         true_us = round(t_us)
         if node is Tap.UE:
-            tp.t_ue_us = true_us
+            pkt.t_ue_us = true_us
         elif node is Tap.CORE:
-            tp.t_core_us = true_us
+            pkt.t_core_us = true_us
         else:
-            tp.t_app_us = true_us
-
-    def _track(self, pkt: _Pkt) -> TruthPacket:
-        tp = TruthPacket(pkt.pid, pkt.flow, pkt.dir, pkt.proto, pkt.seq, pkt.payload_len)
-        self._truth_by_pid[pkt.pid] = tp
-        self.truth.packets.append(tp)
-        return tp
+            pkt.t_app_us = true_us
 
     def _fifo(self, link: str, flow: int, t_us: float) -> float:
         key = (link, flow)
@@ -513,8 +527,15 @@ class _Simulation:
 
     # -- uplink path ------------------------------------------------------
 
-    def _emit_uplink(self, t_us: float, pkt: _Pkt) -> None:
-        self._track(pkt)
+    def _emit_uplink(self, t_us: float, pkt: TruthPacket) -> None:
+        if self.scenario.retransmit and pkt.proto is Proto.STREAM and pkt.payload_len > 0:
+            self._arm_retransmit(t_us, pkt)
+        self._send_up(t_us, pkt)
+
+    def _send_up(self, t_us: float, pkt: TruthPacket) -> None:
+        """Log and stamp ``pkt`` at the UE, pass stream packets through the
+        rate limiter, then lose it or schedule its core arrival."""
+        self.truth.packets.append(pkt)
         self._stamp(Tap.UE, t_us, pkt)
         if pkt.proto is Proto.STREAM:
             start = max(t_us, self._uplink_free_us)
@@ -523,25 +544,23 @@ class _Simulation:
             self._uplink_free_us = depart
         else:
             depart = t_us
-        if self.scenario.retransmit and pkt.proto is Proto.STREAM and pkt.payload_len > 0:
-            self._arm_retransmit(t_us, pkt)
         if self._lost(self.rng_loss_up):
             return
         t_core = self._fifo("up_core", pkt.flow, depart + self._base_up_us + self._jitter(self.rng_jitter_up))
         self._schedule(t_core, lambda t, p=pkt: self._arrive_core_up(t, p))
 
-    def _arrive_core_up(self, t_us: float, pkt: _Pkt) -> None:
+    def _arrive_core_up(self, t_us: float, pkt: TruthPacket) -> None:
         self._stamp(Tap.CORE, t_us, pkt)
         t_app = self._fifo("up_app", pkt.flow, t_us + self._added_us)
         self._schedule(t_app, lambda t, p=pkt: self._arrive_app(t, p))
 
-    def _arrive_app(self, t_us: float, pkt: _Pkt) -> None:
+    def _arrive_app(self, t_us: float, pkt: TruthPacket) -> None:
         self._stamp(Tap.APP, t_us, pkt)
-        self._truth_by_pid[pkt.pid].delivered = True
+        pkt.delivered = True
         if pkt.proto is Proto.CTRL:
-            reply = _Pkt(pid=self._new_pid(), flow=pkt.flow, dir=Direction.DOWNLINK,
-                         proto=Proto.CTRL, seq=0, ack=pkt.pid,
-                         payload_len=pkt.payload_len, marker=Marker.NONE)
+            reply = TruthPacket(pid=self._new_pid(), flow=pkt.flow, dir=Direction.DOWNLINK,
+                                proto=Proto.CTRL, seq=0, payload_len=pkt.payload_len,
+                                ack=pkt.pid)
             self._emit_downlink(t_us, reply)
             return
         if pkt.payload_len > 0:
@@ -549,7 +568,7 @@ class _Simulation:
 
     # -- receiver ---------------------------------------------------------
 
-    def _receive_segment(self, t_us: float, pkt: _Pkt) -> None:
+    def _receive_segment(self, t_us: float, pkt: TruthPacket) -> None:
         flow = pkt.flow
         buf = self._rx.setdefault(flow, _ReceiveBuffer())
         buf.add(pkt.seq, pkt.seq + pkt.payload_len)
@@ -581,9 +600,9 @@ class _Simulation:
     def _flush_ack(self, t_us: float, flow: int) -> None:
         self._ack_pending[flow] = 0
         self._ack_deadline[flow] = None
-        ack = _Pkt(pid=self._new_pid(), flow=flow, dir=Direction.DOWNLINK,
-                   proto=Proto.STREAM, seq=0, ack=self._rx[flow].cumulative(),
-                   payload_len=0, marker=Marker.NONE)
+        ack = TruthPacket(pid=self._new_pid(), flow=flow, dir=Direction.DOWNLINK,
+                          proto=Proto.STREAM, seq=0, payload_len=0,
+                          ack=self._rx[flow].cumulative())
         self._emit_downlink(t_us, ack)
 
     def _start_processing(self, t_us: float, flow: int, frame_idx: int) -> None:
@@ -596,42 +615,34 @@ class _Simulation:
         seq = self._dl_seq.get(flow, 0)
         size = self.run.processing.response_bytes
         self._dl_seq[flow] = seq + size
-        cmd = _Pkt(pid=self._new_pid(), flow=flow, dir=Direction.DOWNLINK,
-                   proto=Proto.STREAM, seq=seq, ack=0, payload_len=size,
-                   marker=Marker.NONE, frame_idx=frame_idx)
-        tf = self._truth_frames.get(frame_idx)
-        if tf is not None:
-            tf.t_cmd_emit_us = round(t_us)
+        cmd = TruthPacket(pid=self._new_pid(), flow=flow, dir=Direction.DOWNLINK,
+                          proto=Proto.STREAM, seq=seq, payload_len=size, frame_idx=frame_idx)
         self._emit_downlink(t_us, cmd)
 
     # -- downlink path ----------------------------------------------------
 
-    def _emit_downlink(self, t_us: float, pkt: _Pkt) -> None:
-        self._track(pkt)
+    def _emit_downlink(self, t_us: float, pkt: TruthPacket) -> None:
+        self.truth.packets.append(pkt)
         self._stamp(Tap.APP, t_us, pkt)
         t_core = self._fifo("down_core", pkt.flow, t_us + self._added_us)
         self._schedule(t_core, lambda t, p=pkt: self._arrive_core_down(t, p))
 
-    def _arrive_core_down(self, t_us: float, pkt: _Pkt) -> None:
+    def _arrive_core_down(self, t_us: float, pkt: TruthPacket) -> None:
         self._stamp(Tap.CORE, t_us, pkt)
         if self._lost(self.rng_loss_down):
             return
         t_ue = self._fifo("down_ue", pkt.flow, t_us + self._base_down_us + self._jitter(self.rng_jitter_down))
         self._schedule(t_ue, lambda t, p=pkt: self._arrive_ue(t, p))
 
-    def _arrive_ue(self, t_us: float, pkt: _Pkt) -> None:
+    def _arrive_ue(self, t_us: float, pkt: TruthPacket) -> None:
         self._stamp(Tap.UE, t_us, pkt)
-        self._truth_by_pid[pkt.pid].delivered = True
+        pkt.delivered = True
         if pkt.proto is Proto.STREAM and pkt.payload_len == 0 and pkt.ack > 0:
             self._sender_sees_ack(t_us, pkt.flow, pkt.ack)
-        if pkt.proto is Proto.STREAM and pkt.payload_len > 0 and pkt.frame_idx is not None:
-            tf = self._truth_frames.get(pkt.frame_idx)
-            if tf is not None:
-                tf.t_cmd_ue_us = round(t_us)
 
     # -- sender retransmission (Scenario.retransmit only) ------------------
 
-    def _arm_retransmit(self, t_us: float, pkt: _Pkt) -> None:
+    def _arm_retransmit(self, t_us: float, pkt: TruthPacket) -> None:
         flow = pkt.flow
         end = pkt.seq + pkt.payload_len
         book = self._outstanding.setdefault(flow, _AckBook())
@@ -640,26 +651,17 @@ class _Simulation:
         self._schedule(t_us + timeout * 1000.0,
                        lambda t, p=pkt, a=1: self._retransmit_check(t, p, a))
 
-    def _retransmit_check(self, t_us: float, pkt: _Pkt, attempt: int) -> None:
+    def _retransmit_check(self, t_us: float, pkt: TruthPacket, attempt: int) -> None:
         flow = pkt.flow
         end = pkt.seq + pkt.payload_len
         if self._sender_cum_ack.get(flow, 0) >= end or attempt > MAX_RETRANSMITS:
             return
-        clone = _Pkt(pid=self._new_pid(), flow=flow, dir=pkt.dir, proto=pkt.proto,
-                     seq=pkt.seq, ack=0, payload_len=pkt.payload_len, marker=pkt.marker,
-                     frame_idx=pkt.frame_idx, end_of_frame=pkt.end_of_frame,
-                     retransmission=True)
-        if pkt.pid in self._pid_frame:
-            self._pid_frame[clone.pid] = self._pid_frame[pkt.pid]
-        self._track(clone)
-        self._stamp(Tap.UE, t_us, clone)
-        start = max(t_us, self._uplink_free_us)
-        tx = 0.0 if math.isinf(self._cap) else clone.payload_len * 8.0 / self._cap
-        self._uplink_free_us = start + tx
+        clone = TruthPacket(pid=self._new_pid(), flow=flow, dir=pkt.dir, proto=pkt.proto,
+                            seq=pkt.seq, payload_len=pkt.payload_len, marker=pkt.marker,
+                            frame_idx=pkt.frame_idx, end_of_frame=pkt.end_of_frame,
+                            retransmission=True)
         self._outstanding.setdefault(flow, _AckBook()).arm(end, t_us, True)
-        if not self._lost(self.rng_loss_up):
-            t_core = self._fifo("up_core", flow, start + tx + self._base_up_us + self._jitter(self.rng_jitter_up))
-            self._schedule(t_core, lambda t, p=clone: self._arrive_core_up(t, p))
+        self._send_up(t_us, clone)
         timeout = (self._srtt_ms.get(flow) or INITIAL_TIMEOUT_MS) * (2 ** attempt)
         self._schedule(t_us + timeout * 1000.0,
                        lambda t, p=pkt, a=attempt + 1: self._retransmit_check(t, p, a))
@@ -680,31 +682,18 @@ class _Simulation:
 
     def _plan_uplink_stream(self, flow: int, plans: Iterable[SegmentPlan]) -> None:
         for plan in plans:
-            pkt = _Pkt(pid=self._new_pid(), flow=flow, dir=Direction.UPLINK,
-                       proto=Proto.STREAM, seq=plan.seq, ack=0,
-                       payload_len=plan.payload_len, marker=plan.marker,
-                       frame_idx=plan.frame_idx, end_of_frame=plan.end_of_frame)
+            pkt = TruthPacket(pid=self._new_pid(), flow=flow, dir=Direction.UPLINK,
+                              proto=Proto.STREAM, seq=plan.seq, payload_len=plan.payload_len,
+                              marker=plan.marker, frame_idx=plan.frame_idx,
+                              end_of_frame=plan.end_of_frame)
             self._schedule(plan.t_us, lambda t, p=pkt: self._emit_uplink(t, p))
-            if plan.frame_idx is not None and plan.marker is Marker.NONE:
-                tf = self._truth_frames.get(plan.frame_idx)
-                if tf is None:
-                    tf = TruthFrame(frame_idx=plan.frame_idx, byte_len=0)
-                    self._truth_frames[plan.frame_idx] = tf
-                    self.truth.frames.append(tf)
-                tf.byte_len += plan.payload_len
-                self._pid_frame[pkt.pid] = plan.frame_idx
-                self._original_pids.add(pkt.pid)
-                start, end = self._frame_extent.get(plan.frame_idx, (plan.seq, plan.seq))
-                self._frame_extent[plan.frame_idx] = (min(start, plan.seq),
-                                                      max(end, plan.seq + plan.payload_len))
 
     def run_events(self) -> RunResult:
         w = self.run.workload
         if w.ping_count > 0:
             for t in gen_control_pings(w.ping_interval_ms, w.ping_count):
-                pkt = _Pkt(pid=self._new_pid(), flow=CONTROL_FLOW, dir=Direction.UPLINK,
-                           proto=Proto.CTRL, seq=0, ack=0,
-                           payload_len=CTRL_PAYLOAD_BYTES, marker=Marker.NONE)
+                pkt = TruthPacket(pid=self._new_pid(), flow=CONTROL_FLOW, dir=Direction.UPLINK,
+                                  proto=Proto.CTRL, seq=0, payload_len=CTRL_PAYLOAD_BYTES)
                 self._schedule(t, lambda tt, p=pkt: self._emit_uplink(tt, p))
         if w.video is not None and w.video_duration_s > 0:
             plans = gen_video_stream(w.video, w.video_duration_s, self.run.mss, self.rng_sizes)
@@ -721,36 +710,8 @@ class _Simulation:
             t, _, fn = heapq.heappop(self._q)
             fn(t)
 
-        self._fill_frame_truth()
+        self.truth.frames = frame_truth(self.truth.packets)
         return RunResult(records=self.records, truth=self.truth, ntp=self.ntp)
-
-    def _fill_frame_truth(self) -> None:
-        by_frame: dict[int, list[TruthPacket]] = {}
-        for pid, frame_idx in self._pid_frame.items():
-            tp = self._truth_by_pid.get(pid)
-            if tp is not None:
-                by_frame.setdefault(frame_idx, []).append(tp)
-        for frame_idx, tf in self._truth_frames.items():
-            pkts = by_frame.get(frame_idx, [])
-            if not pkts:
-                continue
-            emits_t = [p.t_ue_us for p in pkts if p.pid in self._original_pids and p.t_ue_us is not None]
-            if emits_t:
-                tf.t_first_emit_us = min(emits_t)
-                tf.t_last_emit_us = max(emits_t)
-            # Delivered means the frame's full byte extent arrived at the app,
-            # counting retransmitted copies.
-            cover = _ReceiveBuffer()
-            arrivals = []
-            for p in pkts:
-                if p.t_app_us is not None:
-                    cover.add(p.seq, p.seq + p.payload_len)
-                    arrivals.append(p.t_app_us)
-            start, end = self._frame_extent[frame_idx]
-            if arrivals and cover.covers(start, end):
-                tf.t_first_app_us = min(arrivals)
-                tf.t_last_app_us = max(arrivals)
-                tf.delivered = True
 
 
 def run(run_cfg: EmulationRun) -> RunResult:

@@ -14,8 +14,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .analyzer import AnalysisResult, SampleSet, srtt
-from .model import Tap
+from .analyzer import AnalysisResult, InsufficientDataError, SampleSet, srtt
+from .model import Tap, check_finite
 
 
 #: Default bandwidth caps (Mbit/s) a demand figure is judged against.
@@ -216,13 +216,7 @@ class ClassStats:
     mean_ms: float
     median_ms: float
     p95_ms: float
-    box: BoxplotStats
-    dist: Ecdf
-    srtt_series: tuple[float, ...]
-
-    @property
-    def srtt_final_ms(self) -> float:
-        return self.srtt_series[-1]
+    srtt_final_ms: float
 
 
 @dataclass(frozen=True)
@@ -253,13 +247,22 @@ class ReportOptions:
     processing_ms: float = 20.3
     owd_down_assumed_ms: float = 5.0
     distances_m: tuple[float, ...] = (1.0,)
-    caps_mbps: tuple[float, ...] = DEFAULT_CAPS_MBPS
     reliability_percentile: float = 0.95
     reliability_bound_ms: float | None = None
     alpha: float = 0.125
     scenario_label: str = ""
     tech: str = ""
     range_band: str = ""
+
+    def __post_init__(self):
+        check_finite(self)
+        for name in ("processing_ms", "owd_down_assumed_ms"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if any(d < 0 for d in self.distances_m):
+            raise ValueError("distances_m must be >= 0")
+        if not 0.0 < self.reliability_percentile <= 1.0:
+            raise ValueError("reliability_percentile must be in (0, 1]")
 
 
 @dataclass
@@ -279,8 +282,6 @@ class KpiReport:
     velocity_kmh: dict[float, float] | None
     demand: ThroughputDemand | None
     goodput_mbps: float | None
-    offsets_ms: dict[str, float] | None
-    offset_sigmas_ms: dict[str, float] | None
     sent_uplink: int = 0
     delivered_uplink: int = 0
     absent: tuple[str, ...] = ()
@@ -290,16 +291,13 @@ def _class_stats(samples: SampleSet, alpha: float) -> ClassStats | None:
     if not samples.values_ms:
         return None
     vals = samples.values_ms
-    dist = ecdf(vals)
     return ClassStats(
         count=len(vals),
         excluded=samples.excluded,
         mean_ms=statistics.fmean(vals),
         median_ms=_quantile(sorted(vals), 0.5),
-        p95_ms=dist.percentile(0.95),
-        box=boxplot_stats(vals),
-        dist=dist,
-        srtt_series=tuple(srtt(vals, alpha)),
+        p95_ms=latency_at(vals, 0.95),
+        srtt_final_ms=srtt(vals, alpha)[-1],
     )
 
 
@@ -323,17 +321,15 @@ def build_report(analysis: AnalysisResult, options: ReportOptions | None = None)
 
     The velocity bound follows the upper-95%-reliability method: the frame
     OWD at the reliability percentile feeds the service response time, which
-    in turn bounds the vehicle speed for each configured distance.
+    in turn bounds the vehicle speed for each configured distance. A negative
+    frame OWD (tap clocks that disagree) gives no response time and raises
+    InsufficientDataError.
     """
     opts = options or ReportOptions()
     budget = None
-    offsets_ms = None
-    sigmas_ms = None
     if analysis.offsets:
         est = analysis.offsets
         budget = propagate_error(est[Tap.UE].std_ms, est[Tap.CORE].std_ms, est[Tap.APP].std_ms)
-        offsets_ms = {node.value: est[node].mean_ms for node in est}
-        sigmas_ms = {node.value: est[node].std_ms for node in est}
 
     classes = {
         CLASS_CTRL: _class_stats(analysis.ctrl_rtt, opts.alpha),
@@ -358,6 +354,10 @@ def build_report(analysis: AnalysisResult, options: ReportOptions | None = None)
     if owd_frm is not None:
         frame_vals = analysis.owd_frame_up.values_ms
         lat_p = latency_at(frame_vals, opts.reliability_percentile)
+        if min(owd_frm.mean_ms, lat_p) < 0:
+            raise InsufficientDataError(
+                f"uplink frame OWD is negative (mean {owd_frm.mean_ms:.3f} ms), so no service "
+                "response time follows; the taps' clocks disagree")
         frac = (reliability(frame_vals, opts.reliability_bound_ms)
                 if opts.reliability_bound_ms is not None else None)
         rel = ReliabilityStats(opts.reliability_percentile, lat_p, opts.reliability_bound_ms, frac)
@@ -367,7 +367,7 @@ def build_report(analysis: AnalysisResult, options: ReportOptions | None = None)
 
     demand = None
     if analysis.offered_mbps is not None:
-        demand = throughput_verdicts(analysis.offered_mbps, opts.caps_mbps)
+        demand = throughput_verdicts(analysis.offered_mbps)
 
     return KpiReport(
         options=opts,
@@ -382,8 +382,6 @@ def build_report(analysis: AnalysisResult, options: ReportOptions | None = None)
         velocity_kmh=vel,
         demand=demand,
         goodput_mbps=analysis.goodput_mbps,
-        offsets_ms=offsets_ms,
-        offset_sigmas_ms=sigmas_ms,
         sent_uplink=analysis.sent_uplink,
         delivered_uplink=analysis.delivered_uplink,
         absent=absent,

@@ -222,6 +222,18 @@ class TestAnalyze:
         code = main(["analyze", "--in", str(capture_dir)])
         assert code == 0 or (code == 1 and capsys.readouterr().err.startswith("error:"))
 
+    def test_negative_frame_owd_is_an_error(self, tmp_path, capsys):
+        # a UE clock 60 ms ahead and no NTP trace to correct it
+        cfg = tmp_path / "skewed.ini"
+        cfg.write_text(CONFIG.replace("sigma_ue_ms = 0", "sigma_ue_ms = 0\noffset_ue_ms = 60"))
+        out = tmp_path / "out"
+        main(["simulate", "--config", str(cfg), "--seed", "3", "--out", str(out)])
+        (out / "ntp.ndjson").unlink()
+        capsys.readouterr()
+        assert main(["analyze", "--in", str(out)]) == 1
+        assert "frame OWD is negative" in one_line_error(capsys)
+        assert not (out / "report.csv").exists()
+
 
 class TestSweep:
     @pytest.fixture
@@ -304,6 +316,37 @@ class TestSweep:
         assert main(["sweep", "--config", str(config_path), "--out", str(out)]) == 1
         assert str(out / "5g_edge") in one_line_error(capsys)
         assert not (out / "comparison.csv").exists()
+
+
+class TestBadAnalysisFlags:
+    FLAGS = [
+        (["--alpha", "2"], "alpha"),
+        (["--alpha", "nan"], "alpha"),
+        (["--reliability-p", "0"], "reliability_percentile"),
+        (["--reliability-p", "1.5"], "reliability_percentile"),
+        (["--distance-m", "-1"], "distances_m"),
+        (["--processing-ms", "-5"], "processing_ms"),
+        (["--owd-down-ms", "nan"], "owd_down_assumed_ms"),
+        (["--bound-ms", "nan"], "reliability_bound_ms"),
+    ]
+
+    @pytest.mark.parametrize("flags, field", FLAGS)
+    def test_analyze_exits_1_and_writes_nothing(self, tmp_path, config_path, capsys,
+                                                flags, field):
+        out = tmp_path / "out"
+        main(["simulate", "--config", str(config_path), "--seed", "3", "--out", str(out)])
+        capsys.readouterr()
+        assert main(["analyze", "--in", str(out), *flags]) == 1
+        assert field in one_line_error(capsys)
+        assert not (out / "samples.ndjson").exists() and not (out / "report.csv").exists()
+
+    @pytest.mark.parametrize("flags, field", FLAGS)
+    def test_sweep_exits_1_before_any_scenario(self, tmp_path, config_path, capsys,
+                                               flags, field):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(config_path), "--out", str(out), *flags]) == 1
+        assert field in one_line_error(capsys)
+        assert not out.exists()
 
 
 class TestPlot:

@@ -400,6 +400,53 @@ class TestRetransmit:
         assert len(commands) <= len(result.truth.frames)
 
 
+def seg(pid, seq, length, t_ue, t_app, frame_idx=0, retransmission=False,
+        marker=Marker.NONE):
+    return emulator.TruthPacket(pid, VIDEO_FLOW, Direction.UPLINK, Proto.STREAM, seq, length,
+                                t_ue_us=t_ue, t_app_us=t_app, delivered=t_app is not None,
+                                marker=marker, frame_idx=frame_idx,
+                                retransmission=retransmission)
+
+
+def command(pid, frame_idx, t_app, t_ue):
+    return emulator.TruthPacket(pid, VIDEO_FLOW, Direction.DOWNLINK, Proto.STREAM, 0, 20,
+                                t_ue_us=t_ue, t_app_us=t_app, delivered=t_ue is not None,
+                                frame_idx=frame_idx)
+
+
+class TestFrameTruth:
+    def test_copy_delivers_lost_original(self):
+        log = [seg(0, 0, 100, 0, 10_000), seg(1, 100, 50, 5, None),
+               seg(2, 100, 50, 900_000, 910_000, retransmission=True),
+               command(3, 0, 930_000, 935_000)]
+        [frame] = emulator.frame_truth(log)
+        assert frame.delivered and frame.byte_len == 150
+        assert (frame.t_first_emit_us, frame.t_last_emit_us) == (0, 5)
+        assert (frame.t_first_app_us, frame.t_last_app_us) == (10_000, 910_000)
+        assert (frame.t_cmd_emit_us, frame.t_cmd_ue_us) == (930_000, 935_000)
+
+    def test_lost_segment_without_copy_is_not_delivered(self):
+        [frame] = emulator.frame_truth([seg(0, 0, 100, 0, 10_000), seg(1, 100, 50, 5, None)])
+        assert not frame.delivered and frame.byte_len == 150
+        assert frame.t_first_app_us is None and frame.t_last_app_us is None
+        assert frame.t_cmd_emit_us is None and frame.t_cmd_ue_us is None
+
+    def test_lost_command(self):
+        [frame] = emulator.frame_truth([seg(0, 0, 100, 0, 10_000), command(1, 0, 30_000, None)])
+        assert frame.delivered
+        assert (frame.t_cmd_emit_us, frame.t_cmd_ue_us) == (30_000, None)
+
+    def test_frame_order_and_boundary_segments(self):
+        log = [seg(0, 0, 64, 50_000, None, frame_idx=1, marker=Marker.FRAME_BOUNDARY),
+               seg(1, 64, 100, 50_000, 60_000, frame_idx=1),
+               seg(2, 164, 64, 0, 9_000, frame_idx=0, marker=Marker.FRAME_BOUNDARY),
+               seg(3, 228, 100, 0, 10_000, frame_idx=0)]
+        frames = emulator.frame_truth(log)
+        assert [(f.frame_idx, f.byte_len, f.delivered) for f in frames] == [
+            (0, 100, True), (1, 100, True)]
+        assert frames[0].t_first_app_us == 10_000
+
+
 def old_sorted_scan(book: dict, srtt, t_us: float, ack: int):
     """The sender's ACK handling before the heap: sort the whole book."""
     gain = emulator.SRTT_GAIN
