@@ -45,13 +45,8 @@ class InsufficientDataError(ValueError):
 
 @dataclass(frozen=True)
 class AnalyzerConfig:
-    alpha: float = 0.125
     match_mode: MatchMode = MatchMode.BY_PID
     owd_frame_endpoints: FrameEndpoints = FrameEndpoints.FIRST_TO_LAST
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -65,106 +60,70 @@ class SampleSet:
         return len(self.values_ms)
 
 
-@dataclass(frozen=True)
-class Segment:
-    """One unique byte range of a reassembled stream; timing comes from the
-    first capture record observed for that range."""
-
-    seq: int
-    payload_len: int
-    record: CaptureRecord
-    duplicate_pids: tuple[int, ...] = ()
-
-    @property
-    def end(self) -> int:
-        return self.seq + self.payload_len
-
-
-@dataclass
-class StreamView:
-    """Seq-ordered, de-duplicated view of one flow at one tap."""
-
-    flow: int
-    segments: list[Segment]
-    gaps: list[tuple[int, int]]
-    total_bytes: int
-
-
 @dataclass
 class FrameExtent:
     """Data segments strictly between two consecutive boundary markers."""
 
-    index: int
     start: int
     end: int
-    segments: list[Segment]
+    segments: list[CaptureRecord]
     complete: bool        # a closing boundary was observed
     contiguous: bool      # no byte gaps inside the extent
 
-    @property
-    def byte_len(self) -> int:
-        return sum(s.payload_len for s in self.segments)
+
+def _end(r: CaptureRecord) -> int:
+    return r.seq + r.payload_len
 
 
 def reassemble(records: Sequence[CaptureRecord], flow: int,
-               direction: Direction = Direction.UPLINK) -> StreamView:
-    """Sort one flow's stream segments by seq, collapsing duplicates and
-    reporting gaps. Conflicting overlaps raise MalformedCaptureError."""
-    data = [r for r in records
-            if r.proto is Proto.STREAM and r.flow == flow and r.dir is direction and r.payload_len > 0]
-    by_seq: dict[int, Segment] = {}
-    for rec in data:
-        seg = by_seq.get(rec.seq)
-        if seg is None:
-            by_seq[rec.seq] = Segment(rec.seq, rec.payload_len, rec)
-        elif seg.payload_len != rec.payload_len:
-            raise MalformedCaptureError(
-                f"flow {flow}: segments at seq {rec.seq} disagree on length "
-                f"({seg.payload_len} vs {rec.payload_len})")
-        else:
-            by_seq[rec.seq] = Segment(seg.seq, seg.payload_len, seg.record,
-                                      seg.duplicate_pids + (rec.pid,))
+               direction: Direction = Direction.UPLINK) -> list[CaptureRecord]:
+    """One flow's stream segments in seq order, keeping the first record
+    observed for each byte range so that range is timed by its first
+    capture. Conflicting overlaps raise MalformedCaptureError."""
+    by_seq: dict[int, CaptureRecord] = {}
+    for rec in records:
+        if (rec.proto is Proto.STREAM and rec.flow == flow and rec.dir is direction
+                and rec.payload_len > 0):
+            first = by_seq.setdefault(rec.seq, rec)
+            if first.payload_len != rec.payload_len:
+                raise MalformedCaptureError(
+                    f"flow {flow}: segments at seq {rec.seq} disagree on length "
+                    f"({first.payload_len} vs {rec.payload_len})")
     segments = [by_seq[s] for s in sorted(by_seq)]
-    gaps: list[tuple[int, int]] = []
     for prev, cur in zip(segments, segments[1:]):
-        if cur.seq < prev.end:
+        if cur.seq < _end(prev):
             raise MalformedCaptureError(
-                f"flow {flow}: segment [{cur.seq},{cur.end}) overlaps [{prev.seq},{prev.end})")
-        if cur.seq > prev.end:
-            gaps.append((prev.end, cur.seq))
-    total = sum(s.payload_len for s in segments)
-    return StreamView(flow=flow, segments=segments, gaps=gaps, total_bytes=total)
+                f"flow {flow}: segment [{cur.seq},{_end(cur)}) overlaps [{prev.seq},{_end(prev)})")
+    return segments
 
 
-def segment_frames(view: StreamView) -> list[FrameExtent]:
-    """Split a stream view at its boundary markers.
+def segment_frames(segments: Sequence[CaptureRecord]) -> list[FrameExtent]:
+    """Split a reassembled stream at its boundary markers.
 
     Frame k holds the segments strictly between markers k and k+1; a trailing
     unterminated group is reported as an incomplete frame. Zero markers yield
     no frames.
     """
     frames: list[FrameExtent] = []
-    current: list[Segment] | None = None
-    idx = 0
-    for seg in view.segments:
-        if seg.record.marker is Marker.FRAME_BOUNDARY:
+    current: list[CaptureRecord] | None = None
+    for seg in segments:
+        if seg.marker is Marker.FRAME_BOUNDARY:
             if current is not None:
-                frames.append(_make_extent(idx, current, complete=True))
-                idx += 1
+                frames.append(_make_extent(current, complete=True))
             current = []
         elif current is not None:
             current.append(seg)
         # data before the first marker belongs to no frame
     if current:
-        frames.append(_make_extent(idx, current, complete=False))
+        frames.append(_make_extent(current, complete=False))
     return frames
 
 
-def _make_extent(idx: int, segs: list[Segment], complete: bool) -> FrameExtent:
+def _make_extent(segs: list[CaptureRecord], complete: bool) -> FrameExtent:
     if not segs:
-        return FrameExtent(index=idx, start=0, end=0, segments=[], complete=complete, contiguous=True)
-    contiguous = all(b.seq == a.end for a, b in zip(segs, segs[1:]))
-    return FrameExtent(index=idx, start=segs[0].seq, end=segs[-1].end,
+        return FrameExtent(start=0, end=0, segments=[], complete=complete, contiguous=True)
+    contiguous = all(b.seq == _end(a) for a, b in zip(segs, segs[1:]))
+    return FrameExtent(start=segs[0].seq, end=_end(segs[-1]),
                        segments=segs, complete=complete, contiguous=contiguous)
 
 
@@ -380,8 +339,8 @@ def frame_samples(ue_records: Sequence[CaptureRecord], app_records: Sequence[Cap
             latency_excluded += 1
             owd_excluded += 1
             continue
-        first = fr.segments[0].record
-        last_pos = max(pos[s.record.pid] for s in fr.segments)
+        first = fr.segments[0]
+        last_pos = max(pos[s.pid] for s in fr.segments)
         covering = acks.covering_after(last_pos, fr.end)
         if covering is None:
             latency_excluded += 1
@@ -393,9 +352,9 @@ def frame_samples(ue_records: Sequence[CaptureRecord], app_records: Sequence[Cap
             continue
         t_ue = first.t_us - off_ue
         if endpoints is FrameEndpoints.FIRST_TO_LAST:
-            t_app = af.segments[-1].record.t_us - off_app
+            t_app = af.segments[-1].t_us - off_app
         else:
-            t_app = af.segments[0].record.t_us - off_app
+            t_app = af.segments[0].t_us - off_app
         owd.append((t_app - t_ue) / 1000.0)
     return SampleSet(tuple(latency), latency_excluded), SampleSet(tuple(owd), owd_excluded)
 

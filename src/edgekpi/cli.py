@@ -208,7 +208,6 @@ def _analysis_options(args) -> tuple[AnalyzerConfig, ReportOptions]:
     a bad flag value ends in a CliError before any work starts."""
     try:
         cfg = AnalyzerConfig(
-            alpha=args.alpha,
             match_mode=MatchMode.BY_PID if args.match == "pid" else MatchMode.BY_SEQ,
             owd_frame_endpoints=(FrameEndpoints.FIRST_TO_LAST if args.frame_owd == "first-last"
                                  else FrameEndpoints.FIRST_TO_FIRST),
@@ -222,7 +221,13 @@ def _analysis_options(args) -> tuple[AnalyzerConfig, ReportOptions]:
             alpha=args.alpha,
         )
     except ValueError as exc:
-        raise CliError(f"bad analysis option: {exc}") from None
+        # The option checks name the field first; the user typed its flag.
+        field, _, rest = str(exc).partition(" ")
+        flag = {"alpha": "--alpha", "processing_ms": "--processing-ms",
+                "owd_down_assumed_ms": "--owd-down-ms", "distances_m": "--distance-m",
+                "reliability_percentile": "--reliability-p",
+                "reliability_bound_ms": "--bound-ms"}.get(field, field)
+        raise CliError(f"bad analysis option: {flag} {rest}") from None
     return cfg, opts
 
 
@@ -304,8 +309,8 @@ def _sweep_scenario(label: str, run_cfg: EmulationRun, outdir: Path, cfg: Analyz
         "owd_frame_p95_ms": round(report.reliability.latency_at_percentile_ms, 6)
                             if report.reliability else "",
         "e2e_srt_p95_ms": round(report.e2e_srt_p95_ms, 6) if report.e2e_srt_p95_ms else "",
-        "velocity_kmh": round(report.velocity_kmh[1.0], 4)
-                        if report.velocity_kmh and 1.0 in report.velocity_kmh else "",
+        "velocity_kmh": round(report.velocity_kmh[opts.distances_m[0]], 4)
+                        if report.velocity_kmh else "",
     }
 
 

@@ -263,6 +263,8 @@ class ReportOptions:
             raise ValueError("distances_m must be >= 0")
         if not 0.0 < self.reliability_percentile <= 1.0:
             raise ValueError("reliability_percentile must be in (0, 1]")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError("alpha must be in (0, 1)")
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """Analyzer: reassembly, frame segmentation, RTT/OWD extraction, smoothing."""
 
+import dataclasses
 import random
 import statistics
 
@@ -8,7 +9,6 @@ import pytest
 from conftest import ping_run, rec, video_run
 from edgekpi import analyzer, emulator
 from edgekpi.analyzer import (
-    AnalyzerConfig,
     FrameEndpoints,
     InsufficientDataError,
     MalformedCaptureError,
@@ -27,43 +27,24 @@ from edgekpi.emulator import VIDEO_FLOW, run
 from edgekpi.model import ClockModel, Direction, Marker, NtpSample, Proto, Tap
 
 
-class TestAnalyzerConfig:
-    def test_alpha_bounds(self):
-        with pytest.raises(ValueError):
-            AnalyzerConfig(alpha=0.0)
-        with pytest.raises(ValueError):
-            AnalyzerConfig(alpha=1.0)
-        assert AnalyzerConfig().alpha == 0.125
-
-
 class TestReassemble:
     def test_in_order_stream(self):
         records = [rec(seq=0, payload_len=100), rec(seq=100, payload_len=100)]
-        view = reassemble(records, flow=1)
-        assert [s.seq for s in view.segments] == [0, 100]
-        assert view.gaps == []
-        assert view.total_bytes == 200
+        assert [r.seq for r in reassemble(records, flow=1)] == [0, 100]
 
     def test_duplicate_counted_once(self):
-        records = [rec(seq=0, payload_len=100, pid=1), rec(seq=0, payload_len=100, pid=2)]
-        view = reassemble(records, flow=1)
-        assert view.total_bytes == 100
-        assert view.segments[0].duplicate_pids == (2,)
-
-    def test_gap_report(self):
-        records = [rec(seq=0, payload_len=100), rec(seq=200, payload_len=100)]
-        view = reassemble(records, flow=1)
-        assert view.gaps == [(100, 200)]
-        assert view.total_bytes == 200
+        # a duplicated range yields one record: the first one observed
+        records = [rec(seq=0, payload_len=100, pid=1, t_us=5),
+                   rec(seq=0, payload_len=100, pid=2, t_us=1)]
+        assert [r.pid for r in reassemble(records, flow=1)] == [1]
 
     def test_out_of_order_sorted(self):
         records = [rec(seq=100, payload_len=100), rec(seq=0, payload_len=100)]
-        view = reassemble(records, flow=1)
-        assert [s.seq for s in view.segments] == [0, 100]
+        assert [r.seq for r in reassemble(records, flow=1)] == [0, 100]
 
     def test_conflicting_lengths_rejected(self):
         records = [rec(seq=0, payload_len=100), rec(seq=0, payload_len=200)]
-        with pytest.raises(MalformedCaptureError, match="disagree"):
+        with pytest.raises(MalformedCaptureError, match="disagree on length"):
             reassemble(records, flow=1)
 
     def test_overlap_rejected(self):
@@ -75,8 +56,7 @@ class TestReassemble:
         records = [rec(seq=0, payload_len=100, flow=1),
                    rec(seq=0, payload_len=100, flow=2),
                    rec(seq=0, payload_len=0, ack=100, dir=Direction.DOWNLINK, flow=1)]
-        view = reassemble(records, flow=1)
-        assert len(view.segments) == 1
+        assert [(r.seq, r.flow) for r in reassemble(records, flow=1)] == [(0, 1)]
 
 
 def _frame_records(n_data=10, seg_len=1400, terminated=True):
@@ -96,12 +76,11 @@ class TestSegmentFrames:
         assert len(frames) == 1
         assert frames[0].complete
         assert len(frames[0].segments) == 10
-        assert frames[0].byte_len == 14_000
+        assert sum(r.payload_len for r in frames[0].segments) == 14_000
 
     def test_twenty_fps_one_second(self):
         result = run(video_run(duration_s=1.0))
-        view = reassemble(result.records[Tap.UE], VIDEO_FLOW)
-        frames = segment_frames(view)
+        frames = segment_frames(reassemble(result.records[Tap.UE], VIDEO_FLOW))
         assert len(frames) == 20
         assert all(f.complete for f in frames)
 
@@ -119,8 +98,15 @@ class TestSegmentFrames:
         frames = segment_frames(reassemble(records, flow=1))
         assert len(frames) == 2
         assert frames[0].complete and not frames[1].complete
-        assert frames[0].byte_len == 2800
-        assert frames[1].byte_len == 500
+        assert [sum(r.payload_len for r in f.segments) for f in frames] == [2800, 500]
+
+    def test_byte_hole_not_contiguous(self):
+        # the data segment at seq 1464 is missing from the capture
+        records = _frame_records(3)
+        del records[2]
+        frames = segment_frames(reassemble(records, flow=1))
+        assert len(frames) == 1 and frames[0].complete
+        assert not frames[0].contiguous
 
 
 class TestRttControl:
@@ -313,6 +299,17 @@ class TestFrameLatency:
         samples, _ = frame_samples(records, [], flow=1)
         assert samples.values_ms == ()
         assert samples.excluded == 1
+
+    def test_frame_with_byte_hole_excluded(self):
+        ue = [rec(seq=0, payload_len=64, marker=Marker.FRAME_BOUNDARY, t_us=0),
+              rec(seq=64, payload_len=100, t_us=0),
+              rec(seq=264, payload_len=100, t_us=0),
+              rec(seq=364, payload_len=64, marker=Marker.FRAME_BOUNDARY, t_us=0),
+              rec(seq=0, payload_len=0, ack=428, dir=Direction.DOWNLINK, t_us=10)]
+        app = [dataclasses.replace(r, tap=Tap.APP, t_us=r.t_us + 5) for r in ue[:4]]
+        latency, owd = frame_samples(ue, app, flow=1)
+        assert (latency.values_ms, latency.excluded) == ((), 1)
+        assert (owd.values_ms, owd.excluded) == ((), 1)
 
     def test_frame_without_covering_ack_excluded(self):
         records = [rec(seq=0, payload_len=64, marker=Marker.FRAME_BOUNDARY, t_us=0),

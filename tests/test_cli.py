@@ -264,6 +264,15 @@ class TestSweep:
             assert srt == pytest.approx(float(row["owd_frame_p95_ms"]) + 20.3 + 5.0, abs=1e-4)
             assert float(row["velocity_kmh"]) == pytest.approx(3600.0 / srt, abs=1e-3)
 
+    def test_velocity_column_uses_first_distance(self, tmp_path, config_path):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(config_path), "--out", str(out),
+                     "--distance-m", "5", "--distance-m", "2"]) == 0
+        for row in csv.DictReader(open(out / "comparison.csv")):
+            report = {r["metric"]: r["value"]
+                      for r in csv.DictReader(open(out / row["scenario"] / "report.csv"))}
+            assert row["velocity_kmh"] == report["velocity_ds_5.0m"] != ""
+
     def test_median_ordering_within_each_tech(self, sweep_dir):
         rows = {r["scenario"]: r for r in csv.DictReader(open(sweep_dir / "comparison.csv"))}
         for cls in ("ctrl_median_ms", "stream_packet_median_ms", "stream_frame_median_ms"):
@@ -318,7 +327,13 @@ class TestSweep:
         assert not (out / "comparison.csv").exists()
 
 
+def assert_names_flag(err: str, flag: str, field: str) -> None:
+    assert err.startswith(f"error: bad analysis option: {flag} "), err
+    assert field not in err.replace(flag, ""), err
+
+
 class TestBadAnalysisFlags:
+    # (flags, the option field the flag sets); the error names the flag only
     FLAGS = [
         (["--alpha", "2"], "alpha"),
         (["--alpha", "nan"], "alpha"),
@@ -337,7 +352,7 @@ class TestBadAnalysisFlags:
         main(["simulate", "--config", str(config_path), "--seed", "3", "--out", str(out)])
         capsys.readouterr()
         assert main(["analyze", "--in", str(out), *flags]) == 1
-        assert field in one_line_error(capsys)
+        assert_names_flag(one_line_error(capsys), flags[0], field)
         assert not (out / "samples.ndjson").exists() and not (out / "report.csv").exists()
 
     @pytest.mark.parametrize("flags, field", FLAGS)
@@ -345,7 +360,7 @@ class TestBadAnalysisFlags:
                                                flags, field):
         out = tmp_path / "sweep"
         assert main(["sweep", "--config", str(config_path), "--out", str(out), *flags]) == 1
-        assert field in one_line_error(capsys)
+        assert_names_flag(one_line_error(capsys), flags[0], field)
         assert not out.exists()
 
 

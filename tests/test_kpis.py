@@ -262,6 +262,15 @@ class TestImprovementPct:
             improvement_pct(0, 1)
 
 
+class TestReportOptions:
+    def test_alpha_bounds(self):
+        with pytest.raises(ValueError, match="alpha"):
+            ReportOptions(alpha=0.0)
+        with pytest.raises(ValueError, match="alpha"):
+            ReportOptions(alpha=1.0)
+        assert ReportOptions().alpha == 0.125
+
+
 class TestBuildReport:
     def _report(self, run_cfg, **opt_kwargs):
         result = emulator.run(run_cfg)
