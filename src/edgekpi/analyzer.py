@@ -14,12 +14,15 @@ from typing import Mapping, Sequence
 
 from .model import (
     CaptureRecord,
+    CTRL,
     Direction,
-    Marker,
+    DOWNLINK,
+    FRAME_BOUNDARY,
     NODES,
     NtpSample,
-    Proto,
+    STREAM,
     Tap,
+    UPLINK,
 )
 
 
@@ -82,7 +85,7 @@ def reassemble(records: Sequence[CaptureRecord], flow: int,
     capture. Conflicting overlaps raise MalformedCaptureError."""
     by_seq: dict[int, CaptureRecord] = {}
     for rec in records:
-        if (rec.proto is Proto.STREAM and rec.flow == flow and rec.dir is direction
+        if (rec.proto is STREAM and rec.flow == flow and rec.dir is direction
                 and rec.payload_len > 0):
             first = by_seq.setdefault(rec.seq, rec)
             if first.payload_len != rec.payload_len:
@@ -107,7 +110,7 @@ def segment_frames(segments: Sequence[CaptureRecord]) -> list[FrameExtent]:
     frames: list[FrameExtent] = []
     current: list[CaptureRecord] | None = None
     for seg in segments:
-        if seg.marker is Marker.FRAME_BOUNDARY:
+        if seg.marker is FRAME_BOUNDARY:
             if current is not None:
                 frames.append(_make_extent(current, complete=True))
             current = []
@@ -130,10 +133,10 @@ def _make_extent(segs: list[CaptureRecord], complete: bool) -> FrameExtent:
 def rtt_control(ue_records: Sequence[CaptureRecord]) -> SampleSet:
     """Ping round-trip times at the UE tap; replies carry the request pid in
     their ack field, and both stamps share the UE clock so offsets cancel."""
-    requests = [r for r in ue_records if r.proto is Proto.CTRL and r.dir is Direction.UPLINK]
+    requests = [r for r in ue_records if r.proto is CTRL and r.dir is UPLINK]
     replies: dict[int, CaptureRecord] = {}
     for r in ue_records:
-        if r.proto is Proto.CTRL and r.dir is Direction.DOWNLINK and r.ack not in replies:
+        if r.proto is CTRL and r.dir is DOWNLINK and r.ack not in replies:
             replies[r.ack] = r
     samples = []
     excluded = 0
@@ -147,7 +150,7 @@ def rtt_control(ue_records: Sequence[CaptureRecord]) -> SampleSet:
 
 
 def _is_pure_ack(r: CaptureRecord, flow: int) -> bool:
-    return (r.proto is Proto.STREAM and r.dir is Direction.DOWNLINK
+    return (r.proto is STREAM and r.dir is DOWNLINK
             and r.flow == flow and r.payload_len == 0 and r.ack > 0)
 
 
@@ -170,7 +173,7 @@ def rtt_tcp(ue_records: Sequence[CaptureRecord], flow: int) -> SampleSet:
     segment minus the segment's emission stamp. Segments never covered are
     excluded, as are retransmitted byte ranges (Karn's rule)."""
     data = [r for r in ue_records
-            if r.proto is Proto.STREAM and r.dir is Direction.UPLINK
+            if r.proto is STREAM and r.dir is UPLINK
             and r.flow == flow and r.payload_len > 0]
     seen: dict[tuple[int, int], int] = {}
     for r in data:
@@ -242,26 +245,28 @@ def owd_packet(ue_records: Sequence[CaptureRecord], app_records: Sequence[Captur
     (the fallback for captures without shared packet ids) keys on
     (flow, seq, payload_len) and therefore only considers stream segments.
     """
+    by_seq = match_mode is MatchMode.BY_SEQ
+
     def pool(records: Sequence[CaptureRecord]) -> list[CaptureRecord]:
         out = []
         for r in records:
             if r.dir is not direction or r.payload_len <= 0:
                 continue
-            if match_mode is MatchMode.BY_SEQ and r.proto is not Proto.STREAM:
+            if by_seq and r.proto is not STREAM:
                 continue
             out.append(r)
         return out
 
     ue_pool = pool(ue_records)
     app_pool = pool(app_records)
-    origin_pool, far_pool = (ue_pool, app_pool) if direction is Direction.UPLINK else (app_pool, ue_pool)
+    origin_pool, far_pool = (ue_pool, app_pool) if direction is UPLINK else (app_pool, ue_pool)
 
-    if match_mode is MatchMode.BY_PID:
-        def key(r: CaptureRecord):
-            return r.pid
-    else:
+    if by_seq:
         def key(r: CaptureRecord):
             return (r.flow, r.seq, r.payload_len)
+    else:
+        def key(r: CaptureRecord):
+            return r.pid
 
     far_by_key: dict = {}
     for r in far_pool:
@@ -281,7 +286,7 @@ def owd_packet(ue_records: Sequence[CaptureRecord], app_records: Sequence[Captur
         if far is None:
             excluded += 1
             continue
-        if direction is Direction.UPLINK:
+        if direction is UPLINK:
             delta_us = (far.t_us - off_app) - (r.t_us - off_ue)
         else:
             delta_us = (far.t_us - off_ue) - (r.t_us - off_app)
@@ -324,8 +329,8 @@ def frame_samples(ue_records: Sequence[CaptureRecord], app_records: Sequence[Cap
     excluded in both sets; frames without a covering ACK, or not delivered
     whole to the app, are excluded from the latency or OWD set respectively.
     """
-    ue_frames = segment_frames(reassemble(ue_records, flow, Direction.UPLINK))
-    app_frames = segment_frames(reassemble(app_records, flow, Direction.UPLINK))
+    ue_frames = segment_frames(reassemble(ue_records, flow, UPLINK))
+    app_frames = segment_frames(reassemble(app_records, flow, UPLINK))
     app_by_start = {f.start: f for f in app_frames if f.segments}
     pos = {r.pid: i for i, r in enumerate(ue_records)}
     acks = _AckIndex(ue_records, flow)
@@ -363,7 +368,7 @@ def stream_flows(records: Sequence[CaptureRecord]) -> list[int]:
     """Flow ids carrying uplink stream payload, in first-seen order."""
     seen: list[int] = []
     for r in records:
-        if (r.proto is Proto.STREAM and r.dir is Direction.UPLINK
+        if (r.proto is STREAM and r.dir is UPLINK
                 and r.payload_len > 0 and r.flow not in seen):
             seen.append(r.flow)
     return seen
@@ -373,7 +378,7 @@ def video_flows(records: Sequence[CaptureRecord]) -> list[int]:
     """Stream flows that contain frame-boundary markers."""
     seen: list[int] = []
     for r in records:
-        if r.marker is Marker.FRAME_BOUNDARY and r.flow not in seen:
+        if r.marker is FRAME_BOUNDARY and r.flow not in seen:
             seen.append(r.flow)
     return seen
 
@@ -382,7 +387,7 @@ def measured_goodput_mbps(app_records: Sequence[CaptureRecord], flow: int,
                           warmup_s: float = 0.5) -> float | None:
     """Delivered uplink payload rate at the APP tap after a warm-up window."""
     arrivals = [(r.t_us, r.payload_len) for r in app_records
-                if r.proto is Proto.STREAM and r.dir is Direction.UPLINK
+                if r.proto is STREAM and r.dir is UPLINK
                 and r.flow == flow and r.payload_len > 0]
     if len(arrivals) < 2:
         return None
@@ -400,7 +405,7 @@ def measured_goodput_mbps(app_records: Sequence[CaptureRecord], flow: int,
 def offered_rate_mbps(ue_records: Sequence[CaptureRecord]) -> float | None:
     """Uplink stream payload rate offered at the UE tap (demand estimate)."""
     emissions = [(r.t_us, r.payload_len) for r in ue_records
-                 if r.proto is Proto.STREAM and r.dir is Direction.UPLINK and r.payload_len > 0]
+                 if r.proto is STREAM and r.dir is UPLINK and r.payload_len > 0]
     if len(emissions) < 2:
         return None
     span_us = emissions[-1][0] - emissions[0][0]
@@ -456,17 +461,17 @@ def analyze_captures(ue_records: Sequence[CaptureRecord],
     else:
         flat = fowd = SampleSet((), 0)
 
-    powd = owd_packet(ue_records, app_records, offsets_ms, cfg.match_mode, Direction.UPLINK)
+    powd = owd_packet(ue_records, app_records, offsets_ms, cfg.match_mode, UPLINK)
     # Downlink OWD restricted to stream packets so it reads the app's command
     # replies rather than ping echoes.
-    ue_stream = [r for r in ue_records if r.proto is Proto.STREAM]
-    app_stream = [r for r in app_records if r.proto is Proto.STREAM]
-    cmd_owd = owd_packet(ue_stream, app_stream, offsets_ms, cfg.match_mode, Direction.DOWNLINK)
+    ue_stream = [r for r in ue_records if r.proto is STREAM]
+    app_stream = [r for r in app_records if r.proto is STREAM]
+    cmd_owd = owd_packet(ue_stream, app_stream, offsets_ms, cfg.match_mode, DOWNLINK)
 
-    sent = sum(1 for r in ue_records if r.dir is Direction.UPLINK and r.payload_len > 0)
-    delivered_pids = {r.pid for r in app_records if r.dir is Direction.UPLINK}
+    sent = sum(1 for r in ue_records if r.dir is UPLINK and r.payload_len > 0)
+    delivered_pids = {r.pid for r in app_records if r.dir is UPLINK}
     delivered = sum(1 for r in ue_records
-                    if r.dir is Direction.UPLINK and r.payload_len > 0 and r.pid in delivered_pids)
+                    if r.dir is UPLINK and r.payload_len > 0 and r.pid in delivered_pids)
 
     goodput = None
     bulk_candidates = [f for f in stream_flows(ue_records) if f not in vflows]

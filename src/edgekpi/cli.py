@@ -195,12 +195,12 @@ def _write_samples(path: Path, analysis) -> None:
         ("OWD-frame", analysis.owd_frame_up),
         ("OWD-command", analysis.owd_command_down),
     )
+    # The bytes json.dumps(..., separators=(",", ":")) gives: a sample is a
+    # finite float, which it prints with float.__repr__.
     with open(path, "w", encoding="utf-8") as fh:
-        for name, sample_set in classes:
-            for idx, value in enumerate(sample_set.values_ms):
-                fh.write(json.dumps({"class": name, "idx": idx, "value_ms": value},
-                                    separators=(",", ":")))
-                fh.write("\n")
+        fh.writelines(f'{{"class":"{name}","idx":{idx},"value_ms":{value!r}}}\n'
+                      for name, sample_set in classes
+                      for idx, value in enumerate(sample_set.values_ms))
 
 
 def _analysis_options(args) -> tuple[AnalyzerConfig, ReportOptions]:

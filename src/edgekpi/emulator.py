@@ -23,14 +23,20 @@ from typing import Callable, Iterable
 from .model import (
     ClockModel,
     CaptureRecord,
+    CTRL,
     Direction,
+    DOWNLINK,
+    FRAME_BOUNDARY,
     Marker,
+    NO_MARKER,
     NODES,
     NtpSample,
     ProcessingModel,
     Proto,
     Scenario,
+    STREAM,
     Tap,
+    UPLINK,
     VideoConfig,
     check_finite,
 )
@@ -61,6 +67,10 @@ MAX_RETRANSMITS = 5
 #: Extra emulated time past the last scheduled emission for which clock
 #: resync samples are generated; later events reuse the final sample.
 CLOCK_TRACE_SLACK_S = 5.0
+
+#: Indices into NODES of the per-node lists the simulation keeps; lists
+#: indexed by int hash no enum member per capture stamp.
+_UE, _CORE, _APP = range(len(NODES))
 
 
 @dataclass(frozen=True)
@@ -166,18 +176,18 @@ def gen_video_stream(cfg: VideoConfig, duration_s: float, mss: int = DEFAULT_MSS
     seq = 0
     for k in range(n_frames):
         t = round(k / cfg.fps * 1e6)
-        plans.append(SegmentPlan(t, seq, BOUNDARY_SEGMENT_BYTES, Marker.FRAME_BOUNDARY, k, False))
+        plans.append(SegmentPlan(t, seq, BOUNDARY_SEGMENT_BYTES, FRAME_BOUNDARY, k, False))
         seq += BOUNDARY_SEGMENT_BYTES
         size = _draw_frame_bytes(cfg, rng)
         remaining = size
         n_seg = math.ceil(size / mss)
         for i in range(n_seg):
             ln = min(mss, remaining)
-            plans.append(SegmentPlan(t, seq, ln, Marker.NONE, k, i == n_seg - 1))
+            plans.append(SegmentPlan(t, seq, ln, NO_MARKER, k, i == n_seg - 1))
             seq += ln
             remaining -= ln
     plans.append(SegmentPlan(round(duration_s * 1e6), seq, BOUNDARY_SEGMENT_BYTES,
-                             Marker.FRAME_BOUNDARY, None, False))
+                             FRAME_BOUNDARY, None, False))
     return plans
 
 
@@ -194,7 +204,7 @@ def gen_bulk_probe(duration_s: float, mss: int = DEFAULT_MSS,
     seq = 0
     limit = duration_s * 1e6
     while t < limit:
-        plans.append(SegmentPlan(round(t), seq, mss, Marker.NONE, None, False))
+        plans.append(SegmentPlan(round(t), seq, mss, NO_MARKER, None, False))
         seq += mss
         t += step_us
     return plans
@@ -249,7 +259,7 @@ class TruthPacket:
         if self.t_ue_us is None or self.t_app_us is None:
             return None
         delta = self.t_app_us - self.t_ue_us
-        return (delta if self.dir is Direction.UPLINK else -delta) / 1000.0
+        return (delta if self.dir is UPLINK else -delta) / 1000.0
 
 
 @dataclass
@@ -303,9 +313,9 @@ def frame_truth(packets: Iterable[TruthPacket]) -> list[TruthFrame]:
         k = p.frame_idx
         if k is None:
             continue
-        if p.dir is Direction.DOWNLINK:
+        if p.dir is DOWNLINK:
             commands[k] = p
-        elif p.marker is Marker.NONE:
+        elif p.marker is NO_MARKER:
             group = segments.get(k)
             if group is None:
                 segments[k] = [p]
@@ -338,10 +348,11 @@ def _json_int(value: int | None) -> str | int:
 def write_truth_file(path: str | Path, truth: TruthLog) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         # Packet lines are formatted directly, in the bytes json.dumps gives
-        # for their int / None / bool fields; frame lines carry floats.
+        # for their int / None / bool fields (enum members by their plain
+        # ``_value_``, as in record_to_json); frame lines carry floats.
         fh.writelines(
-            f'{{"kind":"packet","pid":{p.pid},"flow":{p.flow},"dir":"{p.dir.value}",'
-            f'"proto":"{p.proto.value}","seq":{p.seq},"len":{p.payload_len},'
+            f'{{"kind":"packet","pid":{p.pid},"flow":{p.flow},"dir":"{p.dir._value_}",'
+            f'"proto":"{p.proto._value_}","seq":{p.seq},"len":{p.payload_len},'
             f'"t_ue_us":{_json_int(p.t_ue_us)},"t_core_us":{_json_int(p.t_core_us)},'
             f'"t_app_us":{_json_int(p.t_app_us)},"delivered":{"true" if p.delivered else "false"}}}\n'
             for p in truth.packets)
@@ -440,7 +451,7 @@ class _Simulation:
         self.rng_loss_down = random.Random(master.getrandbits(64))
         self.rng_clock = random.Random(master.getrandbits(64))
 
-        self.records: dict[Tap, list[CaptureRecord]] = {t: [] for t in NODES}
+        self._records: list[list[CaptureRecord]] = [[] for _ in NODES]
         self.truth = TruthLog()
 
         # At least one full resync interval so the trace always holds two or
@@ -449,11 +460,11 @@ class _Simulation:
                         run.clocks.resync_interval_s)
         self.ntp = sample_ntp_trace(run.clocks, horizon_s, self.rng_clock)
         self._resync_us = run.clocks.resync_interval_s * 1e6
-        # Clock error (us) each node applies from each resync on; the trace
-        # holds at least one sample per node.
-        self._clock_err_us: dict[Tap, list[float]] = {n: [] for n in NODES}
+        # Clock error (us) each node applies from each resync on, indexed
+        # like NODES; the trace holds at least one sample per node.
+        self._clock_err_us: list[list[float]] = [[] for _ in NODES]
         for s in self.ntp:
-            self._clock_err_us[s.node].append(s.offset_ms * 1000.0)
+            self._clock_err_us[NODES.index(s.node)].append(s.offset_ms * 1000.0)
 
         # Event queue: (true time us, insertion counter, callback).
         self._q: list[tuple[float, int, Callable[[float], None]]] = []
@@ -493,19 +504,15 @@ class _Simulation:
         self._next_pid += 1
         return pid
 
-    def _stamp(self, node: Tap, t_us: float, pkt: TruthPacket) -> None:
+    def _stamp(self, node: int, t_us: float, pkt: TruthPacket) -> int:
+        """Capture ``pkt`` at ``NODES[node]`` on that node's clock; return
+        the true time in whole us, for the caller to log on the packet."""
         errs = self._clock_err_us[node]
         err = errs[min(int(t_us // self._resync_us), len(errs) - 1)]
-        self.records[node].append(CaptureRecord(
-            node, round(t_us + err), pkt.flow, pkt.dir, pkt.proto,
+        self._records[node].append(CaptureRecord(
+            NODES[node], round(t_us + err), pkt.flow, pkt.dir, pkt.proto,
             pkt.seq, pkt.ack, pkt.payload_len, pkt.marker, pkt.pid))
-        true_us = round(t_us)
-        if node is Tap.UE:
-            pkt.t_ue_us = true_us
-        elif node is Tap.CORE:
-            pkt.t_core_us = true_us
-        else:
-            pkt.t_app_us = true_us
+        return round(t_us)
 
     def _fifo(self, link: str, flow: int, t_us: float) -> float:
         key = (link, flow)
@@ -528,7 +535,7 @@ class _Simulation:
     # -- uplink path ------------------------------------------------------
 
     def _emit_uplink(self, t_us: float, pkt: TruthPacket) -> None:
-        if self.scenario.retransmit and pkt.proto is Proto.STREAM and pkt.payload_len > 0:
+        if self.scenario.retransmit and pkt.proto is STREAM and pkt.payload_len > 0:
             self._arm_retransmit(t_us, pkt)
         self._send_up(t_us, pkt)
 
@@ -536,8 +543,8 @@ class _Simulation:
         """Log and stamp ``pkt`` at the UE, pass stream packets through the
         rate limiter, then lose it or schedule its core arrival."""
         self.truth.packets.append(pkt)
-        self._stamp(Tap.UE, t_us, pkt)
-        if pkt.proto is Proto.STREAM:
+        pkt.t_ue_us = self._stamp(_UE, t_us, pkt)
+        if pkt.proto is STREAM:
             start = max(t_us, self._uplink_free_us)
             tx = 0.0 if math.isinf(self._cap) else pkt.payload_len * 8.0 / self._cap
             depart = start + tx
@@ -550,16 +557,16 @@ class _Simulation:
         self._schedule(t_core, lambda t, p=pkt: self._arrive_core_up(t, p))
 
     def _arrive_core_up(self, t_us: float, pkt: TruthPacket) -> None:
-        self._stamp(Tap.CORE, t_us, pkt)
+        pkt.t_core_us = self._stamp(_CORE, t_us, pkt)
         t_app = self._fifo("up_app", pkt.flow, t_us + self._added_us)
         self._schedule(t_app, lambda t, p=pkt: self._arrive_app(t, p))
 
     def _arrive_app(self, t_us: float, pkt: TruthPacket) -> None:
-        self._stamp(Tap.APP, t_us, pkt)
+        pkt.t_app_us = self._stamp(_APP, t_us, pkt)
         pkt.delivered = True
-        if pkt.proto is Proto.CTRL:
-            reply = TruthPacket(pid=self._new_pid(), flow=pkt.flow, dir=Direction.DOWNLINK,
-                                proto=Proto.CTRL, seq=0, payload_len=pkt.payload_len,
+        if pkt.proto is CTRL:
+            reply = TruthPacket(pid=self._new_pid(), flow=pkt.flow, dir=DOWNLINK,
+                                proto=CTRL, seq=0, payload_len=pkt.payload_len,
                                 ack=pkt.pid)
             self._emit_downlink(t_us, reply)
             return
@@ -600,8 +607,8 @@ class _Simulation:
     def _flush_ack(self, t_us: float, flow: int) -> None:
         self._ack_pending[flow] = 0
         self._ack_deadline[flow] = None
-        ack = TruthPacket(pid=self._new_pid(), flow=flow, dir=Direction.DOWNLINK,
-                          proto=Proto.STREAM, seq=0, payload_len=0,
+        ack = TruthPacket(pid=self._new_pid(), flow=flow, dir=DOWNLINK,
+                          proto=STREAM, seq=0, payload_len=0,
                           ack=self._rx[flow].cumulative())
         self._emit_downlink(t_us, ack)
 
@@ -615,29 +622,29 @@ class _Simulation:
         seq = self._dl_seq.get(flow, 0)
         size = self.run.processing.response_bytes
         self._dl_seq[flow] = seq + size
-        cmd = TruthPacket(pid=self._new_pid(), flow=flow, dir=Direction.DOWNLINK,
-                          proto=Proto.STREAM, seq=seq, payload_len=size, frame_idx=frame_idx)
+        cmd = TruthPacket(pid=self._new_pid(), flow=flow, dir=DOWNLINK,
+                          proto=STREAM, seq=seq, payload_len=size, frame_idx=frame_idx)
         self._emit_downlink(t_us, cmd)
 
     # -- downlink path ----------------------------------------------------
 
     def _emit_downlink(self, t_us: float, pkt: TruthPacket) -> None:
         self.truth.packets.append(pkt)
-        self._stamp(Tap.APP, t_us, pkt)
+        pkt.t_app_us = self._stamp(_APP, t_us, pkt)
         t_core = self._fifo("down_core", pkt.flow, t_us + self._added_us)
         self._schedule(t_core, lambda t, p=pkt: self._arrive_core_down(t, p))
 
     def _arrive_core_down(self, t_us: float, pkt: TruthPacket) -> None:
-        self._stamp(Tap.CORE, t_us, pkt)
+        pkt.t_core_us = self._stamp(_CORE, t_us, pkt)
         if self._lost(self.rng_loss_down):
             return
         t_ue = self._fifo("down_ue", pkt.flow, t_us + self._base_down_us + self._jitter(self.rng_jitter_down))
         self._schedule(t_ue, lambda t, p=pkt: self._arrive_ue(t, p))
 
     def _arrive_ue(self, t_us: float, pkt: TruthPacket) -> None:
-        self._stamp(Tap.UE, t_us, pkt)
+        pkt.t_ue_us = self._stamp(_UE, t_us, pkt)
         pkt.delivered = True
-        if pkt.proto is Proto.STREAM and pkt.payload_len == 0 and pkt.ack > 0:
+        if pkt.proto is STREAM and pkt.payload_len == 0 and pkt.ack > 0:
             self._sender_sees_ack(t_us, pkt.flow, pkt.ack)
 
     # -- sender retransmission (Scenario.retransmit only) ------------------
@@ -682,8 +689,8 @@ class _Simulation:
 
     def _plan_uplink_stream(self, flow: int, plans: Iterable[SegmentPlan]) -> None:
         for plan in plans:
-            pkt = TruthPacket(pid=self._new_pid(), flow=flow, dir=Direction.UPLINK,
-                              proto=Proto.STREAM, seq=plan.seq, payload_len=plan.payload_len,
+            pkt = TruthPacket(pid=self._new_pid(), flow=flow, dir=UPLINK,
+                              proto=STREAM, seq=plan.seq, payload_len=plan.payload_len,
                               marker=plan.marker, frame_idx=plan.frame_idx,
                               end_of_frame=plan.end_of_frame)
             self._schedule(plan.t_us, lambda t, p=pkt: self._emit_uplink(t, p))
@@ -692,8 +699,8 @@ class _Simulation:
         w = self.run.workload
         if w.ping_count > 0:
             for t in gen_control_pings(w.ping_interval_ms, w.ping_count):
-                pkt = TruthPacket(pid=self._new_pid(), flow=CONTROL_FLOW, dir=Direction.UPLINK,
-                                  proto=Proto.CTRL, seq=0, payload_len=CTRL_PAYLOAD_BYTES)
+                pkt = TruthPacket(pid=self._new_pid(), flow=CONTROL_FLOW, dir=UPLINK,
+                                  proto=CTRL, seq=0, payload_len=CTRL_PAYLOAD_BYTES)
                 self._schedule(t, lambda tt, p=pkt: self._emit_uplink(tt, p))
         if w.video is not None and w.video_duration_s > 0:
             plans = gen_video_stream(w.video, w.video_duration_s, self.run.mss, self.rng_sizes)
@@ -711,7 +718,7 @@ class _Simulation:
             fn(t)
 
         self.truth.frames = frame_truth(self.truth.packets)
-        return RunResult(records=self.records, truth=self.truth, ntp=self.ntp)
+        return RunResult(records=dict(zip(NODES, self._records)), truth=self.truth, ntp=self.ntp)
 
 
 def run(run_cfg: EmulationRun) -> RunResult:

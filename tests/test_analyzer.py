@@ -1,6 +1,5 @@
 """Analyzer: reassembly, frame segmentation, RTT/OWD extraction, smoothing."""
 
-import dataclasses
 import random
 import statistics
 
@@ -306,7 +305,7 @@ class TestFrameLatency:
               rec(seq=264, payload_len=100, t_us=0),
               rec(seq=364, payload_len=64, marker=Marker.FRAME_BOUNDARY, t_us=0),
               rec(seq=0, payload_len=0, ack=428, dir=Direction.DOWNLINK, t_us=10)]
-        app = [dataclasses.replace(r, tap=Tap.APP, t_us=r.t_us + 5) for r in ue[:4]]
+        app = [r._replace(tap=Tap.APP, t_us=r.t_us + 5) for r in ue[:4]]
         latency, owd = frame_samples(ue, app, flow=1)
         assert (latency.values_ms, latency.excluded) == ((), 1)
         assert (owd.values_ms, owd.excluded) == ((), 1)

@@ -191,6 +191,19 @@ class TestAnalyze:
         del empty["ntp.ndjson"]
         assert missing == empty
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", '"nan"'])
+    def test_non_finite_ntp_offset_is_an_error(self, capture_dir, capsys, value):
+        ntp_path = capture_dir / "ntp.ndjson"
+        lines = ntp_path.read_text().splitlines()
+        lines[1] = re.sub(r'"offset_ms":[^,}]+', f'"offset_ms":{value}', lines[1])
+        ntp_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["analyze", "--in", str(capture_dir)]) == 1
+        err = one_line_error(capsys)
+        assert err.startswith("error: line 2: bad ntp sample: offset_ms must be a finite number"), err
+        for name in ("samples.ndjson", "report.csv", "report.ndjson"):
+            assert not (capture_dir / name).exists()
+
     def test_refuses_overwrite(self, capture_dir, capsys):
         assert main(["analyze", "--in", str(capture_dir)]) == 0
         assert main(["analyze", "--in", str(capture_dir)]) == 1

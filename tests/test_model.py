@@ -1,6 +1,5 @@
 """Domain types, capture validation and the NDJSON wire format."""
 
-import dataclasses
 import json
 import math
 import random
@@ -106,11 +105,38 @@ class TestNdjsonRoundTrip:
         with pytest.raises(CaptureFormatError, match="line 4: .*seq: not an integer: 'five'"):
             record_from_json(line, 4)
 
+    def test_whitespace_padded_line_accepted(self):
+        r = rec(pid=3, t_us=-5)
+        assert record_from_json(f" \t{record_to_json(r)}  \r\n") == r
+
     def test_ntp_file_round_trip(self, tmp_path):
         samples = [NtpSample(0.0, Tap.UE, 0.25), NtpSample(10.0, Tap.APP, -0.5)]
         path = tmp_path / "ntp.ndjson"
         write_ntp_file(path, samples)
         assert read_ntp_file(path) == samples
+
+
+#: A capture line, split where a field ends.
+NEXT_LINE = record_to_json(rec(pid=2))
+SPLIT_AT = NEXT_LINE.index(',"dir"')
+
+
+class TestDecodeRejects:
+    """Damaged lines end with the message and line number json.loads gives."""
+
+    @pytest.mark.parametrize("second, message", [
+        (f"{NEXT_LINE[:SPLIT_AT]}\n{NEXT_LINE[SPLIT_AT:]}", "invalid JSON: Expecting ',' delimiter"),
+        (NEXT_LINE + NEXT_LINE, "invalid JSON: Extra data"),
+        (NEXT_LINE + " garbage", "invalid JSON: Extra data"),
+        ("\ufeff" + NEXT_LINE, "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    ], ids=["split-over-two-lines", "two-records-on-one-line", "trailing-garbage", "bom"])
+    def test_rejected_at_its_line(self, tmp_path, second, message):
+        path = tmp_path / "ue.ndjson"
+        path.write_text(f"{record_to_json(rec(pid=1))}\n{second}\n", encoding="utf-8")
+        with pytest.raises(CaptureFormatError) as err:
+            read_capture_file(path)
+        assert str(err.value) == f"line 2: {message}"
+        assert err.value.lineno == 2
 
 
 def old_record_json(r: CaptureRecord) -> str:
@@ -175,7 +201,7 @@ class TestCodecBytes:
 
 class TestCaptureRecordValue:
     def test_frozen(self):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             rec().t_us = 5
 
     def test_equal_and_hashable(self):
@@ -185,6 +211,11 @@ class TestCaptureRecordValue:
 
     def test_slotted(self):
         assert not hasattr(rec(), "__dict__")
+
+    def test_is_a_tuple_of_its_fields(self):
+        r = rec(pid=7, t_us=9)
+        assert r == tuple(getattr(r, name) for name in CaptureRecord._fields)
+        assert r._replace(t_us=10) == rec(pid=7, t_us=10)
 
 
 class TestFiniteConfig:
@@ -202,6 +233,9 @@ class TestFiniteConfig:
     ] + [
         (Workload, {"ping_count": 1}, name) for name in (
             "ping_interval_ms", "video_duration_s", "bulk_duration_s", "bulk_offered_mbps")
+    ] + [
+        (NtpSample, {"node": Tap.UE, "offset_ms": 0.0}, "t_s"),
+        (NtpSample, {"t_s": 0.0, "node": Tap.UE}, "offset_ms"),
     ]
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -239,6 +273,22 @@ class TestValidate:
 
     def test_same_pid_on_other_tap_is_fine(self):
         assert validate([rec(pid=1, tap=Tap.UE), rec(pid=1, tap=Tap.APP)]).ok
+
+    def test_pids_over_interleaved_taps(self):
+        records = [rec(tap=tap, pid=pid) for pid in (1, 2) for tap in (Tap.UE, Tap.APP, Tap.CORE)]
+        assert validate(records).ok
+        result = validate(records + [rec(tap=Tap.CORE, pid=3), rec(tap=Tap.APP, pid=1)])
+        assert not result.ok and result.index == 7
+        assert result.error == "duplicate pid 1 at tap APP"
+
+    def test_seq_order_per_direction_over_interleaved_taps(self):
+        def down(seq):
+            return rec(tap=Tap.APP, dir=Direction.DOWNLINK, seq=seq)
+        records = [rec(seq=0), down(1000), rec(tap=Tap.APP, seq=5000), rec(seq=100),
+                   down(1100), rec(tap=Tap.APP, seq=0), down(0)]
+        result = validate(records)
+        assert not result.ok and result.index == 6
+        assert result.error == "seq regression 1100 -> 0 (flow 1)"
 
     def test_negative_payload(self):
         result = validate([rec(payload_len=-1)])

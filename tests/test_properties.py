@@ -9,7 +9,6 @@ Skipped when Hypothesis is not installed.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 
 import pytest
@@ -60,7 +59,7 @@ def damaged(records, ops):
         elif op == "swap":
             recs[i], recs[j] = recs[j], recs[i]
         else:
-            recs[i] = dataclasses.replace(recs[i], t_us=recs[i].t_us + shift)
+            recs[i] = recs[i]._replace(t_us=recs[i].t_us + shift)
     return taps
 
 
