@@ -262,6 +262,14 @@ def _scenario_meta_from_manifest(indir: Path) -> dict[str, str]:
     return {"scenario_label": label, "tech": s.tech.value, "range_band": s.range.value}
 
 
+def _read_named(reader, path: Path):
+    """``reader(path)``, with a decode error's message prefixed by the path."""
+    try:
+        return reader(path)
+    except CaptureFormatError as exc:
+        raise CliError(f"{path}: {exc}") from exc
+
+
 def cmd_analyze(args) -> int:
     cfg, opts = _analysis_options(args)
     indir = Path(args.indir)
@@ -273,9 +281,9 @@ def cmd_analyze(args) -> int:
         path = indir / name
         if not path.exists():
             raise CliError(f"missing capture file: {path}")
-        records[tap] = read_capture_file(path)
+        records[tap] = _read_named(read_capture_file, path)
     ntp_path = indir / NTP_FILE
-    ntp = read_ntp_file(ntp_path) if ntp_path.exists() else None
+    ntp = _read_named(read_ntp_file, ntp_path) if ntp_path.exists() else None
     opts = dataclasses.replace(opts, **_scenario_meta_from_manifest(indir))
     report = _analyze_and_write(indir, records, ntp, cfg, opts)
     for name in report.absent:

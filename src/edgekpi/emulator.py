@@ -16,6 +16,8 @@ import heapq
 import json
 import math
 import random
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable
@@ -381,31 +383,29 @@ class RunResult:
 class _ReceiveBuffer:
     """Tracks contiguously received bytes per flow (cumulative-ACK view)."""
 
+    __slots__ = ("_starts", "_ends")
+
     def __init__(self):
-        self._ranges: list[list[int]] = []  # disjoint, sorted [start, end)
+        # Disjoint, non-touching [start, end) ranges in ascending order, so
+        # both lists are strictly increasing.
+        self._starts: list[int] = []
+        self._ends: list[int] = []
 
     def add(self, start: int, end: int) -> None:
-        ranges = self._ranges
-        new = [start, end]
-        out = []
-        placed = False
-        for r in ranges:
-            if r[1] < new[0]:
-                out.append(r)
-            elif new[1] < r[0]:
-                if not placed:
-                    out.append(new)
-                    placed = True
-                out.append(r)
-            else:
-                new = [min(r[0], new[0]), max(r[1], new[1])]
-        if not placed:
-            out.append(new)
-        self._ranges = out
+        """Merge the non-empty range [start, end) with every range it
+        overlaps or touches."""
+        starts, ends = self._starts, self._ends
+        i = bisect_left(ends, start)         # first range not wholly before
+        j = bisect_right(starts, end, i)     # first range wholly after
+        if i < j:
+            start = min(start, starts[i])
+            end = max(end, ends[j - 1])
+        starts[i:j] = (start,)
+        ends[i:j] = (end,)
 
     def cumulative(self) -> int:
-        if self._ranges and self._ranges[0][0] == 0:
-            return self._ranges[0][1]
+        if self._starts and self._starts[0] == 0:
+            return self._ends[0]
         return 0
 
 
@@ -466,17 +466,22 @@ class _Simulation:
         for s in self.ntp:
             self._clock_err_us[NODES.index(s.node)].append(s.offset_ms * 1000.0)
 
-        # Event queue: (true time us, insertion counter, callback).
-        self._q: list[tuple[float, int, Callable[[float], None]]] = []
+        # Event queue: (true time us, insertion counter, method, args); the
+        # counter is unique, so heap order never compares two methods, and
+        # events at one time run in the order they were scheduled.
+        self._q: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._counter = 0
         self._next_pid = 0
 
-        # Link state.
+        # Link state: per hop, flow -> latest arrival time so far.
         self._uplink_free_us = 0.0
-        self._fifo_last: dict[tuple[str, int], float] = {}
+        self._fifo_up_core: dict[int, float] = {}
+        self._fifo_up_app: dict[int, float] = {}
+        self._fifo_down_core: dict[int, float] = {}
+        self._fifo_down_ue: dict[int, float] = {}
 
         # Receiver / sender / processing state.
-        self._rx: dict[int, _ReceiveBuffer] = {}
+        self._rx: defaultdict[int, _ReceiveBuffer] = defaultdict(_ReceiveBuffer)
         self._ack_pending: dict[int, int] = {}
         self._ack_deadline: dict[int, float | None] = {}
         self._frames_awaiting: dict[int, list[tuple[int, int]]] = {}
@@ -484,7 +489,7 @@ class _Simulation:
         self._proc_free_us = 0.0
         self._dl_seq: dict[int, int] = {}
         self._sender_cum_ack: dict[int, int] = {}
-        self._outstanding: dict[int, _AckBook] = {}
+        self._outstanding: defaultdict[int, _AckBook] = defaultdict(_AckBook)
         self._srtt_ms: dict[int, float | None] = {}
 
         base = self.scenario
@@ -492,11 +497,14 @@ class _Simulation:
         self._base_down_us = base.base_owd_down * 1000.0
         self._added_us = base.added_owd * 1000.0
         self._cap = base.bandwidth_cap  # Mbit/s == bit/us
+        self._loss_prob = base.loss_prob
+        self._jitter_std = base.jitter_std
 
     # -- plumbing ---------------------------------------------------------
 
-    def _schedule(self, t_us: float, fn: Callable[[float], None]) -> None:
-        heapq.heappush(self._q, (t_us, self._counter, fn))
+    def _schedule(self, t_us: float, fn: Callable[..., None], *args) -> None:
+        """Run ``fn(t_us, *args)`` at true time ``t_us``."""
+        heapq.heappush(self._q, (t_us, self._counter, fn, args))
         self._counter += 1
 
     def _new_pid(self) -> int:
@@ -508,20 +516,26 @@ class _Simulation:
         """Capture ``pkt`` at ``NODES[node]`` on that node's clock; return
         the true time in whole us, for the caller to log on the packet."""
         errs = self._clock_err_us[node]
-        err = errs[min(int(t_us // self._resync_us), len(errs) - 1)]
-        self._records[node].append(CaptureRecord(
-            NODES[node], round(t_us + err), pkt.flow, pkt.dir, pkt.proto,
-            pkt.seq, pkt.ack, pkt.payload_len, pkt.marker, pkt.pid))
+        i = int(t_us // self._resync_us)
+        if i >= len(errs):  # past the trace: keep the last sample
+            i = len(errs) - 1
+        # tuple.__new__ skips the NamedTuple's generated __new__ and its
+        # keyword handling, about half the cost of a record
+        self._records[node].append(tuple.__new__(CaptureRecord, (
+            NODES[node], round(t_us + errs[i]), pkt.flow, pkt.dir, pkt.proto,
+            pkt.seq, pkt.ack, pkt.payload_len, pkt.marker, pkt.pid)))
         return round(t_us)
 
-    def _fifo(self, link: str, flow: int, t_us: float) -> float:
-        key = (link, flow)
-        t = max(t_us, self._fifo_last.get(key, 0.0))
-        self._fifo_last[key] = t
+    @staticmethod
+    def _fifo(last: dict[int, float], flow: int, t_us: float) -> float:
+        """No overtaking on a hop: ``flow`` arrives no earlier than its
+        previous packet on the hop whose arrival times ``last`` holds."""
+        t = max(t_us, last.get(flow, 0.0))
+        last[flow] = t
         return t
 
     def _lost(self, rng: random.Random) -> bool:
-        p = self.scenario.loss_prob
+        p = self._loss_prob
         if p <= 0.0:
             return False
         if p >= 1.0:
@@ -529,7 +543,7 @@ class _Simulation:
         return rng.random() < p
 
     def _jitter(self, rng: random.Random) -> float:
-        std = self.scenario.jitter_std
+        std = self._jitter_std
         return rng.gauss(0.0, std) * 1000.0 if std > 0 else 0.0
 
     # -- uplink path ------------------------------------------------------
@@ -553,13 +567,14 @@ class _Simulation:
             depart = t_us
         if self._lost(self.rng_loss_up):
             return
-        t_core = self._fifo("up_core", pkt.flow, depart + self._base_up_us + self._jitter(self.rng_jitter_up))
-        self._schedule(t_core, lambda t, p=pkt: self._arrive_core_up(t, p))
+        t_core = self._fifo(self._fifo_up_core, pkt.flow,
+                            depart + self._base_up_us + self._jitter(self.rng_jitter_up))
+        self._schedule(t_core, self._arrive_core_up, pkt)
 
     def _arrive_core_up(self, t_us: float, pkt: TruthPacket) -> None:
         pkt.t_core_us = self._stamp(_CORE, t_us, pkt)
-        t_app = self._fifo("up_app", pkt.flow, t_us + self._added_us)
-        self._schedule(t_app, lambda t, p=pkt: self._arrive_app(t, p))
+        t_app = self._fifo(self._fifo_up_app, pkt.flow, t_us + self._added_us)
+        self._schedule(t_app, self._arrive_app, pkt)
 
     def _arrive_app(self, t_us: float, pkt: TruthPacket) -> None:
         pkt.t_app_us = self._stamp(_APP, t_us, pkt)
@@ -577,7 +592,7 @@ class _Simulation:
 
     def _receive_segment(self, t_us: float, pkt: TruthPacket) -> None:
         flow = pkt.flow
-        buf = self._rx.setdefault(flow, _ReceiveBuffer())
+        buf = self._rx[flow]
         buf.add(pkt.seq, pkt.seq + pkt.payload_len)
         if (pkt.end_of_frame and pkt.frame_idx is not None
                 and (flow, pkt.frame_idx) not in self._frames_enqueued):
@@ -597,7 +612,7 @@ class _Simulation:
         elif self._ack_deadline.get(flow) is None:
             deadline = t_us + DELAYED_ACK_MS * 1000.0
             self._ack_deadline[flow] = deadline
-            self._schedule(deadline, lambda t, f=flow: self._ack_timer(t, f))
+            self._schedule(deadline, self._ack_timer, flow)
 
     def _ack_timer(self, t_us: float, flow: int) -> None:
         deadline = self._ack_deadline.get(flow)
@@ -616,7 +631,7 @@ class _Simulation:
         start = max(t_us, self._proc_free_us)
         end = start + self.run.processing.total_ms * 1000.0
         self._proc_free_us = end
-        self._schedule(end, lambda t, f=flow, k=frame_idx: self._emit_command(t, f, k))
+        self._schedule(end, self._emit_command, flow, frame_idx)
 
     def _emit_command(self, t_us: float, flow: int, frame_idx: int) -> None:
         seq = self._dl_seq.get(flow, 0)
@@ -631,15 +646,16 @@ class _Simulation:
     def _emit_downlink(self, t_us: float, pkt: TruthPacket) -> None:
         self.truth.packets.append(pkt)
         pkt.t_app_us = self._stamp(_APP, t_us, pkt)
-        t_core = self._fifo("down_core", pkt.flow, t_us + self._added_us)
-        self._schedule(t_core, lambda t, p=pkt: self._arrive_core_down(t, p))
+        t_core = self._fifo(self._fifo_down_core, pkt.flow, t_us + self._added_us)
+        self._schedule(t_core, self._arrive_core_down, pkt)
 
     def _arrive_core_down(self, t_us: float, pkt: TruthPacket) -> None:
         pkt.t_core_us = self._stamp(_CORE, t_us, pkt)
         if self._lost(self.rng_loss_down):
             return
-        t_ue = self._fifo("down_ue", pkt.flow, t_us + self._base_down_us + self._jitter(self.rng_jitter_down))
-        self._schedule(t_ue, lambda t, p=pkt: self._arrive_ue(t, p))
+        t_ue = self._fifo(self._fifo_down_ue, pkt.flow,
+                          t_us + self._base_down_us + self._jitter(self.rng_jitter_down))
+        self._schedule(t_ue, self._arrive_ue, pkt)
 
     def _arrive_ue(self, t_us: float, pkt: TruthPacket) -> None:
         pkt.t_ue_us = self._stamp(_UE, t_us, pkt)
@@ -652,11 +668,10 @@ class _Simulation:
     def _arm_retransmit(self, t_us: float, pkt: TruthPacket) -> None:
         flow = pkt.flow
         end = pkt.seq + pkt.payload_len
-        book = self._outstanding.setdefault(flow, _AckBook())
+        book = self._outstanding[flow]
         book.arm(end, t_us, pkt.retransmission or end in book)
         timeout = self._srtt_ms.get(flow) or INITIAL_TIMEOUT_MS
-        self._schedule(t_us + timeout * 1000.0,
-                       lambda t, p=pkt, a=1: self._retransmit_check(t, p, a))
+        self._schedule(t_us + timeout * 1000.0, self._retransmit_check, pkt, 1)
 
     def _retransmit_check(self, t_us: float, pkt: TruthPacket, attempt: int) -> None:
         flow = pkt.flow
@@ -667,11 +682,10 @@ class _Simulation:
                             seq=pkt.seq, payload_len=pkt.payload_len, marker=pkt.marker,
                             frame_idx=pkt.frame_idx, end_of_frame=pkt.end_of_frame,
                             retransmission=True)
-        self._outstanding.setdefault(flow, _AckBook()).arm(end, t_us, True)
+        self._outstanding[flow].arm(end, t_us, True)
         self._send_up(t_us, clone)
         timeout = (self._srtt_ms.get(flow) or INITIAL_TIMEOUT_MS) * (2 ** attempt)
-        self._schedule(t_us + timeout * 1000.0,
-                       lambda t, p=pkt, a=attempt + 1: self._retransmit_check(t, p, a))
+        self._schedule(t_us + timeout * 1000.0, self._retransmit_check, pkt, attempt + 1)
 
     def _sender_sees_ack(self, t_us: float, flow: int, ack: int) -> None:
         self._sender_cum_ack[flow] = max(self._sender_cum_ack.get(flow, 0), ack)
@@ -693,7 +707,7 @@ class _Simulation:
                               proto=STREAM, seq=plan.seq, payload_len=plan.payload_len,
                               marker=plan.marker, frame_idx=plan.frame_idx,
                               end_of_frame=plan.end_of_frame)
-            self._schedule(plan.t_us, lambda t, p=pkt: self._emit_uplink(t, p))
+            self._schedule(plan.t_us, self._emit_uplink, pkt)
 
     def run_events(self) -> RunResult:
         w = self.run.workload
@@ -701,7 +715,7 @@ class _Simulation:
             for t in gen_control_pings(w.ping_interval_ms, w.ping_count):
                 pkt = TruthPacket(pid=self._new_pid(), flow=CONTROL_FLOW, dir=UPLINK,
                                   proto=CTRL, seq=0, payload_len=CTRL_PAYLOAD_BYTES)
-                self._schedule(t, lambda tt, p=pkt: self._emit_uplink(tt, p))
+                self._schedule(t, self._emit_uplink, pkt)
         if w.video is not None and w.video_duration_s > 0:
             plans = gen_video_stream(w.video, w.video_duration_s, self.run.mss, self.rng_sizes)
             self._plan_uplink_stream(VIDEO_FLOW, plans)
@@ -713,9 +727,10 @@ class _Simulation:
             plans = gen_bulk_probe(w.bulk_duration_s, self.run.mss, offered)
             self._plan_uplink_stream(BULK_FLOW, plans)
 
-        while self._q:
-            t, _, fn = heapq.heappop(self._q)
-            fn(t)
+        q, pop = self._q, heapq.heappop
+        while q:
+            t, _, fn, args = pop(q)
+            fn(t, *args)
 
         self.truth.frames = frame_truth(self.truth.packets)
         return RunResult(records=dict(zip(NODES, self._records)), truth=self.truth, ntp=self.ntp)

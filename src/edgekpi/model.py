@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from collections import defaultdict
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -189,21 +190,47 @@ def _record_error(d: dict) -> str:
     return "bad capture record"
 
 
-_raw_decode = json.JSONDecoder().raw_decode
+def _wire_field(key: str) -> str:
+    """The pattern of one ``"key":value`` pair as record_to_json writes it:
+    an enum value from the field's value map, or a JSON integer (ASCII
+    digits, no leading zero), captured as one group."""
+    values = _ENUM_FIELDS.get(key)
+    if values is not None:
+        return f'"{key}":"({"|".join(map(re.escape, values))})"'
+    return f'"{key}":(-?(?:0|[1-9][0-9]*))'
+
+
+#: Match a line in the exact form record_to_json writes, with or without
+#: its newline. A line that matches is a valid JSON object that json.loads
+#: decodes to the same record, so the match stands in for it.
+_match_wire_line = re.compile(
+    "{" + ",".join(map(_wire_field, _WIRE_KEYS)) + "}\n?").fullmatch
+
+
+def _record_from_match(match: re.Match, lineno: int | None) -> CaptureRecord:
+    tap, t_us, flow, direction, proto, seq, ack, payload_len, marker, pid = match.groups()
+    try:  # tuple.__new__ skips the NamedTuple's generated __new__
+        return tuple.__new__(CaptureRecord, (
+            _TAPS[tap], int(t_us), int(flow), _DIRS[direction], _PROTOS[proto],
+            int(seq), int(ack), int(payload_len), _MARKERS[marker], int(pid)))
+    except ValueError as exc:  # an integer past int()'s digit limit
+        raise CaptureFormatError(f"bad capture record: {exc}", lineno) from exc
 
 
 def record_from_json(line: str, lineno: int | None = None) -> CaptureRecord:
-    # raw_decode skips json.loads' whitespace scans; a line it does not take
-    # whole goes through json.loads, which accepts or rejects it as before.
+    """Decode one capture line: a line in record_to_json's exact form
+    through one pattern, any other line through ``json.loads``. The pattern
+    only takes lines that ``json.loads`` decodes to the same record, so
+    which path runs never changes the result or the error."""
+    match = _match_wire_line(line)
+    if match is not None:
+        return _record_from_match(match, lineno)
     try:
-        d, end = _raw_decode(line)
-    except (ValueError, TypeError):
-        end = -1
-    if end != len(line):
-        try:
-            d = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CaptureFormatError(f"invalid JSON: {exc.msg}", lineno) from exc
+        d = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise CaptureFormatError(f"invalid JSON: {exc.msg}", lineno) from exc
+    except ValueError as exc:  # an integer past int()'s digit limit
+        raise CaptureFormatError(f"bad capture record: {exc}", lineno) from exc
     if not isinstance(d, dict):
         raise CaptureFormatError("record is not an object", lineno)
     try:
@@ -220,13 +247,17 @@ def write_capture_file(path: str | Path, records: Iterable[CaptureRecord]) -> No
 
 
 def read_capture_file(path: str | Path) -> list[CaptureRecord]:
+    """Decode a capture file one line at a time, skipping blank lines; a
+    line in record_to_json's form is matched as read, any other is decoded
+    with its surrounding whitespace stripped."""
     records = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            records.append(record_from_json(line, lineno))
+            match = _match_wire_line(line)
+            if match is not None:
+                records.append(_record_from_match(match, lineno))
+            elif line := line.strip():
+                records.append(record_from_json(line, lineno))
     return records
 
 

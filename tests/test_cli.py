@@ -200,9 +200,37 @@ class TestAnalyze:
         capsys.readouterr()
         assert main(["analyze", "--in", str(capture_dir)]) == 1
         err = one_line_error(capsys)
-        assert err.startswith("error: line 2: bad ntp sample: offset_ms must be a finite number"), err
+        assert err.startswith(f"error: {ntp_path}: line 2: bad ntp sample: "
+                              "offset_ms must be a finite number"), err
         for name in ("samples.ndjson", "report.csv", "report.ndjson"):
             assert not (capture_dir / name).exists()
+
+    @pytest.mark.parametrize("name, message", [
+        ("ue.ndjson", "invalid JSON: Expecting property name enclosed in double quotes"),
+        ("core.ndjson", "invalid JSON: Expecting property name enclosed in double quotes"),
+        ("app.ndjson", "invalid JSON: Expecting property name enclosed in double quotes"),
+        ("ntp.ndjson", "bad ntp sample: Expecting property name enclosed in double quotes"),
+    ], ids=["ue", "core", "app", "ntp"])
+    def test_decode_error_names_its_file(self, capture_dir, capsys, name, message):
+        path = capture_dir / name
+        lines = path.read_text().splitlines()
+        lines[2] = "{broken"
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["analyze", "--in", str(capture_dir)]) == 1
+        assert one_line_error(capsys).startswith(f"error: {path}: line 3: {message}")
+
+    @pytest.mark.parametrize("separator", [":", ": "], ids=["writer-form", "spaced"])
+    def test_oversized_integer_is_an_error(self, capture_dir, capsys, separator):
+        core = capture_dir / "core.ndjson"
+        lines = core.read_text().splitlines()
+        lines[3] = re.sub(r'"t_us":-?[0-9]+', f'"t_us"{separator}{"9" * 5000}', lines[3])
+        core.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["analyze", "--in", str(capture_dir)]) == 1
+        err = one_line_error(capsys)
+        assert err.startswith(f"error: {core}: line 4: bad capture record: Exceeds the limit"), err
+        assert not (capture_dir / "report.csv").exists()
 
     def test_refuses_overwrite(self, capture_dir, capsys):
         assert main(["analyze", "--in", str(capture_dir)]) == 0

@@ -490,3 +490,69 @@ class TestAckBook:
             srtt = old_sorted_scan(reference, srtt, t_us, ack)
             assert sim._srtt_ms[flow] == srtt
         assert srtt is not None and not reference
+
+
+class TestEventQueue:
+    class Unordered:
+        """An event callback that fails if the queue ever compares it."""
+
+        def __init__(self, calls):
+            self.calls = calls
+
+        def __call__(self, t_us, tag, then=None):
+            self.calls.append((t_us, tag))
+            if then is not None:
+                then()
+
+        def __eq__(self, other):
+            raise AssertionError("the event queue compared two callbacks")
+
+        __lt__ = __gt__ = __le__ = __ge__ = __eq__
+
+    def test_same_time_events_run_in_scheduling_order(self):
+        sim = emulator._Simulation(ping_run(count=1))
+        calls = []
+        fn = self.Unordered(calls)
+
+        def late():
+            sim._schedule(5.0, fn, "late")
+
+        for tag, t_us in enumerate([5.0, 1.0, 5.0, 1.0, 5.0]):
+            sim._schedule(t_us, fn, tag, late if tag == 0 else None)
+        sim.run_events()
+        assert calls == [(1.0, 1), (1.0, 3), (5.0, 0), (5.0, 2), (5.0, 4), (5.0, "late")]
+
+
+def old_receive_ranges(ranges: list[list[int]], start: int, end: int) -> list[list[int]]:
+    """_ReceiveBuffer.add before bisection: rebuild the whole range list."""
+    new = [start, end]
+    out = []
+    placed = False
+    for r in ranges:
+        if r[1] < new[0]:
+            out.append(r)
+        elif new[1] < r[0]:
+            if not placed:
+                out.append(new)
+                placed = True
+            out.append(r)
+        else:
+            new = [min(r[0], new[0]), max(r[1], new[1])]
+    if not placed:
+        out.append(new)
+    return out
+
+
+class TestReceiveBuffer:
+    def test_matches_rebuilt_range_list(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            buf, reference = emulator._ReceiveBuffer(), []
+            for _ in range(rng.randrange(1, 30)):
+                start = rng.randrange(0, 60)
+                end = start + rng.randrange(1, 12)
+                buf.add(start, end)
+                reference = old_receive_ranges(reference, start, end)
+                assert [list(r) for r in zip(buf._starts, buf._ends)] == reference
+                expected = reference[0][1] if reference[0][0] == 0 else 0
+                assert buf.cumulative() == expected

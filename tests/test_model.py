@@ -3,11 +3,13 @@
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 from conftest import rec
 from edgekpi import emulator
+from edgekpi.config import parse_config
 from edgekpi.emulator import EmulationRun, Workload
 from edgekpi.model import (
     ADDED_OWD_MS,
@@ -186,6 +188,20 @@ class TestCodecBytes:
             line = record_to_json(r)
             assert line == old_record_json(r)
             assert record_from_json(line) == r
+
+    @pytest.mark.parametrize("case, seed", [("default", 42), ("retransmit", 3)])
+    def test_writer_lines_decode_without_json_loads(self, tmp_path, monkeypatch, case, seed):
+        run_cfg = parse_config(Path(__file__).parent / "golden" / f"{case}.ini").to_run(seed)
+        result = emulator.run(run_cfg)
+        for tap in Tap:
+            write_capture_file(tmp_path / f"{tap.value}.ndjson", result.records[tap])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a writer-form line reached json.loads")
+
+        monkeypatch.setattr(json, "loads", refuse)
+        for tap in Tap:
+            assert read_capture_file(tmp_path / f"{tap.value}.ndjson") == result.records[tap]
 
     def test_truth_packet_lines_match_json_dumps(self, tmp_path):
         result = emulator.run(codec_run(retransmit=True))
