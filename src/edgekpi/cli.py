@@ -329,25 +329,16 @@ def cmd_sweep(args) -> int:
 
     cfg, opts = _analysis_options(args)
     parsed = parse_config(args.config)
-    base_seed = args.seed if args.seed is not None else (parsed.seed or 0)
+    base = parsed.to_run(args.seed)
     outdir = Path(args.out)
-    raw = parsed.raw_scenario
+    # The scenario keys the file pinned, bar the ones each sweep scenario
+    # sets; the rest take each technology's and range's defaults.
+    pinned = {key: value for key, value in parsed.raw_scenario.items()
+              if key not in ("tech", "range", "added_owd")}
     runs = []
     for label, tech, range_band in SWEEP_SCENARIOS:
-        scenario = Scenario(
-            tech=tech,
-            range=range_band,
-            base_owd_up=raw.get("base_owd_up"),
-            base_owd_down=raw.get("base_owd_down"),
-            jitter_std=parsed.scenario.jitter_std,
-            loss_prob=parsed.scenario.loss_prob,
-            bandwidth_cap=raw.get("bandwidth_cap"),
-            retransmit=parsed.scenario.retransmit,
-        )
-        run_cfg = EmulationRun(scenario=scenario, workload=parsed.workload,
-                               clocks=parsed.clocks, processing=parsed.processing,
-                               seed=base_seed, mss=parsed.mss)
-        runs.append((label, run_cfg, outdir / label))
+        scenario = Scenario(tech=tech, range=range_band, **pinned)
+        runs.append((label, dataclasses.replace(base, scenario=scenario), outdir / label))
     # Refuse before any scenario starts, so a refused sweep writes nothing.
     names = (*RUN_FILES, *ANALYSIS_FILES)
     _require_new([scen_dir / name for _, _, scen_dir in runs for name in names]
@@ -385,7 +376,7 @@ def _read_ndjson(path: Path, kind: str, parse) -> list:
                 continue
             try:
                 rows.append(parse(json.loads(line)))
-            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
                 why = f"missing field {exc}" if isinstance(exc, KeyError) else exc
                 raise CliError(f"{path} line {lineno}: bad {kind} record: {why}")
     return rows

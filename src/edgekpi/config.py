@@ -1,17 +1,20 @@
 """Run configuration: sectioned key=value files and the run manifest.
 
 A config file has sections [scenario], [clocks], [video], [workload],
-[processing] and optionally [run]; keys match the corresponding dataclass
-field names. The manifest written next to simulation output is itself a
-valid config with every applied default made explicit, so a run can be
-reproduced from it alone.
+[processing] and optionally [run]. :data:`KEYS` names every key once, with
+the parser of its value; most keys are a field of the dataclass their
+section builds, and a key the file leaves out takes that field's default.
+The manifest written next to simulation output is itself a valid config
+with every applied default made explicit, so a run can be reproduced from
+it alone.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from enum import Enum
 from pathlib import Path
 
 from .emulator import DEFAULT_MSS, EmulationRun, Workload
@@ -31,50 +34,63 @@ class ConfigError(ValueError):
     """A configuration file could not be parsed or validated."""
 
 
-_TECH_ALIASES = {"FIVE_G": Tech.FIVE_G, "5G": Tech.FIVE_G, "FOUR_G": Tech.FOUR_G, "4G": Tech.FOUR_G}
+#: The parser of a float where ``inf``, ``none`` and ``unlimited`` all mean
+#: infinity.
+CAP = "cap"
 
-_SECTIONS = {
-    "scenario": {"tech", "range", "added_owd", "base_owd_up", "base_owd_down",
-                 "jitter_std", "loss_prob", "bandwidth_cap", "retransmit"},
-    "clocks": {"offset_ue_ms", "offset_core_ms", "offset_app_ms",
-               "sigma_ue_ms", "sigma_core_ms", "sigma_app_ms", "resync_interval_s"},
-    "video": {"encoder", "resolution", "fps", "mean_frame_bytes", "frame_size_cv", "duration_s"},
-    "workload": {"ping_interval_ms", "ping_count", "mss", "bulk_duration_s", "bulk_offered_mbps"},
-    "processing": {"total_ms", "stage_blob", "stage_detect", "stage_interpret",
-                   "stage_command", "response_bytes"},
-    "run": {"seed"},
+
+def _names(enum: type[Enum]) -> dict[str, Enum]:
+    return {m.name: m for m in enum}
+
+
+#: section -> key -> parser of its value, in manifest order. A parser is
+#: float, int, bool, CAP, or an upper-case name -> member map for an enum.
+KEYS: dict[str, dict] = {
+    "scenario": {
+        "tech": {**_names(Tech), "5G": Tech.FIVE_G, "4G": Tech.FOUR_G},
+        "range": _names(RangeBand),
+        "added_owd": CAP, "base_owd_up": CAP, "base_owd_down": CAP,
+        "jitter_std": float, "loss_prob": float, "bandwidth_cap": CAP, "retransmit": bool,
+    },
+    "clocks": dict.fromkeys(("offset_ue_ms", "offset_core_ms", "offset_app_ms", "sigma_ue_ms",
+                             "sigma_core_ms", "sigma_app_ms", "resync_interval_s"), float),
+    "video": {"encoder": _names(Encoder), "resolution": _names(Resolution), "fps": float,
+              "mean_frame_bytes": int, "frame_size_cv": float, "duration_s": float},
+    "workload": {"ping_interval_ms": float, "ping_count": int, "mss": int,
+                 "bulk_duration_s": float, "bulk_offered_mbps": CAP},
+    "processing": {"total_ms": float, "stage_blob": float, "stage_detect": float,
+                   "stage_interpret": float, "stage_command": float, "response_bytes": int},
+    "run": {"seed": int},
 }
+_STAGE_KEYS = ("stage_blob", "stage_detect", "stage_interpret", "stage_command")
 
 
-def _enum_value(section: str, key: str, raw: str, mapping: dict):
-    token = raw.strip().upper()
-    if token not in mapping:
-        raise ConfigError(f"[{section}] {key}: unknown value {raw!r} "
-                          f"(expected one of {', '.join(sorted(mapping))})")
-    return mapping[token]
-
-
-def _float(section: str, key: str, raw: str) -> float:
+def _parse(kind, raw: str):
+    """``raw`` read by the parser ``kind``; a ValueError says why it cannot be."""
+    token = raw.strip()
+    if isinstance(kind, dict):
+        if token.upper() not in kind:
+            raise ValueError(f"unknown value {raw!r} (expected one of {', '.join(sorted(kind))})")
+        return kind[token.upper()]
+    if kind is bool:
+        if token.lower() in ("true", "yes", "on", "1"):
+            return True
+        if token.lower() in ("false", "no", "off", "0"):
+            return False
+        raise ValueError(f"not a boolean: {raw!r}")
+    if kind is CAP and token.lower() in ("inf", "infinity", "none", "unlimited"):
+        return math.inf
     try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from exc
+        return int(raw) if kind is int else float(raw)
+    except ValueError:
+        raise ValueError(f"not {'an integer' if kind is int else 'a number'}: {raw!r}") from None
 
 
-def _int(section: str, key: str, raw: str) -> int:
+def _build(section: str, cls, kwargs: dict):
     try:
-        return int(raw)
+        return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: not an integer: {raw!r}") from exc
-
-
-def _bool(section: str, key: str, raw: str) -> bool:
-    token = raw.strip().lower()
-    if token in ("true", "yes", "on", "1"):
-        return True
-    if token in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError(f"[{section}] {key}: not a boolean: {raw!r}")
+        raise ConfigError(f"[{section}] {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -85,9 +101,9 @@ class ParsedConfig:
     processing: ProcessingModel
     seed: int | None
     mss: int
-    #: scenario values the file set explicitly (absent keys map to None);
-    #: lets a sweep re-derive per-technology defaults the user did not pin.
-    raw_scenario: dict = None  # type: ignore[assignment]
+    #: the [scenario] values the file set, by key; lets a sweep re-derive
+    #: the per-technology defaults the user did not pin.
+    raw_scenario: dict = field(default_factory=dict)
 
     def to_run(self, seed: int | None = None) -> EmulationRun:
         resolved = seed if seed is not None else self.seed
@@ -108,205 +124,73 @@ def parse_config(path: str | Path) -> ParsedConfig:
     if not read:
         raise ConfigError(f"config file not found: {path}")
 
+    values: dict[str, dict] = {section: {} for section in KEYS}
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in KEYS:
             raise ConfigError(f"unknown section [{section}]")
-        for key in parser[section]:
-            if key not in _SECTIONS[section]:
+        for key, raw in parser[section].items():
+            if key not in KEYS[section]:
                 raise ConfigError(f"[{section}] unknown key {key!r}")
-
-    def get(section: str, key: str) -> str | None:
-        if parser.has_section(section) and key in parser[section]:
-            return parser[section][key]
-        return None
-
+            try:
+                values[section][key] = _parse(KEYS[section][key], raw)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key}: {exc}") from None
     if not parser.has_section("scenario"):
         raise ConfigError("missing required section [scenario]")
-    tech = _enum_value("scenario", "tech", get("scenario", "tech") or "FIVE_G", _TECH_ALIASES)
-    range_raw = get("scenario", "range") or "EDGE"
-    range_band = _enum_value("scenario", "range", range_raw,
-                             {r.value: r for r in RangeBand})
+    scenario, clocks, video, workload, processing, run = values.values()
 
-    def opt_float(section: str, key: str) -> float | None:
-        raw = get(section, key)
-        if raw is None:
-            return None
-        if raw.strip().lower() in ("inf", "infinity", "none", "unlimited"):
-            return math.inf
-        return _float(section, key, raw)
-
-    try:
-        scenario = Scenario(
-            tech=tech,
-            range=range_band,
-            added_owd=opt_float("scenario", "added_owd"),
-            base_owd_up=opt_float("scenario", "base_owd_up"),
-            base_owd_down=opt_float("scenario", "base_owd_down"),
-            jitter_std=_float("scenario", "jitter_std", get("scenario", "jitter_std") or "0"),
-            loss_prob=_float("scenario", "loss_prob", get("scenario", "loss_prob") or "0"),
-            bandwidth_cap=opt_float("scenario", "bandwidth_cap"),
-            retransmit=_bool("scenario", "retransmit", get("scenario", "retransmit") or "false"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[scenario] {exc}") from exc
-
-    clock_kwargs = {}
-    for key in _SECTIONS["clocks"]:
-        raw = get("clocks", key)
-        if raw is not None:
-            clock_kwargs[key] = _float("clocks", key, raw)
-    try:
-        clocks = ClockModel(**clock_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"[clocks] {exc}") from exc
-
-    video = None
-    video_duration = 0.0
-    if parser.has_section("video"):
-        video_duration = _float("video", "duration_s", get("video", "duration_s") or "0")
-        if video_duration > 0:
-            mean_raw = get("video", "mean_frame_bytes")
-            try:
-                video = VideoConfig(
-                    encoder=_enum_value("video", "encoder", get("video", "encoder") or "MJPEG",
-                                        {e.value: e for e in Encoder}),
-                    resolution=_enum_value("video", "resolution", get("video", "resolution") or "VGA",
-                                           {r.name: r for r in Resolution}),
-                    fps=_float("video", "fps", get("video", "fps") or "20"),
-                    mean_frame_bytes=_int("video", "mean_frame_bytes", mean_raw) if mean_raw else None,
-                    frame_size_cv=_float("video", "frame_size_cv", get("video", "frame_size_cv") or "0.1"),
-                )
-            except ValueError as exc:
-                raise ConfigError(f"[video] {exc}") from exc
-
-    mss = DEFAULT_MSS
-    raw_mss = get("workload", "mss")
-    if raw_mss is not None:
-        mss = _int("workload", "mss", raw_mss)
-
-    bulk_offered = opt_float("workload", "bulk_offered_mbps")
-    try:
-        workload = Workload(
-            ping_interval_ms=_float("workload", "ping_interval_ms",
-                                    get("workload", "ping_interval_ms") or "100"),
-            ping_count=_int("workload", "ping_count", get("workload", "ping_count") or "0"),
-            video=video,
-            video_duration_s=video_duration,
-            bulk_duration_s=_float("workload", "bulk_duration_s",
-                                   get("workload", "bulk_duration_s") or "0"),
-            bulk_offered_mbps=bulk_offered if bulk_offered is not None and not math.isinf(bulk_offered) else None,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[workload] {exc}") from exc
-
-    proc_kwargs = {}
-    total_raw = get("processing", "total_ms")
-    if total_raw is not None:
-        proc_kwargs["total_ms"] = _float("processing", "total_ms", total_raw)
-    resp_raw = get("processing", "response_bytes")
-    if resp_raw is not None:
-        proc_kwargs["response_bytes"] = _int("processing", "response_bytes", resp_raw)
-    stage_keys = ("stage_blob", "stage_detect", "stage_interpret", "stage_command")
-    stage_raws = [get("processing", k) for k in stage_keys]
-    if any(r is not None for r in stage_raws):
-        if any(r is None for r in stage_raws):
+    # The keys that are not a plain field of their section's dataclass.
+    mss = workload.pop("mss", DEFAULT_MSS)
+    if mss <= 0:
+        raise ConfigError("[workload] mss must be > 0")
+    if workload.get("bulk_offered_mbps") == math.inf:
+        del workload["bulk_offered_mbps"]  # the default offered rate
+    duration = video.pop("duration_s", 0.0)  # > 0 turns the stream on
+    stages = [processing.pop(key) for key in _STAGE_KEYS if key in processing]
+    if stages:
+        if len(stages) != len(_STAGE_KEYS):
             raise ConfigError("[processing] all four stage fractions must be given together")
-        proc_kwargs["stage_fractions"] = tuple(
-            _float("processing", k, r) for k, r in zip(stage_keys, stage_raws))
-    try:
-        processing = ProcessingModel(**proc_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"[processing] {exc}") from exc
+        processing["stage_fractions"] = tuple(stages)
 
-    seed = None
-    seed_raw = get("run", "seed")
-    if seed_raw is not None:
-        seed = _int("run", "seed", seed_raw)
-
-    raw_scenario = {
-        "base_owd_up": opt_float("scenario", "base_owd_up"),
-        "base_owd_down": opt_float("scenario", "base_owd_down"),
-        "bandwidth_cap": opt_float("scenario", "bandwidth_cap"),
-    }
-
-    return ParsedConfig(scenario=scenario, workload=workload, clocks=clocks,
-                        processing=processing, seed=seed, mss=mss,
-                        raw_scenario=raw_scenario)
+    return ParsedConfig(
+        scenario=_build("scenario", Scenario,
+                        {"tech": Tech.FIVE_G, "range": RangeBand.EDGE, **scenario}),
+        clocks=_build("clocks", ClockModel, clocks),
+        workload=_build("workload", Workload, {
+            **workload, "video_duration_s": duration,
+            "video": _build("video", VideoConfig, video) if duration > 0 else None}),
+        processing=_build("processing", ProcessingModel, processing),
+        seed=run.get("seed"), mss=mss, raw_scenario=scenario)
 
 
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        if math.isinf(value):
-            return "inf"
-        return repr(value)
+        return "inf" if math.isinf(value) else repr(value)
+    if isinstance(value, Enum):
+        return value.name
     return str(value)
 
 
 def manifest_text(run: EmulationRun) -> str:
     """Render a run as config text with every default resolved."""
-    s = run.scenario
-    c = run.clocks
-    p = run.processing
-    w = run.workload
-    lines = [
-        "[scenario]",
-        f"tech = {s.tech.value}",
-        f"range = {s.range.value}",
-        f"added_owd = {_fmt(s.added_owd)}",
-        f"base_owd_up = {_fmt(s.base_owd_up)}",
-        f"base_owd_down = {_fmt(s.base_owd_down)}",
-        f"jitter_std = {_fmt(s.jitter_std)}",
-        f"loss_prob = {_fmt(s.loss_prob)}",
-        f"bandwidth_cap = {_fmt(s.bandwidth_cap)}",
-        f"retransmit = {_fmt(s.retransmit)}",
-        "",
-        "[clocks]",
-        f"offset_ue_ms = {_fmt(c.offset_ue_ms)}",
-        f"offset_core_ms = {_fmt(c.offset_core_ms)}",
-        f"offset_app_ms = {_fmt(c.offset_app_ms)}",
-        f"sigma_ue_ms = {_fmt(c.sigma_ue_ms)}",
-        f"sigma_core_ms = {_fmt(c.sigma_core_ms)}",
-        f"sigma_app_ms = {_fmt(c.sigma_app_ms)}",
-        f"resync_interval_s = {_fmt(c.resync_interval_s)}",
-        "",
-    ]
-    if w.video is not None and w.video_duration_s > 0:
-        v = w.video
-        lines += [
-            "[video]",
-            f"encoder = {v.encoder.value}",
-            f"resolution = {v.resolution.name}",
-            f"fps = {_fmt(v.fps)}",
-            f"mean_frame_bytes = {v.mean_frame_bytes}",
-            f"frame_size_cv = {_fmt(v.frame_size_cv)}",
-            f"duration_s = {_fmt(w.video_duration_s)}",
-            "",
-        ]
-    lines += [
-        "[workload]",
-        f"ping_interval_ms = {_fmt(w.ping_interval_ms)}",
-        f"ping_count = {w.ping_count}",
-        f"mss = {run.mss}",
-        f"bulk_duration_s = {_fmt(w.bulk_duration_s)}",
-    ]
-    if w.bulk_offered_mbps is not None:
-        lines.append(f"bulk_offered_mbps = {_fmt(w.bulk_offered_mbps)}")
-    lines += [
-        "",
-        "[processing]",
-        f"total_ms = {_fmt(p.total_ms)}",
-        f"stage_blob = {_fmt(p.stage_fractions[0])}",
-        f"stage_detect = {_fmt(p.stage_fractions[1])}",
-        f"stage_interpret = {_fmt(p.stage_fractions[2])}",
-        f"stage_command = {_fmt(p.stage_fractions[3])}",
-        f"response_bytes = {p.response_bytes}",
-        "",
-        "[run]",
-        f"seed = {run.seed}",
-        "",
-    ]
+    w, p = run.workload, run.processing
+    sources = {"scenario": run.scenario, "clocks": run.clocks, "video": w.video,
+               "workload": w, "processing": p, "run": run}
+    not_fields = {"duration_s": w.video_duration_s, "mss": run.mss,
+                  **dict(zip(_STAGE_KEYS, p.stage_fractions))}
+    lines = []
+    for section, keys in KEYS.items():
+        source = sources[section]
+        if source is None:  # no video stream
+            continue
+        lines.append(f"[{section}]")
+        for key in keys:
+            value = not_fields[key] if key in not_fields else getattr(source, key)
+            if value is not None:  # bulk_offered_mbps: None is the default rate
+                lines.append(f"{key} = {_fmt(value)}")
+        lines.append("")
     return "\n".join(lines)
 
 

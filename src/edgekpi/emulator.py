@@ -93,6 +93,8 @@ class Workload:
             raise ValueError("ping_count must be >= 0")
         if self.ping_count > 0 and self.ping_interval_ms <= 0:
             raise ValueError("ping_interval_ms must be > 0")
+        if self.bulk_offered_mbps is not None and self.bulk_offered_mbps <= 0:
+            raise ValueError("bulk_offered_mbps must be > 0")
         has_video = self.video is not None and self.video_duration_s > 0
         has_bulk = self.bulk_duration_s > 0
         if self.video is not None and self.video_duration_s <= 0:

@@ -171,8 +171,9 @@ _TAPS, _DIRS, _PROTOS, _MARKERS = _ENUM_FIELDS.values()
 _WIRE_KEYS = ("tap", "t_us", "flow", "dir", "proto", "seq", "ack", "len", "marker", "pid")
 
 
-def _record_error(d: dict) -> str:
-    """Name the first field of a decoded object that cannot form a record."""
+def _record_error(d: dict) -> str | None:
+    """Name the first field of a decoded object that cannot form a record,
+    or None if it forms one: an integer field must hold a JSON integer."""
     for key in _WIRE_KEYS:
         if key not in d:
             return f"bad capture record: missing field {key!r}"
@@ -182,12 +183,9 @@ def _record_error(d: dict) -> str:
                 _ENUM_FIELDS[key][value]
             except (KeyError, TypeError):
                 return f"bad capture record: {key}: unknown value {value!r}"
-        else:
-            try:
-                int(value)
-            except (ValueError, TypeError, OverflowError):
-                return f"bad capture record: {key}: not an integer: {value!r}"
-    return "bad capture record"
+        elif type(value) is not int:  # not a float, string or bool
+            return f"bad capture record: {key}: not an integer: {value!r}"
+    return None
 
 
 def _wire_field(key: str) -> str:
@@ -229,16 +227,15 @@ def record_from_json(line: str, lineno: int | None = None) -> CaptureRecord:
         d = json.loads(line)
     except json.JSONDecodeError as exc:
         raise CaptureFormatError(f"invalid JSON: {exc.msg}", lineno) from exc
-    except ValueError as exc:  # an integer past int()'s digit limit
+    except (ValueError, RecursionError) as exc:  # past int()'s digit limit or the nesting limit
         raise CaptureFormatError(f"bad capture record: {exc}", lineno) from exc
     if not isinstance(d, dict):
         raise CaptureFormatError("record is not an object", lineno)
-    try:
-        return CaptureRecord(_TAPS[d["tap"]], int(d["t_us"]), int(d["flow"]), _DIRS[d["dir"]],
-                             _PROTOS[d["proto"]], int(d["seq"]), int(d["ack"]), int(d["len"]),
-                             _MARKERS[d["marker"]], int(d["pid"]))
-    except (KeyError, ValueError, TypeError, OverflowError) as exc:
-        raise CaptureFormatError(_record_error(d), lineno) from exc
+    error = _record_error(d)
+    if error is not None:
+        raise CaptureFormatError(error, lineno)
+    return CaptureRecord(_TAPS[d["tap"]], d["t_us"], d["flow"], _DIRS[d["dir"]], _PROTOS[d["proto"]],
+                         d["seq"], d["ack"], d["len"], _MARKERS[d["marker"]], d["pid"])
 
 
 def write_capture_file(path: str | Path, records: Iterable[CaptureRecord]) -> None:
@@ -481,6 +478,6 @@ def read_ntp_file(path: str | Path) -> list[NtpSample]:
             try:
                 d = json.loads(line)
                 samples.append(NtpSample(float(d["t_s"]), Tap(d["node"]), float(d["offset_ms"])))
-            except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+            except (json.JSONDecodeError, KeyError, ValueError, TypeError, RecursionError) as exc:
                 raise CaptureFormatError(f"bad ntp sample: {exc}", lineno) from exc
     return samples

@@ -124,6 +124,29 @@ class TestNonFiniteConfig:
         assert not (out / "manifest.ini").exists()
 
 
+class TestBadConfig:
+    BULK = PING_ONLY.replace("ping_count = 5", "bulk_duration_s = 0.5")
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("config, message", [
+        (PING_ONLY + "mss = 0\n", "[workload] mss must be > 0"),
+        (PING_ONLY + "mss = -1\n", "[workload] mss must be > 0"),
+        (BULK + "bulk_offered_mbps = -5\n", "[workload] bulk_offered_mbps must be > 0"),
+        (PING_ONLY.replace("range = EDGE", "range = EDGE\nretransmit = maybe"),
+         "[scenario] retransmit: not a boolean: 'maybe'"),
+        (PING_ONLY.replace("ping_count = 5", "ping_count = 1.5"),
+         "[workload] ping_count: not an integer: '1.5'"),
+    ], ids=["mss-zero", "mss-negative", "bulk-rate-negative", "bad-boolean", "bad-integer"])
+    def test_exits_1_with_one_line_and_writes_nothing(self, tmp_path, capsys, command,
+                                                      config, message):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(config)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
 class TestAnalyze:
     @pytest.fixture
     def capture_dir(self, tmp_path, config_path):
@@ -231,6 +254,33 @@ class TestAnalyze:
         err = one_line_error(capsys)
         assert err.startswith(f"error: {core}: line 4: bad capture record: Exceeds the limit"), err
         assert not (capture_dir / "report.csv").exists()
+
+    @pytest.mark.parametrize("name, message", [
+        ("core.ndjson", "bad capture record: maximum recursion depth exceeded"),
+        ("ntp.ndjson", "bad ntp sample: maximum recursion depth exceeded"),
+    ], ids=["capture", "ntp"])
+    def test_deeply_nested_json_is_an_error(self, capture_dir, capsys, name, message):
+        path = capture_dir / name
+        lines = path.read_text().splitlines()
+        lines[1] = "[" * 100_000 + "]" * 100_000
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["analyze", "--in", str(capture_dir)]) == 1
+        assert one_line_error(capsys).startswith(f"error: {path}: line 2: {message}")
+        assert not (capture_dir / "report.csv").exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("t_us", "-277.5"), ("t_us", "1e3"), ("pid", '"5"'), ("seq", "true")])
+    def test_integer_field_must_be_a_json_integer(self, capture_dir, capsys, field, value):
+        ue = capture_dir / "ue.ndjson"
+        lines = ue.read_text().splitlines()
+        lines[2] = re.sub(rf'"{field}":[^,}}]+', f'"{field}":{value}', lines[2])
+        ue.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["analyze", "--in", str(capture_dir)]) == 1
+        shown = repr(json.loads(value))
+        assert one_line_error(capsys) == (
+            f"error: {ue}: line 3: bad capture record: {field}: not an integer: {shown}\n")
 
     def test_refuses_overwrite(self, capture_dir, capsys):
         assert main(["analyze", "--in", str(capture_dir)]) == 0
@@ -481,6 +531,16 @@ class TestPlot:
                      "--out", str(tmp_path / "tp.svg")]) == 1
         err = one_line_error(capsys)
         assert f"{report} line 3: bad report record: " in err and why in err
+
+    def test_deeply_nested_sample_line(self, analyzed_dir, tmp_path, capsys):
+        samples = analyzed_dir / "samples.ndjson"
+        lines = samples.read_text().splitlines()
+        lines[1] = "[" * 100_000 + "]" * 100_000
+        samples.write_text("\n".join(lines) + "\n")
+        assert main(["plot", "--kind", "cdf", "--in", str(samples),
+                     "--out", str(tmp_path / "cdf.svg")]) == 1
+        assert one_line_error(capsys).startswith(
+            f"error: {samples} line 2: bad sample record: maximum recursion depth exceeded")
 
     def test_unknown_kind_usage_error(self, analyzed_dir, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,9 @@
 """Config parsing and the manifest round trip."""
 
+import math
+import re
+from pathlib import Path
+
 import pytest
 
 from edgekpi.config import ConfigError, manifest_text, parse_config, write_manifest
@@ -23,21 +27,7 @@ ping_count = 3
 """
 
 
-class TestParse:
-    def test_minimal_with_defaults(self, tmp_path):
-        parsed = parse_config(write(tmp_path, MINIMAL))
-        assert parsed.scenario.tech is Tech.FIVE_G
-        assert parsed.scenario.range is RangeBand.EDGE
-        assert parsed.scenario.bandwidth_cap == 54.6
-        assert parsed.scenario.base_owd_up == 8.0
-        assert parsed.clocks.sigmas_ms() == (0.387, 0.317, 0.117)
-        assert parsed.processing.total_ms == 20.3
-        assert parsed.workload.ping_count == 3
-        assert parsed.mss == 1400
-        assert parsed.seed is None
-
-    def test_full_config(self, tmp_path):
-        text = """
+FULL = """
 [scenario]
 tech = 4G
 range = NATIONAL
@@ -78,7 +68,48 @@ response_bytes = 128
 [run]
 seed = 77
 """
-        parsed = parse_config(write(tmp_path, text))
+
+#: A saturation probe with an offered rate, on an uncapped 4G path.
+BULK = """
+[scenario]
+tech = 4G
+range = REGIONAL
+bandwidth_cap = unlimited
+
+[workload]
+bulk_duration_s = 0.5
+bulk_offered_mbps = 80
+mss = 1000
+"""
+
+
+def with_line(text, section, line):
+    """``text`` with ``line`` in ``[section]``: in place of the line that sets
+    the same key, else first in the section, which is added if absent."""
+    key = line.partition("=")[0].strip()
+    if re.search(rf"^{key} =", text, re.M):
+        return re.sub(rf"^{key} =.*$", lambda _: line, text, flags=re.M)
+    header = f"[{section}]\n"
+    if header in text:
+        return text.replace(header, header + line + "\n", 1)
+    return f"{text}\n{header}{line}\n"
+
+
+class TestParse:
+    def test_minimal_with_defaults(self, tmp_path):
+        parsed = parse_config(write(tmp_path, MINIMAL))
+        assert parsed.scenario.tech is Tech.FIVE_G
+        assert parsed.scenario.range is RangeBand.EDGE
+        assert parsed.scenario.bandwidth_cap == 54.6
+        assert parsed.scenario.base_owd_up == 8.0
+        assert parsed.clocks.sigmas_ms() == (0.387, 0.317, 0.117)
+        assert parsed.processing.total_ms == 20.3
+        assert parsed.workload.ping_count == 3
+        assert parsed.mss == 1400
+        assert parsed.seed is None
+
+    def test_full_config(self, tmp_path):
+        parsed = parse_config(write(tmp_path, FULL))
         assert parsed.scenario.tech is Tech.FOUR_G
         assert parsed.scenario.range is RangeBand.NATIONAL
         assert parsed.scenario.added_owd == 4.0
@@ -130,11 +161,98 @@ seed = 77
     def test_infinite_cap(self, tmp_path):
         text = "[scenario]\ntech = 5G\nrange = EDGE\nbandwidth_cap = inf\n\n[workload]\nping_count = 1\n"
         parsed = parse_config(write(tmp_path, text))
-        import math
         assert math.isinf(parsed.scenario.bandwidth_cap)
+
+    @pytest.mark.parametrize("section, line, message", [
+        ("scenario", "retransmit = maybe", "[scenario] retransmit: not a boolean: 'maybe'"),
+        ("workload", "ping_count = 1.5", "[workload] ping_count: not an integer: '1.5'"),
+        ("clocks", "sigma_ue_ms = fast", "[clocks] sigma_ue_ms: not a number: 'fast'"),
+        ("run", "seed = x", "[run] seed: not an integer: 'x'"),
+    ])
+    def test_bad_value_names_its_section_once(self, tmp_path, section, line, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config(write(tmp_path, with_line(MINIMAL, section, line)))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("section, key, why", [
+        ("scenario", "tech", "unknown value ''"),
+        ("scenario", "jitter_std", "not a number: ''"),
+        ("scenario", "bandwidth_cap", "not a number: ''"),
+        ("scenario", "retransmit", "not a boolean: ''"),
+        ("clocks", "sigma_ue_ms", "not a number: ''"),
+        ("video", "mean_frame_bytes", "not an integer: ''"),
+        ("workload", "ping_interval_ms", "not a number: ''"),
+        ("processing", "response_bytes", "not an integer: ''"),
+    ])
+    def test_empty_value_is_an_error(self, tmp_path, section, key, why):
+        text = with_line(with_line(MINIMAL, "video", "duration_s = 1"), section, f"{key} =")
+        with pytest.raises(ConfigError) as err:
+            parse_config(write(tmp_path, text))
+        assert str(err.value).startswith(f"[{section}] {key}: {why}")
+
+    @pytest.mark.parametrize("duration", [None, "0", "-1"])
+    @pytest.mark.parametrize("line, message", [
+        ("fps = abc", "[video] fps: not a number: 'abc'"),
+        ("encoder = VP9", "[video] encoder: unknown value 'VP9' (expected one of H264, MJPEG)"),
+    ])
+    def test_video_keys_checked_without_a_stream(self, tmp_path, duration, line, message):
+        text = with_line(MINIMAL, "video", line)
+        if duration is not None:
+            text = with_line(text, "video", f"duration_s = {duration}")
+        with pytest.raises(ConfigError) as err:
+            parse_config(write(tmp_path, text))
+        assert str(err.value) == message
+
+    def test_no_video_stream_without_a_positive_duration(self, tmp_path):
+        text = with_line(MINIMAL, "video", "encoder = h264\nduration_s = 0")
+        assert parse_config(write(tmp_path, text)).workload.video is None
+
+    def test_aliases_and_case(self, tmp_path):
+        text = ("[scenario]\ntech = 4g\nrange = national\n\n"
+                "[video]\nencoder = h264\nresolution = hd\nduration_s = 1\n")
+        parsed = parse_config(write(tmp_path, text))
+        assert parsed.scenario.tech is Tech.FOUR_G
+        assert parsed.scenario.range is RangeBand.NATIONAL
+        assert parsed.workload.video.encoder is Encoder.H264
+        assert parsed.workload.video.resolution is Resolution.HD
+
+    @pytest.mark.parametrize("word", ["inf", "Infinity", "none", "unlimited"])
+    def test_cap_words_mean_infinity(self, tmp_path, word):
+        text = with_line(with_line(BULK, "scenario", f"bandwidth_cap = {word}"),
+                         "workload", f"bulk_offered_mbps = {word}")
+        parsed = parse_config(write(tmp_path, text))
+        assert math.isinf(parsed.scenario.bandwidth_cap)
+        assert parsed.workload.bulk_offered_mbps is None  # the default offered rate
+
+    def test_raw_scenario_holds_the_keys_the_file_set(self, tmp_path):
+        parsed = parse_config(write(tmp_path, FULL))
+        assert parsed.raw_scenario == {
+            "tech": Tech.FOUR_G, "range": RangeBand.NATIONAL, "base_owd_up": 25.0,
+            "base_owd_down": 12.0, "jitter_std": 0.5, "loss_prob": 0.01,
+            "bandwidth_cap": 30.0, "retransmit": True}
+        assert parse_config(write(tmp_path, MINIMAL)).raw_scenario == {
+            "tech": Tech.FIVE_G, "range": RangeBand.EDGE}
+
+
+GOLDEN = Path(__file__).parent / "golden"
+#: Real configs whose manifests must round-trip, by name.
+ROUND_TRIP = {
+    **{f"golden/{p.name}": p.read_text() for p in sorted(GOLDEN.glob("*.ini"))},
+    "configs/default.ini": (Path(__file__).parents[1] / "configs" / "default.ini").read_text(),
+    "full": FULL,
+    "bulk": BULK,
+}
 
 
 class TestManifest:
+    @pytest.mark.parametrize("text", ROUND_TRIP.values(), ids=ROUND_TRIP.keys())
+    def test_round_trip(self, tmp_path, text):
+        run_cfg = parse_config(write(tmp_path, text)).to_run()
+        manifest = manifest_text(run_cfg)
+        reparsed = parse_config(write(tmp_path, manifest, "manifest.ini")).to_run()
+        assert reparsed == run_cfg
+        assert manifest_text(reparsed) == manifest
+
     def test_manifest_reparses_to_same_run(self, tmp_path):
         parsed = parse_config(write(tmp_path, MINIMAL))
         run_cfg = parsed.to_run(seed=123)

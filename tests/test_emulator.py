@@ -48,6 +48,11 @@ class TestWorkload:
         with pytest.raises(ValueError):
             Workload(video=VideoConfig())
 
+    @pytest.mark.parametrize("rate", [0.0, -5.0])
+    def test_bulk_offered_rate_positive(self, rate):
+        with pytest.raises(ValueError, match="bulk_offered_mbps must be > 0"):
+            Workload(bulk_duration_s=1.0, bulk_offered_mbps=rate)
+
     def test_mss_positive(self):
         with pytest.raises(ValueError):
             EmulationRun(scenario=Scenario(tech=Tech.FIVE_G, range=RangeBand.EDGE),
