@@ -149,23 +149,35 @@ def rtt_control(ue_records: Sequence[CaptureRecord]) -> SampleSet:
     return SampleSet(tuple(samples), excluded)
 
 
-def _is_pure_ack(r: CaptureRecord, flow: int) -> bool:
-    return (r.proto is STREAM and r.dir is DOWNLINK
-            and r.flow == flow and r.payload_len == 0 and r.ack > 0)
+class _AckIndex:
+    """Capture-ordered pure ACKs of one flow, searchable by capture position
+    and by the running maximum of their cumulative ack."""
 
+    def __init__(self, ue_records: Sequence[CaptureRecord], flow: int):
+        self.positions: list[int] = []
+        self.records: list[CaptureRecord] = []
+        self.max_acks: list[int] = []  # max ack of records[:i + 1]; non-decreasing
+        best = 0
+        for i, r in enumerate(ue_records):
+            if (r.proto is STREAM and r.dir is DOWNLINK
+                    and r.flow == flow and r.payload_len == 0 and r.ack > 0):
+                best = max(best, r.ack)
+                self.positions.append(i)
+                self.records.append(r)
+                self.max_acks.append(best)
 
-def _covering_acks(ue_records: Sequence[CaptureRecord], flow: int) -> tuple[list[int], list[CaptureRecord]]:
-    """Strictly increasing cumulative ack values with the earliest record
-    announcing each; suitable for bisect lookups."""
-    values: list[int] = []
-    recs: list[CaptureRecord] = []
-    best = 0
-    for r in ue_records:
-        if _is_pure_ack(r, flow) and r.ack > best:
-            best = r.ack
-            values.append(r.ack)
-            recs.append(r)
-    return values, recs
+    def covering_after(self, last_pos: int, end: int) -> CaptureRecord | None:
+        """First ACK after capture position ``last_pos`` whose cumulative ack
+        reaches ``end``. That is the first ACK whose running maximum reaches
+        ``end``, unless that ACK lies at or before ``last_pos``; only then
+        does the search scan the ACKs after ``last_pos``."""
+        start = bisect_left(self.positions, last_pos + 1)
+        i = bisect_left(self.max_acks, end)
+        if i < start:
+            i = start
+            while i < len(self.records) and self.records[i].ack < end:
+                i += 1
+        return self.records[i] if i < len(self.records) else None
 
 
 def rtt_tcp(ue_records: Sequence[CaptureRecord], flow: int) -> SampleSet:
@@ -179,7 +191,7 @@ def rtt_tcp(ue_records: Sequence[CaptureRecord], flow: int) -> SampleSet:
     for r in data:
         key = (r.seq, r.payload_len)
         seen[key] = seen.get(key, 0) + 1
-    ack_values, ack_recs = _covering_acks(ue_records, flow)
+    acks = _AckIndex(ue_records, flow)
     samples = []
     excluded = 0
     for r in data:
@@ -187,11 +199,11 @@ def rtt_tcp(ue_records: Sequence[CaptureRecord], flow: int) -> SampleSet:
         if seen[key] > 1:
             excluded += 1
             continue
-        i = bisect_left(ack_values, r.seq + r.payload_len)
-        if i == len(ack_values):
+        covering = acks.covering_after(-1, r.seq + r.payload_len)
+        if covering is None:
             excluded += 1
             continue
-        samples.append((ack_recs[i].t_us - r.t_us) / 1000.0)
+        samples.append((covering.t_us - r.t_us) / 1000.0)
     return SampleSet(tuple(samples), excluded)
 
 
@@ -292,26 +304,6 @@ def owd_packet(ue_records: Sequence[CaptureRecord], app_records: Sequence[Captur
             delta_us = (far.t_us - off_ue) - (r.t_us - off_app)
         samples.append(delta_us / 1000.0)
     return SampleSet(tuple(samples), excluded)
-
-
-class _AckIndex:
-    """Capture-ordered pure ACKs of one flow, searchable by capture position."""
-
-    def __init__(self, ue_records: Sequence[CaptureRecord], flow: int):
-        self.positions: list[int] = []
-        self.records: list[CaptureRecord] = []
-        for i, r in enumerate(ue_records):
-            if _is_pure_ack(r, flow):
-                self.positions.append(i)
-                self.records.append(r)
-
-    def covering_after(self, last_pos: int, end: int) -> CaptureRecord | None:
-        """First ACK after capture position ``last_pos`` whose cumulative ack
-        reaches ``end``."""
-        for i in range(bisect_left(self.positions, last_pos + 1), len(self.records)):
-            if self.records[i].ack >= end:
-                return self.records[i]
-        return None
 
 
 def frame_samples(ue_records: Sequence[CaptureRecord], app_records: Sequence[CaptureRecord],

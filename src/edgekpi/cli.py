@@ -314,8 +314,8 @@ def _sweep_scenario(label: str, run_cfg: EmulationRun, outdir: Path, cfg: Analyz
         "ctrl_median_ms": med("CTRL"),
         "stream_packet_median_ms": med("STREAM-packet"),
         "stream_frame_median_ms": med("STREAM-frame"),
-        "owd_frame_p95_ms": round(report.reliability.latency_at_percentile_ms, 6)
-                            if report.reliability else "",
+        "owd_frame_p95_ms": round(report.owd_frame_at_percentile_ms, 6)
+                            if report.owd_frame_at_percentile_ms is not None else "",
         "e2e_srt_p95_ms": round(report.e2e_srt_p95_ms, 6) if report.e2e_srt_p95_ms else "",
         "velocity_kmh": round(report.velocity_kmh[opts.distances_m[0]], 4)
                         if report.velocity_kmh else "",

@@ -116,7 +116,8 @@ class ParsedConfig:
 
 def parse_config(path: str | Path) -> ParsedConfig:
     """Parse and validate a run configuration file."""
-    parser = configparser.ConfigParser(interpolation=None)
+    # No header names the empty section, so [DEFAULT] is an unknown section.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         read = parser.read(path)
     except configparser.Error as exc:
@@ -146,6 +147,8 @@ def parse_config(path: str | Path) -> ParsedConfig:
     if workload.get("bulk_offered_mbps") == math.inf:
         del workload["bulk_offered_mbps"]  # the default offered rate
     duration = video.pop("duration_s", 0.0)  # > 0 turns the stream on
+    if duration < 0:
+        raise ConfigError("[video] duration_s must be >= 0")
     stages = [processing.pop(key) for key in _STAGE_KEYS if key in processing]
     if stages:
         if len(stages) != len(_STAGE_KEYS):

@@ -91,6 +91,9 @@ class Workload:
         check_finite(self)
         if self.ping_count < 0:
             raise ValueError("ping_count must be >= 0")
+        for name in ("video_duration_s", "bulk_duration_s"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.ping_count > 0 and self.ping_interval_ms <= 0:
             raise ValueError("ping_interval_ms must be > 0")
         if self.bulk_offered_mbps is not None and self.bulk_offered_mbps <= 0:

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .analyzer import AnalysisResult, InsufficientDataError, SampleSet, srtt
-from .model import Tap, check_finite
+from .model import NODES, check_finite
 
 
 #: Default bandwidth caps (Mbit/s) a demand figure is judged against.
@@ -209,7 +209,7 @@ LATENCY_CLASSES = (CLASS_CTRL, CLASS_STREAM_PACKET, CLASS_STREAM_FRAME)
 
 @dataclass(frozen=True)
 class ClassStats:
-    """Distribution summary of one latency class."""
+    """Distribution summary of one sample class."""
 
     count: int
     excluded: int
@@ -217,27 +217,6 @@ class ClassStats:
     median_ms: float
     p95_ms: float
     srtt_final_ms: float
-
-
-@dataclass(frozen=True)
-class OwdStats:
-    """One-way delay summary with the propagated clock-error budget."""
-
-    count: int
-    excluded: int
-    mean_ms: float
-    median_ms: float
-    p95_ms: float
-    sigma_quadrature_ms: float | None
-    sigma_linear_ms: float | None
-
-
-@dataclass(frozen=True)
-class ReliabilityStats:
-    percentile: float
-    latency_at_percentile_ms: float
-    bound_ms: float | None
-    fraction_within_bound: float | None
 
 
 @dataclass(frozen=True)
@@ -270,22 +249,25 @@ class ReportOptions:
 @dataclass
 class KpiReport:
     """Complete KPI suite for one capture set; absent classes are None and
-    listed in ``absent``."""
+    listed in ``absent``. ``error_budget`` is the clock-error budget of the
+    run's NTP trace, None when the one-way delays are uncorrected."""
 
     options: ReportOptions
     classes: dict[str, ClassStats | None]
-    owd_packet: OwdStats | None
-    owd_frame: OwdStats | None
+    owd_packet: ClassStats | None
+    owd_frame: ClassStats | None
+    error_budget: ErrorBudget | None
     owd_command_measured_ms: float | None
     availability_pct: float | None
-    reliability: ReliabilityStats | None
+    #: frame OWD at ``options.reliability_percentile``
+    owd_frame_at_percentile_ms: float | None
+    #: share of frame OWDs within ``options.reliability_bound_ms``
+    fraction_within_bound: float | None
     e2e_srt_mean_ms: float | None
     e2e_srt_p95_ms: float | None
     velocity_kmh: dict[float, float] | None
     demand: ThroughputDemand | None
     goodput_mbps: float | None
-    sent_uplink: int = 0
-    delivered_uplink: int = 0
     absent: tuple[str, ...] = ()
 
 
@@ -303,35 +285,19 @@ def _class_stats(samples: SampleSet, alpha: float) -> ClassStats | None:
     )
 
 
-def _owd_stats(samples: SampleSet, budget: ErrorBudget | None) -> OwdStats | None:
-    if not samples.values_ms:
-        return None
-    vals = samples.values_ms
-    return OwdStats(
-        count=len(vals),
-        excluded=samples.excluded,
-        mean_ms=statistics.fmean(vals),
-        median_ms=_quantile(sorted(vals), 0.5),
-        p95_ms=latency_at(vals, 0.95),
-        sigma_quadrature_ms=budget.quadrature_ms if budget else None,
-        sigma_linear_ms=budget.linear_sum_ms if budget else None,
-    )
-
-
 def build_report(analysis: AnalysisResult, options: ReportOptions | None = None) -> KpiReport:
     """Assemble the full KPI report from analyzer output.
 
     The velocity bound follows the upper-95%-reliability method: the frame
     OWD at the reliability percentile feeds the service response time, which
     in turn bounds the vehicle speed for each configured distance. A negative
-    frame OWD (tap clocks that disagree) gives no response time and raises
-    InsufficientDataError.
+    frame OWD (tap clocks that disagree) or a zero service response time
+    gives no velocity bound and raises InsufficientDataError.
     """
     opts = options or ReportOptions()
     budget = None
     if analysis.offsets:
-        est = analysis.offsets
-        budget = propagate_error(est[Tap.UE].std_ms, est[Tap.CORE].std_ms, est[Tap.APP].std_ms)
+        budget = propagate_error(*(analysis.offsets[node].std_ms for node in NODES))
 
     classes = {
         CLASS_CTRL: _class_stats(analysis.ctrl_rtt, opts.alpha),
@@ -340,8 +306,8 @@ def build_report(analysis: AnalysisResult, options: ReportOptions | None = None)
     }
     absent = tuple(name for name, stats in classes.items() if stats is None)
 
-    owd_pkt = _owd_stats(analysis.owd_packet_up, budget)
-    owd_frm = _owd_stats(analysis.owd_frame_up, budget)
+    owd_pkt = _class_stats(analysis.owd_packet_up, opts.alpha)
+    owd_frm = _class_stats(analysis.owd_frame_up, opts.alpha)
     cmd_vals = analysis.owd_command_down.values_ms
     cmd_owd = statistics.fmean(cmd_vals) if cmd_vals else None
 
@@ -349,7 +315,8 @@ def build_report(analysis: AnalysisResult, options: ReportOptions | None = None)
     if analysis.sent_uplink > 0:
         avail = availability(analysis.sent_uplink, analysis.delivered_uplink)
 
-    rel = None
+    lat_p = None
+    frac = None
     srt_mean = None
     srt_p95 = None
     vel = None
@@ -360,11 +327,13 @@ def build_report(analysis: AnalysisResult, options: ReportOptions | None = None)
             raise InsufficientDataError(
                 f"uplink frame OWD is negative (mean {owd_frm.mean_ms:.3f} ms), so no service "
                 "response time follows; the taps' clocks disagree")
-        frac = (reliability(frame_vals, opts.reliability_bound_ms)
-                if opts.reliability_bound_ms is not None else None)
-        rel = ReliabilityStats(opts.reliability_percentile, lat_p, opts.reliability_bound_ms, frac)
+        if opts.reliability_bound_ms is not None:
+            frac = reliability(frame_vals, opts.reliability_bound_ms)
         srt_mean = e2e_srt(owd_frm.mean_ms, opts.processing_ms, opts.owd_down_assumed_ms)
         srt_p95 = e2e_srt(lat_p, opts.processing_ms, opts.owd_down_assumed_ms)
+        if srt_p95 == 0:
+            raise InsufficientDataError("service response time is 0 ms, so no velocity bound "
+                                        "follows; frame OWD, processing and downlink OWD are all 0")
         vel = {d: velocity(d, srt_p95) for d in opts.distances_m}
 
     demand = None
@@ -376,16 +345,16 @@ def build_report(analysis: AnalysisResult, options: ReportOptions | None = None)
         classes=classes,
         owd_packet=owd_pkt,
         owd_frame=owd_frm,
+        error_budget=budget,
         owd_command_measured_ms=cmd_owd,
         availability_pct=avail,
-        reliability=rel,
+        owd_frame_at_percentile_ms=lat_p,
+        fraction_within_bound=frac,
         e2e_srt_mean_ms=srt_mean,
         e2e_srt_p95_ms=srt_p95,
         velocity_kmh=vel,
         demand=demand,
         goodput_mbps=analysis.goodput_mbps,
-        sent_uplink=analysis.sent_uplink,
-        delivered_uplink=analysis.delivered_uplink,
         absent=absent,
     )
 
@@ -418,30 +387,30 @@ def report_rows(report: KpiReport) -> list[dict]:
         add(cls, "p95", round(stats.p95_ms, 6), "ms")
         add(cls, "srtt_final", round(stats.srtt_final_ms, 6), "ms")
 
+    budget = report.error_budget
+    sigma = round(budget.quadrature_ms, 6) if budget is not None else None
     for name, owd in (("OWD-packet", report.owd_packet), ("OWD-frame", report.owd_frame)):
         if owd is None:
             add(name, "owd_up", None, "ms")
             continue
         add(name, "count", owd.count, "packets")
-        add(name, "mean", round(owd.mean_ms, 6), "ms",
-            sigma=round(owd.sigma_quadrature_ms, 6) if owd.sigma_quadrature_ms is not None else None)
+        add(name, "mean", round(owd.mean_ms, 6), "ms", sigma=sigma)
         add(name, "median", round(owd.median_ms, 6), "ms")
         add(name, "p95", round(owd.p95_ms, 6), "ms")
-        if owd.sigma_linear_ms is not None:
-            add(name, "sigma_linear_sum", round(owd.sigma_linear_ms, 6), "ms")
+        if budget is not None:
+            add(name, "sigma_linear_sum", round(budget.linear_sum_ms, 6), "ms")
 
     if report.owd_command_measured_ms is not None:
         add("OWD-command", "mean", round(report.owd_command_measured_ms, 6), "ms")
     add("OWD-command", "assumed_down", opts.owd_down_assumed_ms, "ms")
 
     add("overall", "availability", round(report.availability_pct, 6) if report.availability_pct is not None else None, "percent")
-    if report.reliability is not None:
-        rel = report.reliability
-        add("OWD-frame", f"latency_at_p{int(rel.percentile * 100)}",
-            round(rel.latency_at_percentile_ms, 6), "ms")
-        if rel.fraction_within_bound is not None:
-            add("OWD-frame", f"reliability_within_{rel.bound_ms}ms",
-                round(rel.fraction_within_bound, 6), "fraction")
+    if report.owd_frame_at_percentile_ms is not None:
+        add("OWD-frame", f"latency_at_p{int(opts.reliability_percentile * 100)}",
+            round(report.owd_frame_at_percentile_ms, 6), "ms")
+        if report.fraction_within_bound is not None:
+            add("OWD-frame", f"reliability_within_{opts.reliability_bound_ms}ms",
+                round(report.fraction_within_bound, 6), "fraction")
     add("overall", "e2e_srt_mean", round(report.e2e_srt_mean_ms, 6) if report.e2e_srt_mean_ms is not None else None, "ms")
     add("overall", "e2e_srt_p95", round(report.e2e_srt_p95_ms, 6) if report.e2e_srt_p95_ms is not None else None, "ms")
     if report.velocity_kmh:

@@ -477,6 +477,9 @@ def read_ntp_file(path: str | Path) -> list[NtpSample]:
                 continue
             try:
                 d = json.loads(line)
+                for key in ("t_s", "offset_ms"):
+                    if type(d[key]) not in (int, float):  # not a string or bool
+                        raise ValueError(f"{key} must be a finite number, got {d[key]!r}")
                 samples.append(NtpSample(float(d["t_s"]), Tap(d["node"]), float(d["offset_ms"])))
             except (json.JSONDecodeError, KeyError, ValueError, TypeError, RecursionError) as exc:
                 raise CaptureFormatError(f"bad ntp sample: {exc}", lineno) from exc

@@ -136,7 +136,13 @@ class TestBadConfig:
          "[scenario] retransmit: not a boolean: 'maybe'"),
         (PING_ONLY.replace("ping_count = 5", "ping_count = 1.5"),
          "[workload] ping_count: not an integer: '1.5'"),
-    ], ids=["mss-zero", "mss-negative", "bulk-rate-negative", "bad-boolean", "bad-integer"])
+        (PING_ONLY + "\n[video]\nduration_s = -1\n", "[video] duration_s must be >= 0"),
+        (PING_ONLY + "bulk_duration_s = -1\n", "[workload] bulk_duration_s must be >= 0"),
+        ("[DEFAULT]\nseed = 4\n" + PING_ONLY, "unknown section [DEFAULT]"),
+        ("[DEFAULT]\n" + PING_ONLY, "unknown section [DEFAULT]"),
+    ], ids=["mss-zero", "mss-negative", "bulk-rate-negative", "bad-boolean", "bad-integer",
+            "video-duration-negative", "bulk-duration-negative", "default-section",
+            "empty-default-section"])
     def test_exits_1_with_one_line_and_writes_nothing(self, tmp_path, capsys, command,
                                                       config, message):
         cfg = tmp_path / "bad.ini"
@@ -214,7 +220,7 @@ class TestAnalyze:
         del empty["ntp.ndjson"]
         assert missing == empty
 
-    @pytest.mark.parametrize("value", ["NaN", "Infinity", '"nan"'])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", '"nan"', '"5"', "true"])
     def test_non_finite_ntp_offset_is_an_error(self, capture_dir, capsys, value):
         ntp_path = capture_dir / "ntp.ndjson"
         lines = ntp_path.read_text().splitlines()
@@ -324,6 +330,20 @@ class TestAnalyze:
         assert main(["analyze", "--in", str(out)]) == 1
         assert "frame OWD is negative" in one_line_error(capsys)
         assert not (out / "report.csv").exists()
+
+    def test_zero_service_response_time_is_an_error(self, tmp_path, capsys):
+        cfg = tmp_path / "zero.ini"
+        cfg.write_text(CONFIG.replace(
+            "jitter_std = 0", "jitter_std = 0\nbase_owd_up = 0\nbase_owd_down = 0\n"
+            "bandwidth_cap = inf"))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "--in", str(out), "--processing-ms", "0",
+                     "--owd-down-ms", "0"]) == 1
+        assert "service response time is 0 ms" in one_line_error(capsys)
+        for name in ("samples.ndjson", "report.csv", "report.ndjson"):
+            assert not (out / name).exists()
 
 
 class TestSweep:

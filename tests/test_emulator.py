@@ -53,6 +53,11 @@ class TestWorkload:
         with pytest.raises(ValueError, match="bulk_offered_mbps must be > 0"):
             Workload(bulk_duration_s=1.0, bulk_offered_mbps=rate)
 
+    @pytest.mark.parametrize("name", ["video_duration_s", "bulk_duration_s"])
+    def test_durations_not_negative(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+            Workload(ping_count=1, **{name: -1.0})
+
     def test_mss_positive(self):
         with pytest.raises(ValueError):
             EmulationRun(scenario=Scenario(tech=Tech.FIVE_G, range=RangeBand.EDGE),

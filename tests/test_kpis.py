@@ -8,7 +8,7 @@ import pytest
 
 from conftest import ping_run, video_run
 from edgekpi import emulator
-from edgekpi.analyzer import analyze_captures
+from edgekpi.analyzer import InsufficientDataError, analyze_captures
 from edgekpi.kpis import (
     CapVerdict,
     ReportOptions,
@@ -290,7 +290,7 @@ class TestBuildReport:
     def test_report_fields_equal_direct_operations(self):
         analysis, report = self._report(video_run(duration_s=1.0, cv=0.1, seed=42))
         frame_vals = analysis.owd_frame_up.values_ms
-        assert report.reliability.latency_at_percentile_ms == latency_at(frame_vals, 0.95)
+        assert report.owd_frame_at_percentile_ms == latency_at(frame_vals, 0.95)
         assert report.e2e_srt_p95_ms == pytest.approx(
             e2e_srt(latency_at(frame_vals, 0.95), 20.3, 5.0))
         assert report.velocity_kmh[1.0] == pytest.approx(
@@ -313,13 +313,19 @@ class TestBuildReport:
         analysis, report = self._report(video_run(duration_s=0.5, cv=0.1, seed=43,
                                                   clocks=None))
         # perfect clocks still estimate sigma (zero) from the trace
-        assert report.owd_packet.sigma_quadrature_ms == pytest.approx(0.0)
-        assert report.owd_packet.sigma_linear_ms == pytest.approx(0.0)
+        assert report.error_budget.quadrature_ms == pytest.approx(0.0)
+        assert report.error_budget.linear_sum_ms == pytest.approx(0.0)
 
     def test_reliability_bound_fraction(self):
         analysis, report = self._report(video_run(duration_s=1.0, cv=0.1, seed=44),
                                         reliability_bound_ms=10_000.0)
-        assert report.reliability.fraction_within_bound == 1.0
+        assert report.fraction_within_bound == 1.0
+
+    def test_zero_service_response_time_is_insufficient_data(self):
+        run_cfg = video_run(duration_s=0.5, base_up=0.0, base_down=0.0,
+                            bandwidth_cap=math.inf, seed=46)
+        with pytest.raises(InsufficientDataError, match="service response time is 0 ms"):
+            self._report(run_cfg, processing_ms=0.0, owd_down_assumed_ms=0.0)
 
     def test_report_files_round_trip(self, tmp_path):
         _, report = self._report(video_run(duration_s=0.5, cv=0.1, seed=45))

@@ -1,4 +1,5 @@
-"""Property tests: the analyzer on randomly damaged emulator captures.
+"""Property tests: the analyzer on randomly damaged emulator captures, and
+its ACK index on random hand-built captures.
 
 Records of a 1 s capture are dropped, duplicated, reordered and time-shifted
 at random; the analysis must then end in a result or in one of its own
@@ -16,9 +17,10 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from conftest import video_run  # noqa: E402
+from conftest import rec, video_run  # noqa: E402
 from edgekpi.analyzer import (  # noqa: E402
     InsufficientDataError,
+    _AckIndex,
     MalformedCaptureError,
     analyze_captures,
     reassemble,
@@ -26,7 +28,7 @@ from edgekpi.analyzer import (  # noqa: E402
 )
 from edgekpi.emulator import VIDEO_FLOW, run  # noqa: E402
 from edgekpi.kpis import availability, build_report  # noqa: E402
-from edgekpi.model import ClockModel, Tap  # noqa: E402
+from edgekpi.model import ClockModel, Direction, Proto, Tap  # noqa: E402
 
 
 @functools.lru_cache(maxsize=1)
@@ -80,3 +82,32 @@ def test_damaged_capture_ends_in_result_or_analyzer_error(ops):
         build_report(analysis)
     except InsufficientDataError:
         pass
+
+
+def covering_reference(records, flow, last_pos, end):
+    """The first pure ACK of ``flow`` after ``last_pos`` reaching ``end``, by
+    a linear scan of the capture."""
+    for r in records[last_pos + 1:]:
+        if (r.proto is Proto.STREAM and r.dir is Direction.DOWNLINK and r.flow == flow
+                and r.payload_len == 0 and r.ack > 0 and r.ack >= end):
+            return r
+    return None
+
+
+#: (proto, direction, flow, carries payload, ack) of each record; acks
+#: need not grow, as in a capture with reordered ACKs.
+hand_built = st.lists(st.tuples(
+    st.sampled_from(list(Proto)), st.sampled_from(list(Direction)),
+    st.integers(1, 2), st.booleans(), st.integers(0, 40),
+), max_size=30)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(hand_built, st.integers(-1, 45))
+def test_covering_after_equals_linear_scan(fields, end):
+    records = [rec(t_us=i, proto=proto, dir=direction, flow=flow,
+                   payload_len=100 if payload else 0, ack=ack)
+               for i, (proto, direction, flow, payload, ack) in enumerate(fields)]
+    acks = _AckIndex(records, flow=1)
+    for last_pos in range(-1, len(records)):
+        assert acks.covering_after(last_pos, end) is covering_reference(records, 1, last_pos, end)
