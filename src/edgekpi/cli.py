@@ -12,8 +12,9 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import gc
 import json
-import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -298,7 +299,8 @@ def _sweep_scenario(label: str, run_cfg: EmulationRun, outdir: Path, cfg: Analyz
                     opts: ReportOptions, force: bool) -> dict:
     """Emulate one sweep scenario, write its outputs into ``outdir`` and
     return its ``comparison.csv`` row. Runs in a pool worker, so everything
-    it takes and returns pickles."""
+    it takes and returns pickles. It builds no reference cycles, so the
+    worker runs it with the cyclic collector off."""
     result = run_emulation(run_cfg)
     _write_run_outputs(result, run_cfg, outdir, force)
     tech, range_band = run_cfg.scenario.tech.value, run_cfg.scenario.range.value
@@ -322,6 +324,24 @@ def _sweep_scenario(label: str, run_cfg: EmulationRun, outdir: Path, cfg: Analyz
     }
 
 
+def _paths_to_create(outdir: Path, scenario_dirs: list[Path], names: tuple[str, ...]) -> list[Path]:
+    """What a sweep into ``outdir`` creates: the outermost missing directory
+    of ``outdir``'s path or, when ``outdir`` exists, each missing scenario
+    directory and each missing output file in the scenario directories."""
+    missing = None
+    while not outdir.exists():
+        missing, outdir = outdir, outdir.parent
+    if missing is not None:
+        return [missing]
+    created = []
+    for scen_dir in scenario_dirs:
+        if not scen_dir.exists():
+            created.append(scen_dir)
+        elif scen_dir.is_dir():
+            created += [scen_dir / name for name in names if not (scen_dir / name).exists()]
+    return created
+
+
 def cmd_sweep(args) -> int:
     # Imported here: at module level the pool's multiprocessing imports would
     # slow every edgekpi start-up, not only sweep's.
@@ -343,24 +363,33 @@ def cmd_sweep(args) -> int:
     names = (*RUN_FILES, *ANALYSIS_FILES)
     _require_new([scen_dir / name for _, _, scen_dir in runs for name in names]
                  + [outdir / COMPARISON_FILE], args.force)
+    created = _paths_to_create(outdir, [scen_dir for _, _, scen_dir in runs], names)
     outdir.mkdir(parents=True, exist_ok=True)
     # The scenarios share no state and each writes only its own directory,
-    # so they run in parallel; results are taken, and errors raised, in order.
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    # so all five run at once, one per worker, and the kernel shares the CPUs
+    # among them. A worker ends with the sweep, so it leaves the collector
+    # off. Results are taken, and errors raised, in scenario order.
     comparison = []
-    with ProcessPoolExecutor(max_workers=min(len(runs), cpus)) as pool:
-        futures = [pool.submit(_sweep_scenario, *run, cfg, opts, args.force) for run in runs]
-        for index, ((label, _, _), future) in enumerate(zip(runs, futures)):
-            try:
+    try:
+        with ProcessPoolExecutor(max_workers=len(runs), initializer=gc.disable) as pool:
+            futures = [pool.submit(_sweep_scenario, *run, cfg, opts, args.force) for run in runs]
+            for index, ((label, _, _), future) in enumerate(zip(runs, futures)):
                 comparison.append(future.result())
-            except BaseException:
-                pool.shutdown(cancel_futures=True)
-                raise
-            print(f"[{index + 1}/{len(runs)}] {label}: done")
-    with open(outdir / COMPARISON_FILE, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=COMPARISON_COLUMNS)
-        writer.writeheader()
-        writer.writerows(comparison)
+                print(f"[{index + 1}/{len(runs)}] {label}: done")
+        with open(outdir / COMPARISON_FILE, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.DictWriter(fh, fieldnames=COMPARISON_COLUMNS)
+            writer.writeheader()
+            writer.writerows(comparison)
+    except BaseException:
+        # Leaving the pool waited for every worker (none is left pending to
+        # cancel), so none writes after this; a failed sweep leaves only
+        # what was there before it.
+        for path in created:
+            if path.is_dir():
+                shutil.rmtree(path, ignore_errors=True)
+            else:
+                path.unlink(missing_ok=True)
+        raise
     print(f"sweep complete: {outdir / COMPARISON_FILE}")
     return 0
 

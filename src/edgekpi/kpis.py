@@ -10,6 +10,7 @@ import math
 import statistics
 from bisect import bisect_left
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -209,14 +210,15 @@ LATENCY_CLASSES = (CLASS_CTRL, CLASS_STREAM_PACKET, CLASS_STREAM_FRAME)
 
 @dataclass(frozen=True)
 class ClassStats:
-    """Distribution summary of one sample class."""
+    """Distribution summary of one sample class. ``srtt_final_ms`` is the
+    last smoothed RTT, kept for the latency classes only (None otherwise)."""
 
     count: int
     excluded: int
     mean_ms: float
     median_ms: float
     p95_ms: float
-    srtt_final_ms: float
+    srtt_final_ms: float | None
 
 
 @dataclass(frozen=True)
@@ -271,7 +273,8 @@ class KpiReport:
     absent: tuple[str, ...] = ()
 
 
-def _class_stats(samples: SampleSet, alpha: float) -> ClassStats | None:
+def _class_stats(samples: SampleSet, alpha: float | None = None) -> ClassStats | None:
+    """The class's summary; its final SRTT only when a gain ``alpha`` is given."""
     if not samples.values_ms:
         return None
     vals = samples.values_ms
@@ -281,7 +284,7 @@ def _class_stats(samples: SampleSet, alpha: float) -> ClassStats | None:
         mean_ms=statistics.fmean(vals),
         median_ms=_quantile(sorted(vals), 0.5),
         p95_ms=latency_at(vals, 0.95),
-        srtt_final_ms=srtt(vals, alpha)[-1],
+        srtt_final_ms=srtt(vals, alpha)[-1] if alpha is not None else None,
     )
 
 
@@ -306,8 +309,8 @@ def build_report(analysis: AnalysisResult, options: ReportOptions | None = None)
     }
     absent = tuple(name for name, stats in classes.items() if stats is None)
 
-    owd_pkt = _class_stats(analysis.owd_packet_up, opts.alpha)
-    owd_frm = _class_stats(analysis.owd_frame_up, opts.alpha)
+    owd_pkt = _class_stats(analysis.owd_packet_up)
+    owd_frm = _class_stats(analysis.owd_frame_up)
     cmd_vals = analysis.owd_command_down.values_ms
     cmd_owd = statistics.fmean(cmd_vals) if cmd_vals else None
 
@@ -359,6 +362,12 @@ def build_report(analysis: AnalysisResult, options: ReportOptions | None = None)
     )
 
 
+def _percent_label(p: float) -> str:
+    """``p`` as a percentage, written exactly so no two values share a
+    label: 0.95 -> "95", 0.29 -> "29", 0.995 -> "99.5"."""
+    return format((Decimal(repr(p)) * 100).normalize(), "f")
+
+
 REPORT_COLUMNS = ("scenario", "tech", "range", "class", "metric", "value", "unit", "sigma")
 
 
@@ -406,7 +415,7 @@ def report_rows(report: KpiReport) -> list[dict]:
 
     add("overall", "availability", round(report.availability_pct, 6) if report.availability_pct is not None else None, "percent")
     if report.owd_frame_at_percentile_ms is not None:
-        add("OWD-frame", f"latency_at_p{int(opts.reliability_percentile * 100)}",
+        add("OWD-frame", f"latency_at_p{_percent_label(opts.reliability_percentile)}",
             round(report.owd_frame_at_percentile_ms, 6), "ms")
         if report.fraction_within_bound is not None:
             add("OWD-frame", f"reliability_within_{opts.reliability_bound_ms}ms",

@@ -118,7 +118,8 @@ def test_criterion_05_delay_recovery():
 
 
 def test_criterion_06_scenario_monotonicity(sweep_dir):
-    rows = {r["scenario"]: r for r in csv.DictReader(open(sweep_dir / "comparison.csv"))}
+    lines = (sweep_dir / "comparison.csv").read_text(encoding="utf-8").splitlines()
+    rows = {r["scenario"]: r for r in csv.DictReader(lines)}
     assert len(rows) == 5
     classes = ("ctrl_median_ms", "stream_packet_median_ms", "stream_frame_median_ms")
     steps = (("5g_edge", "5g_regional"), ("5g_regional", "5g_national"),

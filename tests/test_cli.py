@@ -1,6 +1,7 @@
 """CLI subcommands: simulate, analyze, sweep, plot, selftest."""
 
 import csv
+import gc
 import hashlib
 import json
 import re
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from edgekpi.cli import main
+from edgekpi.cli import _analysis_options, _build_parser, _sweep_scenario, main
+from edgekpi.config import parse_config
 from edgekpi.selftest import check_srtt_recurrence, run_selftest
 
 CONFIG = """
@@ -33,6 +35,14 @@ ping_interval_ms = 100
 ping_count = 5
 """
 
+#: CONFIG on a path with no delay at all: with ``--processing-ms 0
+#: --owd-down-ms 0`` its service response time is 0 ms, so its analysis fails
+#: (in a sweep, 5g_edge's only: every other scenario adds a core-side delay).
+ZERO_DELAY = CONFIG.replace(
+    "jitter_std = 0", "jitter_std = 0\nbase_owd_up = 0\nbase_owd_down = 0\nbandwidth_cap = inf")
+
+GOLDEN = Path(__file__).parent / "golden"
+
 PING_ONLY = """
 [scenario]
 tech = FIVE_G
@@ -53,6 +63,11 @@ def config_path(tmp_path):
 def digest_dir(outdir: Path) -> dict:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(outdir.iterdir()) if p.is_file()}
+
+
+def read_csv(path: Path) -> list[dict]:
+    """The rows of a CSV file, read with the file closed again."""
+    return list(csv.DictReader(path.read_text(encoding="utf-8").splitlines()))
 
 
 def one_line_error(capsys) -> str:
@@ -195,7 +210,7 @@ class TestAnalyze:
         main(["simulate", "--config", str(cfg), "--seed", "4", "--out", str(out)])
         assert main(["analyze", "--in", str(out)]) == 0
         assert "CTRL" in capsys.readouterr().out
-        rows = list(csv.DictReader(open(out / "report.csv")))
+        rows = read_csv(out / "report.csv")
         ctrl_rows = [r for r in rows if r["class"] == "CTRL"]
         assert ctrl_rows[0]["value"] == ""
 
@@ -333,9 +348,7 @@ class TestAnalyze:
 
     def test_zero_service_response_time_is_an_error(self, tmp_path, capsys):
         cfg = tmp_path / "zero.ini"
-        cfg.write_text(CONFIG.replace(
-            "jitter_std = 0", "jitter_std = 0\nbase_owd_up = 0\nbase_owd_down = 0\n"
-            "bandwidth_cap = inf"))
+        cfg.write_text(ZERO_DELAY)
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         capsys.readouterr()
@@ -355,13 +368,13 @@ class TestSweep:
         return out
 
     def test_five_scenario_rows(self, sweep_dir):
-        rows = list(csv.DictReader(open(sweep_dir / "comparison.csv")))
+        rows = read_csv(sweep_dir / "comparison.csv")
         assert len(rows) == 5
         assert [r["scenario"] for r in rows] == [
             "5g_edge", "5g_regional", "5g_national", "4g_regional", "4g_national"]
 
     def test_velocity_column_populated(self, sweep_dir):
-        rows = list(csv.DictReader(open(sweep_dir / "comparison.csv")))
+        rows = read_csv(sweep_dir / "comparison.csv")
         velocities = [float(r["velocity_kmh"]) for r in rows]
         assert all(v > 0 for v in velocities)
         # faster scenarios allow higher speeds
@@ -370,7 +383,7 @@ class TestSweep:
     def test_velocity_derived_from_p95_response_time(self, sweep_dir):
         # v = distance / response time for 1 m: 3600 / t_ms, with the response
         # time built from the frame OWD at the 95th percentile
-        for row in csv.DictReader(open(sweep_dir / "comparison.csv")):
+        for row in read_csv(sweep_dir / "comparison.csv"):
             srt = float(row["e2e_srt_p95_ms"])
             assert srt == pytest.approx(float(row["owd_frame_p95_ms"]) + 20.3 + 5.0, abs=1e-4)
             assert float(row["velocity_kmh"]) == pytest.approx(3600.0 / srt, abs=1e-3)
@@ -379,13 +392,13 @@ class TestSweep:
         out = tmp_path / "sweep"
         assert main(["sweep", "--config", str(config_path), "--out", str(out),
                      "--distance-m", "5", "--distance-m", "2"]) == 0
-        for row in csv.DictReader(open(out / "comparison.csv")):
+        for row in read_csv(out / "comparison.csv"):
             report = {r["metric"]: r["value"]
-                      for r in csv.DictReader(open(out / row["scenario"] / "report.csv"))}
+                      for r in read_csv(out / row["scenario"] / "report.csv")}
             assert row["velocity_kmh"] == report["velocity_ds_5.0m"] != ""
 
     def test_median_ordering_within_each_tech(self, sweep_dir):
-        rows = {r["scenario"]: r for r in csv.DictReader(open(sweep_dir / "comparison.csv"))}
+        rows = {r["scenario"]: r for r in read_csv(sweep_dir / "comparison.csv")}
         for cls in ("ctrl_median_ms", "stream_packet_median_ms", "stream_frame_median_ms"):
             assert (float(rows["5g_edge"][cls]) < float(rows["5g_regional"][cls])
                     < float(rows["5g_national"][cls]))
@@ -436,6 +449,83 @@ class TestSweep:
         assert main(["sweep", "--config", str(config_path), "--out", str(out)]) == 1
         assert str(out / "5g_edge") in one_line_error(capsys)
         assert not (out / "comparison.csv").exists()
+
+
+class TestFailedSweep:
+    ZERO_FLAGS = ["--processing-ms", "0", "--owd-down-ms", "0"]
+
+    @pytest.fixture
+    def zero_config(self, tmp_path):
+        path = tmp_path / "zero.ini"
+        path.write_text(ZERO_DELAY)
+        return path
+
+    def tree(self, root: Path) -> list[str]:
+        return sorted(p.relative_to(root).as_posix() for p in root.rglob("*"))
+
+    def test_leaves_nothing_it_created(self, tmp_path, zero_config, capsys):
+        out = tmp_path / "new" / "sweep"
+        assert main(["sweep", "--config", str(zero_config), "--out", str(out),
+                     *self.ZERO_FLAGS]) == 1
+        assert "service response time is 0 ms" in one_line_error(capsys)
+        assert self.tree(tmp_path) == ["zero.ini"]
+        # nothing is left to refuse to overwrite
+        assert main(["sweep", "--config", str(zero_config), "--out", str(out)]) == 0
+        assert (out / "comparison.csv").exists()
+
+    def test_keeps_what_was_there_before(self, tmp_path, zero_config, capsys):
+        out = tmp_path / "sweep"
+        (out / "5g_national").mkdir(parents=True)
+        (out / "notes.txt").write_text("mine")
+        (out / "5g_national" / "notes.txt").write_text("mine")
+        before = self.tree(out)
+        assert main(["sweep", "--config", str(zero_config), "--out", str(out),
+                     *self.ZERO_FLAGS]) == 1
+        one_line_error(capsys)
+        assert self.tree(out) == before
+        assert not (out / "comparison.csv").exists()
+        assert main(["sweep", "--config", str(zero_config), "--out", str(out)]) == 0
+
+
+class TestSweepCollector:
+    # The sweep's workers run with the cyclic collector off. That is safe
+    # because a scenario leaves no cyclic garbage for it to find.
+    @pytest.mark.parametrize("case, seed, flags", [
+        ("default", 42, []),
+        ("retransmit", 3, []),
+        ("lossy", 5, ["--match", "seq", "--frame-owd", "first-first", "--alpha", "0.25"]),
+    ])
+    def test_scenario_builds_no_reference_cycles(self, tmp_path, case, seed, flags):
+        cfg, opts = _analysis_options(
+            _build_parser().parse_args(["sweep", "--config", "-", "--out", "-", *flags]))
+        run_cfg = parse_config(GOLDEN / f"{case}.ini").to_run(seed)
+        enabled, debug = gc.isenabled(), gc.get_debug()
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            _sweep_scenario(case, run_cfg, tmp_path / case, cfg, opts, False)
+            unreachable = gc.collect()
+            garbage = list(gc.garbage)
+        finally:
+            gc.set_debug(debug)
+            gc.garbage.clear()
+            if enabled:
+                gc.enable()
+        assert unreachable == 0, garbage[:10]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_sweep_leaves_the_callers_collector_as_found(self, tmp_path, config_path, enabled):
+        was_enabled = gc.isenabled()
+        gc.enable() if enabled else gc.disable()
+        frozen = gc.get_freeze_count()
+        try:
+            assert main(["sweep", "--config", str(config_path), "--out",
+                         str(tmp_path / "sweep")]) == 0
+            assert gc.isenabled() is enabled
+            assert gc.get_freeze_count() == frozen
+        finally:
+            gc.enable() if was_enabled else gc.disable()
 
 
 def assert_names_flag(err: str, flag: str, field: str) -> None:

@@ -327,6 +327,21 @@ class TestBuildReport:
         with pytest.raises(InsufficientDataError, match="service response time is 0 ms"):
             self._report(run_cfg, processing_ms=0.0, owd_down_assumed_ms=0.0)
 
+    def test_percentile_row_label_neither_truncates_nor_collides(self):
+        analysis, _ = self._report(video_run(duration_s=0.5, cv=0.1, seed=47))
+        labels = []
+        for p in (0.29, 0.57, 0.995, 0.999, 0.95):
+            rows = report_rows(build_report(analysis, ReportOptions(reliability_percentile=p)))
+            labels += [r["metric"] for r in rows if r["metric"].startswith("latency_at_p")]
+        assert labels == ["latency_at_p29", "latency_at_p57", "latency_at_p99.5",
+                          "latency_at_p99.9", "latency_at_p95"]
+
+    def test_final_srtt_for_latency_classes_only(self):
+        _, report = self._report(video_run(duration_s=0.5, cv=0.1, seed=48, pings=5))
+        assert all(stats.srtt_final_ms is not None for stats in report.classes.values())
+        assert report.owd_packet.srtt_final_ms is None
+        assert report.owd_frame.srtt_final_ms is None
+
     def test_report_files_round_trip(self, tmp_path):
         _, report = self._report(video_run(duration_s=0.5, cv=0.1, seed=45))
         rows = report_rows(report)
