@@ -23,6 +23,7 @@ from .model import (
     STREAM,
     Tap,
     UPLINK,
+    acyclic,
 )
 
 
@@ -423,6 +424,7 @@ class AnalysisResult:
     offered_mbps: float | None
 
 
+@acyclic()
 def analyze_captures(ue_records: Sequence[CaptureRecord],
                      core_records: Sequence[CaptureRecord],
                      app_records: Sequence[CaptureRecord],

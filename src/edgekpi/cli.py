@@ -345,7 +345,7 @@ def _paths_to_create(outdir: Path, scenario_dirs: list[Path], names: tuple[str, 
 def cmd_sweep(args) -> int:
     # Imported here: at module level the pool's multiprocessing imports would
     # slow every edgekpi start-up, not only sweep's.
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
     cfg, opts = _analysis_options(args)
     parsed = parse_config(args.config)
@@ -365,6 +365,10 @@ def cmd_sweep(args) -> int:
                  + [outdir / COMPARISON_FILE], args.force)
     created = _paths_to_create(outdir, [scen_dir for _, _, scen_dir in runs], names)
     outdir.mkdir(parents=True, exist_ok=True)
+    if args.force:
+        # A sweep that fails writes no comparison, so an earlier one must not
+        # stay to contradict the scenario reports this one rewrites.
+        (outdir / COMPARISON_FILE).unlink(missing_ok=True)
     # The scenarios share no state and each writes only its own directory,
     # so all five run at once, one per worker, and the kernel shares the CPUs
     # among them. A worker ends with the sweep, so it leaves the collector
@@ -374,7 +378,11 @@ def cmd_sweep(args) -> int:
         with ProcessPoolExecutor(max_workers=len(runs), initializer=gc.disable) as pool:
             futures = [pool.submit(_sweep_scenario, *run, cfg, opts, args.force) for run in runs]
             for index, ((label, _, _), future) in enumerate(zip(runs, futures)):
-                comparison.append(future.result())
+                try:
+                    comparison.append(future.result())
+                except BrokenProcessPool:
+                    raise CliError(f"sweep scenario {label} did not finish: a worker process "
+                                   "ended abruptly (killed, or out of memory?)") from None
                 print(f"[{index + 1}/{len(runs)}] {label}: done")
         with open(outdir / COMPARISON_FILE, "w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=COMPARISON_COLUMNS)

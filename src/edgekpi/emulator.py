@@ -40,6 +40,7 @@ from .model import (
     Tap,
     UPLINK,
     VideoConfig,
+    acyclic,
     check_finite,
 )
 
@@ -741,6 +742,7 @@ class _Simulation:
         return RunResult(records=dict(zip(NODES, self._records)), truth=self.truth, ntp=self.ntp)
 
 
+@acyclic()
 def run(run_cfg: EmulationRun) -> RunResult:
     """Execute one emulation; see module docstring for the path model."""
     sim = _Simulation(run_cfg)

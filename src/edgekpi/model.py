@@ -8,10 +8,12 @@ microseconds on the stamping node's local clock; configuration values
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import re
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 from enum import Enum
@@ -116,6 +118,28 @@ def check_finite(obj, allow_inf: tuple[str, ...] = ()) -> None:
             if isinstance(v, float) and not math.isfinite(v) and not (
                     math.isinf(v) and f.name in allow_inf):
                 raise ValueError(f"{f.name} must be a finite number, got {v!r}")
+
+
+@contextmanager
+def acyclic():
+    """Run a layer that builds no reference cycles without cyclic collections;
+    also usable as a decorator, ``@acyclic()``.
+
+    On exit the collector is back on, and every object alive then, the
+    layer's and the caller's alike, is in the oldest generation (``freeze``
+    then ``unfreeze``), so the young collections that follow do not walk
+    them again. Does nothing when the collector is off or the caller has
+    frozen objects; either way the caller's state is as it found it."""
+    if not gc.isenabled() or gc.get_freeze_count():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.freeze()
+        gc.unfreeze()
+        gc.enable()
 
 
 class CaptureFormatError(ValueError):
@@ -243,6 +267,7 @@ def write_capture_file(path: str | Path, records: Iterable[CaptureRecord]) -> No
         fh.writelines(f"{record_to_json(rec)}\n" for rec in records)
 
 
+@acyclic()
 def read_capture_file(path: str | Path) -> list[CaptureRecord]:
     """Decode a capture file one line at a time, skipping blank lines; a
     line in record_to_json's form is matched as read, any other is decoded

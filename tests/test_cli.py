@@ -4,6 +4,7 @@ import csv
 import gc
 import hashlib
 import json
+import os
 import re
 from pathlib import Path
 
@@ -451,6 +452,13 @@ class TestSweep:
         assert not (out / "comparison.csv").exists()
 
 
+def _dies_on_5g_regional(label, *args):
+    """``_sweep_scenario``, but the worker running 5g_regional dies at once."""
+    if label == "5g_regional":
+        os._exit(1)
+    return _sweep_scenario(label, *args)
+
+
 class TestFailedSweep:
     ZERO_FLAGS = ["--processing-ms", "0", "--owd-down-ms", "0"]
 
@@ -485,6 +493,27 @@ class TestFailedSweep:
         assert self.tree(out) == before
         assert not (out / "comparison.csv").exists()
         assert main(["sweep", "--config", str(zero_config), "--out", str(out)]) == 0
+
+    def test_failed_force_sweep_drops_the_earlier_comparison(self, tmp_path, zero_config,
+                                                             capsys):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(GOLDEN / "sweep.ini"), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["sweep", "--config", str(zero_config), "--out", str(out), "--force",
+                     *self.ZERO_FLAGS]) == 1
+        assert "service response time is 0 ms" in one_line_error(capsys)
+        assert not (out / "comparison.csv").exists()
+
+    def test_dead_worker_ends_in_one_error_line(self, tmp_path, zero_config, capsys,
+                                                monkeypatch):
+        import edgekpi.cli as cli_mod
+        monkeypatch.setattr(cli_mod, "_sweep_scenario", _dies_on_5g_regional)
+        out = tmp_path / "new" / "sweep"
+        assert main(["sweep", "--config", str(zero_config), "--out", str(out)]) == 1
+        err = one_line_error(capsys)
+        assert "did not finish: a worker process ended abruptly" in err
+        assert "Traceback" not in err
+        assert self.tree(tmp_path) == ["zero.ini"]
 
 
 class TestSweepCollector:
