@@ -250,14 +250,17 @@ def _analyze_and_write(outdir: Path, records: dict[Tap, list], ntp, cfg: Analyze
 
 
 def _scenario_meta_from_manifest(indir: Path) -> dict[str, str]:
-    """The ReportOptions scenario fields the run's manifest gives, if any."""
+    """The ReportOptions scenario fields the run's manifest gives; none
+    without a manifest, an error for one that does not parse."""
     manifest = indir / MANIFEST_FILE
     if not manifest.exists():
         return {}
     try:
         parsed = parse_config(manifest)
-    except ConfigError:
-        return {}
+    except ConfigError as exc:
+        if exc.path is not None:  # the message names the file already
+            raise
+        raise ConfigError(str(exc), manifest) from exc
     s = parsed.scenario
     label = f"{'5g' if s.tech is Tech.FIVE_G else '4g'}_{s.range.value.lower()}"
     return {"scenario_label": label, "tech": s.tech.value, "range_band": s.range.value}
@@ -277,6 +280,7 @@ def cmd_analyze(args) -> int:
     if not indir.is_dir():
         raise CliError(f"capture directory not found: {indir}")
     _require_new([indir / name for name in ANALYSIS_FILES], args.force)
+    meta = _scenario_meta_from_manifest(indir)
     records = {}
     for tap, name in TAP_FILES.items():
         path = indir / name
@@ -285,7 +289,7 @@ def cmd_analyze(args) -> int:
         records[tap] = _read_named(read_capture_file, path)
     ntp_path = indir / NTP_FILE
     ntp = _read_named(read_ntp_file, ntp_path) if ntp_path.exists() else None
-    opts = dataclasses.replace(opts, **_scenario_meta_from_manifest(indir))
+    opts = dataclasses.replace(opts, **meta)
     report = _analyze_and_write(indir, records, ntp, cfg, opts)
     for name in report.absent:
         print(f"note: no {name} samples in this capture; KPIs marked absent")

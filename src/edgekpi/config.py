@@ -31,7 +31,28 @@ from .model import (
 
 
 class ConfigError(ValueError):
-    """A configuration file could not be parsed or validated."""
+    """A configuration file could not be parsed or validated; ``path`` is
+    set, and leads the message, when the message names the file."""
+
+    def __init__(self, message: str, path: str | Path | None = None):
+        self.path = path
+        if path is not None:
+            message = f"{path}: {message}"
+        super().__init__(message)
+
+
+def _syntax_error(path: str | Path, exc: configparser.Error) -> ConfigError:
+    """configparser's multi-line message for a file it cannot read as
+    sections of keys, as one line that names the file and the line."""
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        lineno, what = exc.lineno, f"{exc.line.strip()!r} comes before any [section] header"
+    elif isinstance(exc, configparser.DuplicateOptionError):
+        lineno, what = exc.lineno, f"[{exc.section}] duplicate key {exc.option!r}"
+    elif isinstance(exc, configparser.DuplicateSectionError):
+        lineno, what = exc.lineno, f"duplicate section [{exc.section}]"
+    else:  # a ParsingError, which lists each such line; name the first
+        lineno, what = exc.errors[0][0], "neither a [section] header nor a key = value line"
+    return ConfigError(f"line {lineno}: {what}", path)
 
 
 #: The parser of a float where ``inf``, ``none`` and ``unlimited`` all mean
@@ -121,7 +142,7 @@ def parse_config(path: str | Path) -> ParsedConfig:
     try:
         read = parser.read(path)
     except configparser.Error as exc:
-        raise ConfigError(str(exc)) from exc
+        raise _syntax_error(path, exc) from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
 

@@ -471,6 +471,10 @@ class _Simulation:
         self._clock_err_us: list[list[float]] = [[] for _ in NODES]
         for s in self.ntp:
             self._clock_err_us[NODES.index(s.node)].append(s.offset_ms * 1000.0)
+        # Per node, its last stamp: (true time us, capture stamp, true time
+        # in whole us). Events run in time order, so a node's stamps at one
+        # instant come back to back and share the two ints.
+        self._last_stamp: list[tuple[float, int, int]] = [(math.nan, 0, 0)] * len(NODES)
 
         # Event queue: (true time us, insertion counter, method, args); the
         # counter is unique, so heap order never compares two methods, and
@@ -521,16 +525,20 @@ class _Simulation:
     def _stamp(self, node: int, t_us: float, pkt: TruthPacket) -> int:
         """Capture ``pkt`` at ``NODES[node]`` on that node's clock; return
         the true time in whole us, for the caller to log on the packet."""
-        errs = self._clock_err_us[node]
-        i = int(t_us // self._resync_us)
-        if i >= len(errs):  # past the trace: keep the last sample
-            i = len(errs) - 1
+        last_t_us, stamp, true_us = self._last_stamp[node]
+        if t_us != last_t_us:
+            errs = self._clock_err_us[node]
+            i = int(t_us // self._resync_us)
+            if i >= len(errs):  # past the trace: keep the last sample
+                i = len(errs) - 1
+            stamp, true_us = round(t_us + errs[i]), round(t_us)
+            self._last_stamp[node] = (t_us, stamp, true_us)
         # tuple.__new__ skips the NamedTuple's generated __new__ and its
         # keyword handling, about half the cost of a record
         self._records[node].append(tuple.__new__(CaptureRecord, (
-            NODES[node], round(t_us + errs[i]), pkt.flow, pkt.dir, pkt.proto,
+            NODES[node], stamp, pkt.flow, pkt.dir, pkt.proto,
             pkt.seq, pkt.ack, pkt.payload_len, pkt.marker, pkt.pid)))
-        return round(t_us)
+        return true_us
 
     @staticmethod
     def _fifo(last: dict[int, float], flow: int, t_us: float) -> float:

@@ -229,12 +229,24 @@ _match_wire_line = re.compile(
     "{" + ",".join(map(_wire_field, _WIRE_KEYS)) + "}\n?").fullmatch
 
 
-def _record_from_match(match: re.Match, lineno: int | None) -> CaptureRecord:
+class _IntTable(dict):
+    """Digit string -> its int, made on first use, so that a value repeated
+    in one file is one object. Holds every distinct value it is asked for:
+    keep one only for the length of one read."""
+
+    def __missing__(self, digits: str) -> int:
+        value = self[digits] = int(digits)
+        return value
+
+
+def _record_from_match(match: re.Match, lineno: int | None, num=int) -> CaptureRecord:
+    """The record of a wire-form line; ``num`` turns the digits of each
+    integer field but ``pid`` (unique per tap) into an int."""
     tap, t_us, flow, direction, proto, seq, ack, payload_len, marker, pid = match.groups()
     try:  # tuple.__new__ skips the NamedTuple's generated __new__
         return tuple.__new__(CaptureRecord, (
-            _TAPS[tap], int(t_us), int(flow), _DIRS[direction], _PROTOS[proto],
-            int(seq), int(ack), int(payload_len), _MARKERS[marker], int(pid)))
+            _TAPS[tap], num(t_us), num(flow), _DIRS[direction], _PROTOS[proto],
+            num(seq), num(ack), num(payload_len), _MARKERS[marker], int(pid)))
     except ValueError as exc:  # an integer past int()'s digit limit
         raise CaptureFormatError(f"bad capture record: {exc}", lineno) from exc
 
@@ -271,13 +283,15 @@ def write_capture_file(path: str | Path, records: Iterable[CaptureRecord]) -> No
 def read_capture_file(path: str | Path) -> list[CaptureRecord]:
     """Decode a capture file one line at a time, skipping blank lines; a
     line in record_to_json's form is matched as read, any other is decoded
-    with its surrounding whitespace stripped."""
+    with its surrounding whitespace stripped. Equal integers of wire-form
+    lines are one object: timestamps, seq, ack and len repeat many times."""
     records = []
+    num = _IntTable().__getitem__
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             match = _match_wire_line(line)
             if match is not None:
-                records.append(_record_from_match(match, lineno))
+                records.append(_record_from_match(match, lineno, num))
             elif line := line.strip():
                 records.append(record_from_json(line, lineno))
     return records

@@ -156,16 +156,21 @@ class TestBadConfig:
         (PING_ONLY + "bulk_duration_s = -1\n", "[workload] bulk_duration_s must be >= 0"),
         ("[DEFAULT]\nseed = 4\n" + PING_ONLY, "unknown section [DEFAULT]"),
         ("[DEFAULT]\n" + PING_ONLY, "unknown section [DEFAULT]"),
+        ("garbage\n" + PING_ONLY, "{cfg}: line 1: 'garbage' comes before any [section] header"),
+        (PING_ONLY.replace("[scenario]\n", "[scenario]\n  stray\n"),
+         "{cfg}: line 3: neither a [section] header nor a key = value line"),
+        (PING_ONLY + "ping_count = 6\n", "{cfg}: line 8: [workload] duplicate key 'ping_count'"),
     ], ids=["mss-zero", "mss-negative", "bulk-rate-negative", "bad-boolean", "bad-integer",
             "video-duration-negative", "bulk-duration-negative", "default-section",
-            "empty-default-section"])
+            "empty-default-section", "no-section-header", "indented-stray-line",
+            "duplicate-key"])
     def test_exits_1_with_one_line_and_writes_nothing(self, tmp_path, capsys, command,
                                                       config, message):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(config)
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
         assert not out.exists()
 
 
@@ -195,6 +200,24 @@ class TestAnalyze:
         (capture_dir / "core.ndjson").unlink()
         assert main(["analyze", "--in", str(capture_dir)]) == 1
         assert "core.ndjson" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("manifest, message", [
+        ("garbage\n", "{path}: line 1: 'garbage' comes before any [section] header"),
+        ("[scenario]\ntech = SIXG\n",
+         "{path}: [scenario] tech: unknown value 'SIXG' (expected one of 4G, 5G, FIVE_G, FOUR_G)"),
+    ], ids=["syntax", "value"])
+    def test_damaged_manifest_exits_1_before_writing(self, capture_dir, capsys, manifest,
+                                                     message):
+        path = capture_dir / "manifest.ini"
+        path.write_text(manifest)
+        assert main(["analyze", "--in", str(capture_dir)]) == 1
+        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+        assert not any((capture_dir / name).exists()
+                       for name in ("samples.ndjson", "report.csv", "report.ndjson"))
+
+    def test_missing_manifest_allowed(self, capture_dir):
+        (capture_dir / "manifest.ini").unlink()
+        assert main(["analyze", "--in", str(capture_dir)]) == 0
 
     def test_corrupt_line_reports_line_number(self, capture_dir, capsys):
         ue = capture_dir / "ue.ndjson"

@@ -93,7 +93,7 @@ def enum_forms(value: str) -> st.SearchStrategy[str]:
 
 
 @st.composite
-def capture_lines(draw) -> str:
+def capture_lines(draw, records=records) -> str:
     """A writer-form line, possibly mutated, and possibly framed in
     whitespace, a BOM, a missing ``}`` or a stray one."""
     canonical = record_to_json(draw(records))
@@ -205,3 +205,66 @@ def test_read_capture_file_matches_json_loads_of_stripped_line(line):
         assert got == f"line 2: {expected}"
     else:  # a blank line is skipped
         assert got == [FIRST] + ([] if expected is None else [expected])
+
+
+@st.composite
+def capture_files(draw) -> list[str]:
+    """The lines of one capture file: writer-form lines, mutated ones, near
+    misses and blank lines, their integer fields drawn from a few values so
+    that each value repeats across lines."""
+    value = st.sampled_from(draw(st.lists(
+        st.integers(-BIG, BIG) | st.integers(0, 300), min_size=1, max_size=4)))
+    repeating = st.builds(
+        CaptureRecord, st.sampled_from(Tap), value, value, st.sampled_from(Direction),
+        st.sampled_from(Proto), value, value, value, st.sampled_from(Marker), st.integers(0, BIG))
+    writer_form = st.builds(record_to_json, repeating)
+    # writer-form lines are 2 in 5, so that most files decode past line 1
+    line = st.one_of(writer_form, writer_form, capture_lines(repeating),
+                     st.sampled_from(list(NEAR_MISSES.values())), st.just(""))
+    # a line break inside a line would make two lines of the file
+    return [text.rstrip("\r\n").replace("\r\n", " ")
+            for text in draw(st.lists(line, min_size=1, max_size=12))]
+
+
+def read_lines(lines: list[str]) -> list[CaptureRecord] | str:
+    """``read_capture_file`` of a file holding ``lines``, or its error."""
+    fd, path = tempfile.mkstemp(suffix=".ndjson")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write("".join(f"{line}\n" for line in lines))
+        return decoded(read_capture_file, path)
+    finally:
+        os.unlink(path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(capture_files())
+def test_read_capture_file_matches_json_loads_line_by_line(lines):
+    expected = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        record = reference_decode(line.strip())
+        if isinstance(record, str):
+            expected = f"line {lineno}: {record}"
+            break
+        expected.append(record)
+    got = read_lines(lines)
+    assert got == expected
+    if isinstance(got, list):  # True == 1, so compare the types too
+        assert [list(map(type, r)) for r in got] == [list(map(type, r)) for r in expected]
+        # within one file, writer-form lines share each repeated integer
+        ints = [v for r, line in zip(got, filter(str.strip, lines)) if record_to_json(r) == line
+                for v in (r.t_us, r.flow, r.seq, r.ack, r.payload_len)]
+        assert len({id(v) for v in ints}) == len(set(ints))
+
+
+def test_oversized_integer_fails_at_its_line_after_lines_sharing_its_prefix():
+    def line(t_us: str) -> str:
+        return WRITER_LINE.replace('"t_us":12', f'"t_us":{t_us}')
+
+    limit = 4300  # int()'s default digit limit
+    lines = [line("9" * limit), line("9" * limit), line("9" * (limit + 1)), line("12")]
+    message = reference_decode(lines[2])
+    assert message.startswith("bad capture record: ")
+    assert read_lines(lines) == f"line 3: {message}"

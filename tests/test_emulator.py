@@ -3,11 +3,14 @@
 import math
 import random
 import statistics
+from collections import defaultdict
+from pathlib import Path
 
 import pytest
 
 from conftest import ping_run, video_run
 from edgekpi import emulator
+from edgekpi.config import parse_config
 from edgekpi.emulator import (
     BOUNDARY_SEGMENT_BYTES,
     BULK_FLOW,
@@ -500,6 +503,27 @@ class TestAckBook:
             srtt = old_sorted_scan(reference, srtt, t_us, ack)
             assert sim._srtt_ms[flow] == srtt
         assert srtt is not None and not reference
+
+
+class TestStampsShared:
+    def test_stamps_at_one_instant_share_their_ints(self, monkeypatch):
+        # (node, true time) -> [(record's t_us, true time in whole us)], one
+        # entry per stamp; the lists keep every int alive, so ids stay unique
+        stamps = defaultdict(list)
+        stamp = emulator._Simulation._stamp
+
+        def spy(sim, node, t_us, pkt):
+            true_us = stamp(sim, node, t_us, pkt)
+            stamps[node, t_us].append((sim._records[node][-1].t_us, true_us))
+            return true_us
+
+        monkeypatch.setattr(emulator._Simulation, "_stamp", spy)
+        golden = Path(__file__).parent / "golden" / "retransmit.ini"
+        run(parse_config(golden).to_run(3))
+        shared = [group for group in stamps.values() if len(group) > 1]
+        assert len(shared) > 100
+        for group in shared:
+            assert len({id(t) for t, _ in group}) == len({id(t) for _, t in group}) == 1
 
 
 class TestEventQueue:

@@ -215,6 +215,32 @@ class TestCodecBytes:
         assert len(lines) == len(packets) + len(result.truth.frames)
 
 
+class TestDecodedIntegersShared:
+    @pytest.fixture(scope="class")
+    def capture_paths(self, tmp_path_factory):
+        """The captures of the golden ``retransmit`` run."""
+        out = tmp_path_factory.mktemp("retransmit")
+        run_cfg = parse_config(Path(__file__).parent / "golden" / "retransmit.ini").to_run(3)
+        result = emulator.run(run_cfg)
+        paths = {tap: out / f"{tap.value}.ndjson" for tap in Tap}
+        for tap, path in paths.items():
+            write_capture_file(path, result.records[tap])
+        return paths
+
+    @pytest.mark.parametrize("tap", list(Tap))
+    def test_one_object_per_value_in_a_file(self, capture_paths, tap):
+        records = read_capture_file(capture_paths[tap])
+        for field in ("t_us", "flow", "seq", "ack", "payload_len"):
+            values = [getattr(r, field) for r in records]
+            assert len({id(v) for v in values}) == len(set(values)), field
+
+    def test_nothing_shared_between_reads(self, capture_paths):
+        first, second = (read_capture_file(capture_paths[Tap.UE]) for _ in range(2))
+        assert first == second
+        big = [i for i, r in enumerate(first) if r.t_us > 256]  # past CPython's small ints
+        assert big and all(first[i].t_us is not second[i].t_us for i in big)
+
+
 class TestCaptureRecordValue:
     def test_frozen(self):
         with pytest.raises(AttributeError):
