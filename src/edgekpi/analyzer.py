@@ -442,7 +442,8 @@ def analyze_captures(ue_records: Sequence[CaptureRecord],
 
     stream_samples: list[float] = []
     stream_excluded = 0
-    for flow in stream_flows(ue_records):
+    sflows = stream_flows(ue_records)
+    for flow in sflows:
         ss = rtt_tcp(ue_records, flow)
         stream_samples.extend(ss.values_ms)
         stream_excluded += ss.excluded
@@ -468,7 +469,7 @@ def analyze_captures(ue_records: Sequence[CaptureRecord],
                     if r.dir is UPLINK and r.payload_len > 0 and r.pid in delivered_pids)
 
     goodput = None
-    bulk_candidates = [f for f in stream_flows(ue_records) if f not in vflows]
+    bulk_candidates = [f for f in sflows if f not in vflows]
     if bulk_candidates:
         goodput = measured_goodput_mbps(app_records, bulk_candidates[0])
 

@@ -49,6 +49,7 @@ from .model import (
     Tap,
     Tech,
     VideoConfig,
+    not_utf8,
     read_capture_file,
     read_ntp_file,
     validate,
@@ -411,15 +412,18 @@ def _read_ndjson(path: Path, kind: str, parse) -> list:
     not decode, or that ``parse`` rejects, ends in a CliError naming it."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append(parse(json.loads(line)))
-            except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
-                why = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-                raise CliError(f"{path} line {lineno}: bad {kind} record: {why}")
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    rows.append(parse(json.loads(line)))
+                except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
+                    why = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+                    raise CliError(f"{path} line {lineno}: bad {kind} record: {why}")
+        except UnicodeDecodeError as exc:  # raised by the read, outside every line
+            raise CliError(f"{path}: {not_utf8(exc)}") from exc
     return rows
 
 

@@ -27,6 +27,7 @@ from .model import (
     Scenario,
     Tech,
     VideoConfig,
+    not_utf8,
 )
 
 
@@ -140,9 +141,11 @@ def parse_config(path: str | Path) -> ParsedConfig:
     # No header names the empty section, so [DEFAULT] is an unknown section.
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        read = parser.read(path)
+        read = parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
         raise _syntax_error(path, exc) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(not_utf8(exc), path) from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
 

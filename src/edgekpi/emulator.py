@@ -17,7 +17,6 @@ import json
 import math
 import random
 from bisect import bisect_left, bisect_right
-from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable
@@ -387,7 +386,7 @@ class RunResult:
 
 
 class _ReceiveBuffer:
-    """Tracks contiguously received bytes per flow (cumulative-ACK view)."""
+    """Tracks the stream's received byte ranges (cumulative-ACK view)."""
 
     __slots__ = ("_starts", "_ends")
 
@@ -416,18 +415,15 @@ class _ReceiveBuffer:
 
 
 class _AckBook:
-    """A sender's outstanding segments of one flow: segment end -> (emission
-    time, retransmitted), plus a min-heap holding each of those ends once so
-    that an ACK pops the ends it covers in ascending order."""
+    """The sender's outstanding segments: segment end -> (emission time,
+    retransmitted), plus a min-heap holding each of those ends once so that
+    an ACK pops the ends it covers in ascending order."""
 
     __slots__ = ("_book", "_ends")
 
     def __init__(self):
         self._book: dict[int, tuple[float, bool]] = {}
         self._ends: list[int] = []
-
-    def __contains__(self, end: int) -> bool:
-        return end in self._book
 
     def arm(self, end: int, t_us: float, retransmitted: bool) -> None:
         if end not in self._book:
@@ -483,24 +479,28 @@ class _Simulation:
         self._counter = 0
         self._next_pid = 0
 
-        # Link state: per hop, flow -> latest arrival time so far.
+        # Link state. On the jittered access hops a packet can overtake its
+        # flow's previous one, so each keeps flow -> latest arrival time. The
+        # core hop adds a constant delay, so it keeps the order packets reach
+        # it in; only the stream's downlink can reach it out of time order.
         self._uplink_free_us = 0.0
         self._fifo_up_core: dict[int, float] = {}
-        self._fifo_up_app: dict[int, float] = {}
-        self._fifo_down_core: dict[int, float] = {}
         self._fifo_down_ue: dict[int, float] = {}
 
-        # Receiver / sender / processing state.
-        self._rx: defaultdict[int, _ReceiveBuffer] = defaultdict(_ReceiveBuffer)
-        self._ack_pending: dict[int, int] = {}
-        self._ack_deadline: dict[int, float | None] = {}
-        self._frames_awaiting: dict[int, list[tuple[int, int]]] = {}
-        self._frames_enqueued: set[tuple[int, int]] = set()
+        # The one stream flow (video or bulk; Workload allows at most one):
+        # its receiver, processing and sender state.
+        self._stream_flow = VIDEO_FLOW  # set when the stream is planned
+        self._rx = _ReceiveBuffer()
+        self._ack_pending = 0
+        self._ack_deadline: float | None = None
+        self._frames_awaiting: list[tuple[int, int]] = []  # (end seq, frame_idx) heap
+        self._frames_enqueued: set[int] = set()
         self._proc_free_us = 0.0
-        self._dl_seq: dict[int, int] = {}
-        self._sender_cum_ack: dict[int, int] = {}
-        self._outstanding: defaultdict[int, _AckBook] = defaultdict(_AckBook)
-        self._srtt_ms: dict[int, float | None] = {}
+        self._dl_seq = 0
+        self._sender_cum_ack = 0
+        self._outstanding = _AckBook()
+        self._srtt_ms: float | None = None
+        self._stream_down_core_us = 0.0  # latest core arrival of its ACKs / commands
 
         base = self.scenario
         self._base_up_us = base.base_owd_up * 1000.0
@@ -550,11 +550,7 @@ class _Simulation:
 
     def _lost(self, rng: random.Random) -> bool:
         p = self._loss_prob
-        if p <= 0.0:
-            return False
-        if p >= 1.0:
-            return True
-        return rng.random() < p
+        return p > 0.0 and rng.random() < p
 
     def _jitter(self, rng: random.Random) -> float:
         std = self._jitter_std
@@ -587,8 +583,7 @@ class _Simulation:
 
     def _arrive_core_up(self, t_us: float, pkt: TruthPacket) -> None:
         pkt.t_core_us = self._stamp(_CORE, t_us, pkt)
-        t_app = self._fifo(self._fifo_up_app, pkt.flow, t_us + self._added_us)
-        self._schedule(t_app, self._arrive_app, pkt)
+        self._schedule(t_us + self._added_us, self._arrive_app, pkt)
 
     def _arrive_app(self, t_us: float, pkt: TruthPacket) -> None:
         pkt.t_app_us = self._stamp(_APP, t_us, pkt)
@@ -605,53 +600,48 @@ class _Simulation:
     # -- receiver ---------------------------------------------------------
 
     def _receive_segment(self, t_us: float, pkt: TruthPacket) -> None:
-        flow = pkt.flow
-        buf = self._rx[flow]
-        buf.add(pkt.seq, pkt.seq + pkt.payload_len)
+        self._rx.add(pkt.seq, pkt.seq + pkt.payload_len)
         if (pkt.end_of_frame and pkt.frame_idx is not None
-                and (flow, pkt.frame_idx) not in self._frames_enqueued):
+                and pkt.frame_idx not in self._frames_enqueued):
             # retransmissions can deliver the closing segment twice; the
             # frame is still processed once
-            self._frames_enqueued.add((flow, pkt.frame_idx))
-            heapq.heappush(self._frames_awaiting.setdefault(flow, []),
-                           (pkt.seq + pkt.payload_len, pkt.frame_idx))
-        cum = buf.cumulative()
-        waiting = self._frames_awaiting.get(flow)
+            self._frames_enqueued.add(pkt.frame_idx)
+            heapq.heappush(self._frames_awaiting, (pkt.seq + pkt.payload_len, pkt.frame_idx))
+        cum = self._rx.cumulative()
+        waiting = self._frames_awaiting
         while waiting and waiting[0][0] <= cum:
             _, frame_idx = heapq.heappop(waiting)
-            self._start_processing(t_us, flow, frame_idx)
-        self._ack_pending[flow] = self._ack_pending.get(flow, 0) + 1
-        if self._ack_pending[flow] >= ACK_EVERY_SEGMENTS or pkt.end_of_frame:
-            self._flush_ack(t_us, flow)
-        elif self._ack_deadline.get(flow) is None:
-            deadline = t_us + DELAYED_ACK_MS * 1000.0
-            self._ack_deadline[flow] = deadline
-            self._schedule(deadline, self._ack_timer, flow)
+            self._start_processing(t_us, frame_idx)
+        self._ack_pending += 1
+        if self._ack_pending >= ACK_EVERY_SEGMENTS or pkt.end_of_frame:
+            self._flush_ack(t_us)
+        elif self._ack_deadline is None:
+            self._ack_deadline = t_us + DELAYED_ACK_MS * 1000.0
+            self._schedule(self._ack_deadline, self._ack_timer)
 
-    def _ack_timer(self, t_us: float, flow: int) -> None:
-        deadline = self._ack_deadline.get(flow)
-        if deadline is not None and t_us >= deadline and self._ack_pending.get(flow, 0) > 0:
-            self._flush_ack(t_us, flow)
+    def _ack_timer(self, t_us: float) -> None:
+        deadline = self._ack_deadline
+        if deadline is not None and t_us >= deadline and self._ack_pending > 0:
+            self._flush_ack(t_us)
 
-    def _flush_ack(self, t_us: float, flow: int) -> None:
-        self._ack_pending[flow] = 0
-        self._ack_deadline[flow] = None
-        ack = TruthPacket(pid=self._new_pid(), flow=flow, dir=DOWNLINK,
-                          proto=STREAM, seq=0, payload_len=0,
-                          ack=self._rx[flow].cumulative())
+    def _flush_ack(self, t_us: float) -> None:
+        self._ack_pending = 0
+        self._ack_deadline = None
+        ack = TruthPacket(pid=self._new_pid(), flow=self._stream_flow, dir=DOWNLINK,
+                          proto=STREAM, seq=0, payload_len=0, ack=self._rx.cumulative())
         self._emit_downlink(t_us, ack)
 
-    def _start_processing(self, t_us: float, flow: int, frame_idx: int) -> None:
+    def _start_processing(self, t_us: float, frame_idx: int) -> None:
         start = max(t_us, self._proc_free_us)
         end = start + self.run.processing.total_ms * 1000.0
         self._proc_free_us = end
-        self._schedule(end, self._emit_command, flow, frame_idx)
+        self._schedule(end, self._emit_command, frame_idx)
 
-    def _emit_command(self, t_us: float, flow: int, frame_idx: int) -> None:
-        seq = self._dl_seq.get(flow, 0)
+    def _emit_command(self, t_us: float, frame_idx: int) -> None:
+        seq = self._dl_seq
         size = self.run.processing.response_bytes
-        self._dl_seq[flow] = seq + size
-        cmd = TruthPacket(pid=self._new_pid(), flow=flow, dir=DOWNLINK,
+        self._dl_seq = seq + size
+        cmd = TruthPacket(pid=self._new_pid(), flow=self._stream_flow, dir=DOWNLINK,
                           proto=STREAM, seq=seq, payload_len=size, frame_idx=frame_idx)
         self._emit_downlink(t_us, cmd)
 
@@ -660,7 +650,12 @@ class _Simulation:
     def _emit_downlink(self, t_us: float, pkt: TruthPacket) -> None:
         self.truth.packets.append(pkt)
         pkt.t_app_us = self._stamp(_APP, t_us, pkt)
-        t_core = self._fifo(self._fifo_down_core, pkt.flow, t_us + self._added_us)
+        t_core = t_us + self._added_us
+        if pkt.proto is STREAM:
+            # an uplink access delay that draws negative gets a segment acked
+            # at an earlier time than an ACK or command already sent; the
+            # core hop holds it behind those
+            t_core = self._stream_down_core_us = max(t_core, self._stream_down_core_us)
         self._schedule(t_core, self._arrive_core_down, pkt)
 
     def _arrive_core_down(self, t_us: float, pkt: TruthPacket) -> None:
@@ -675,47 +670,42 @@ class _Simulation:
         pkt.t_ue_us = self._stamp(_UE, t_us, pkt)
         pkt.delivered = True
         if pkt.proto is STREAM and pkt.payload_len == 0 and pkt.ack > 0:
-            self._sender_sees_ack(t_us, pkt.flow, pkt.ack)
+            self._sender_sees_ack(t_us, pkt.ack)
 
     # -- sender retransmission (Scenario.retransmit only) ------------------
 
     def _arm_retransmit(self, t_us: float, pkt: TruthPacket) -> None:
-        flow = pkt.flow
-        end = pkt.seq + pkt.payload_len
-        book = self._outstanding[flow]
-        book.arm(end, t_us, pkt.retransmission or end in book)
-        timeout = self._srtt_ms.get(flow) or INITIAL_TIMEOUT_MS
+        # only originals come here, and each ends past every earlier one
+        self._outstanding.arm(pkt.seq + pkt.payload_len, t_us, False)
+        timeout = self._srtt_ms or INITIAL_TIMEOUT_MS
         self._schedule(t_us + timeout * 1000.0, self._retransmit_check, pkt, 1)
 
     def _retransmit_check(self, t_us: float, pkt: TruthPacket, attempt: int) -> None:
-        flow = pkt.flow
         end = pkt.seq + pkt.payload_len
-        if self._sender_cum_ack.get(flow, 0) >= end or attempt > MAX_RETRANSMITS:
+        if self._sender_cum_ack >= end or attempt > MAX_RETRANSMITS:
             return
-        clone = TruthPacket(pid=self._new_pid(), flow=flow, dir=pkt.dir, proto=pkt.proto,
+        clone = TruthPacket(pid=self._new_pid(), flow=pkt.flow, dir=pkt.dir, proto=pkt.proto,
                             seq=pkt.seq, payload_len=pkt.payload_len, marker=pkt.marker,
                             frame_idx=pkt.frame_idx, end_of_frame=pkt.end_of_frame,
                             retransmission=True)
-        self._outstanding[flow].arm(end, t_us, True)
+        self._outstanding.arm(end, t_us, True)
         self._send_up(t_us, clone)
-        timeout = (self._srtt_ms.get(flow) or INITIAL_TIMEOUT_MS) * (2 ** attempt)
+        timeout = (self._srtt_ms or INITIAL_TIMEOUT_MS) * (2 ** attempt)
         self._schedule(t_us + timeout * 1000.0, self._retransmit_check, pkt, attempt + 1)
 
-    def _sender_sees_ack(self, t_us: float, flow: int, ack: int) -> None:
-        self._sender_cum_ack[flow] = max(self._sender_cum_ack.get(flow, 0), ack)
-        book = self._outstanding.get(flow)
-        if book is None:
-            return
-        for emitted_at, retransmitted in book.pop_acked(ack):
+    def _sender_sees_ack(self, t_us: float, ack: int) -> None:
+        self._sender_cum_ack = max(self._sender_cum_ack, ack)
+        for emitted_at, retransmitted in self._outstanding.pop_acked(ack):
             if retransmitted:
                 continue  # Karn: no timing from retransmitted ranges
             sample_ms = (t_us - emitted_at) / 1000.0
-            prev = self._srtt_ms.get(flow)
-            self._srtt_ms[flow] = sample_ms if prev is None else (1 - SRTT_GAIN) * prev + SRTT_GAIN * sample_ms
+            prev = self._srtt_ms
+            self._srtt_ms = sample_ms if prev is None else (1 - SRTT_GAIN) * prev + SRTT_GAIN * sample_ms
 
     # -- assembly ---------------------------------------------------------
 
     def _plan_uplink_stream(self, flow: int, plans: Iterable[SegmentPlan]) -> None:
+        self._stream_flow = flow
         for plan in plans:
             pkt = TruthPacket(pid=self._new_pid(), flow=flow, dir=UPLINK,
                               proto=STREAM, seq=plan.seq, payload_len=plan.payload_len,

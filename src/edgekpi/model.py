@@ -152,6 +152,12 @@ class CaptureFormatError(ValueError):
         super().__init__(message)
 
 
+def not_utf8(exc: UnicodeDecodeError) -> str:
+    """A file's failed UTF-8 decode, in one line. The codec counts its
+    position from the chunk it was decoding, not the file, so none is given."""
+    return f"not UTF-8 text: byte 0x{exc.object[exc.start]:02x} ({exc.reason})"
+
+
 class CaptureRecord(NamedTuple):
     """One timestamped packet observation at one tap.
 
@@ -288,12 +294,15 @@ def read_capture_file(path: str | Path) -> list[CaptureRecord]:
     records = []
     num = _IntTable().__getitem__
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            match = _match_wire_line(line)
-            if match is not None:
-                records.append(_record_from_match(match, lineno, num))
-            elif line := line.strip():
-                records.append(record_from_json(line, lineno))
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                match = _match_wire_line(line)
+                if match is not None:
+                    records.append(_record_from_match(match, lineno, num))
+                elif line := line.strip():
+                    records.append(record_from_json(line, lineno))
+        except UnicodeDecodeError as exc:  # raised by the read, outside every line
+            raise CaptureFormatError(not_utf8(exc)) from exc
     return records
 
 
@@ -510,16 +519,19 @@ def write_ntp_file(path: str | Path, samples: Iterable[NtpSample]) -> None:
 def read_ntp_file(path: str | Path) -> list[NtpSample]:
     samples = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                d = json.loads(line)
-                for key in ("t_s", "offset_ms"):
-                    if type(d[key]) not in (int, float):  # not a string or bool
-                        raise ValueError(f"{key} must be a finite number, got {d[key]!r}")
-                samples.append(NtpSample(float(d["t_s"]), Tap(d["node"]), float(d["offset_ms"])))
-            except (json.JSONDecodeError, KeyError, ValueError, TypeError, RecursionError) as exc:
-                raise CaptureFormatError(f"bad ntp sample: {exc}", lineno) from exc
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    d = json.loads(line)
+                    for key in ("t_s", "offset_ms"):
+                        if type(d[key]) not in (int, float):  # not a string or bool
+                            raise ValueError(f"{key} must be a finite number, got {d[key]!r}")
+                    samples.append(NtpSample(float(d["t_s"]), Tap(d["node"]), float(d["offset_ms"])))
+                except (json.JSONDecodeError, KeyError, ValueError, TypeError, RecursionError) as exc:
+                    raise CaptureFormatError(f"bad ntp sample: {exc}", lineno) from exc
+        except UnicodeDecodeError as exc:  # raised by the read, outside every line
+            raise CaptureFormatError(not_utf8(exc)) from exc
     return samples

@@ -174,6 +174,40 @@ class TestBadConfig:
         assert not out.exists()
 
 
+class TestNotUtf8:
+    """Each file a command reads names itself when it is not UTF-8."""
+
+    ANALYZE = ["analyze", "--in", "{run}", "--force"]
+
+    @pytest.mark.parametrize("name, command", [
+        ("run.ini", ["simulate", "--config", "{path}", "--out", "{new}"]),
+        ("manifest.ini", ANALYZE),
+        ("ue.ndjson", ANALYZE),
+        ("core.ndjson", ANALYZE),
+        ("app.ndjson", ANALYZE),
+        ("ntp.ndjson", ANALYZE),
+        ("samples.ndjson", ["plot", "--kind", "cdf", "--in", "{path}", "--out", "{new}"]),
+        ("report.ndjson", ["plot", "--kind", "throughput", "--in", "{path}", "--out", "{new}"]),
+    ], ids=["config", "manifest", "ue", "core", "app", "ntp", "plot-samples", "plot-report"])
+    def test_exits_1_with_one_line_and_writes_nothing(self, tmp_path, config_path, capsys,
+                                                      name, command):
+        run_dir, new = tmp_path / "out", tmp_path / "new"
+        main(["simulate", "--config", str(config_path), "--seed", "3", "--out", str(run_dir)])
+        main(["analyze", "--in", str(run_dir)])
+        path = config_path if name == "run.ini" else run_dir / name
+        data = path.read_bytes()
+        line3 = data.index(b"\n", data.index(b"\n") + 1) + 1
+        path.write_bytes(data[:line3] + b"\xff" + data[line3:])
+        before = digest_dir(run_dir)
+        capsys.readouterr()
+        args = [arg.format(path=path, run=run_dir, new=new) for arg in command]
+        assert main(args) == 1
+        assert one_line_error(capsys) == (
+            f"error: {path}: not UTF-8 text: byte 0xff (invalid start byte)\n")
+        assert digest_dir(run_dir) == before
+        assert not new.exists()
+
+
 class TestAnalyze:
     @pytest.fixture
     def capture_dir(self, tmp_path, config_path):
