@@ -1,7 +1,10 @@
-"""Capture analysis: flow reassembly and raw latency-sample extraction.
+"""Capture analysis: stream reassembly and raw latency-sample extraction.
 
 Everything here is a pure function of capture records (plus the clock-offset
 trace); ground-truth files are never consulted. Samples are milliseconds.
+A capture carries at most one stream flow besides its CTRL packets
+(``model.validate`` rejects a second), so the STREAM filters here select by
+proto, direction and payload alone.
 """
 
 from __future__ import annotations
@@ -79,25 +82,23 @@ def _end(r: CaptureRecord) -> int:
     return r.seq + r.payload_len
 
 
-def reassemble(records: Sequence[CaptureRecord], flow: int,
-               direction: Direction = Direction.UPLINK) -> list[CaptureRecord]:
-    """One flow's stream segments in seq order, keeping the first record
+def reassemble(records: Sequence[CaptureRecord]) -> list[CaptureRecord]:
+    """The uplink stream's segments in seq order, keeping the first record
     observed for each byte range so that range is timed by its first
     capture. Conflicting overlaps raise MalformedCaptureError."""
     by_seq: dict[int, CaptureRecord] = {}
     for rec in records:
-        if (rec.proto is STREAM and rec.flow == flow and rec.dir is direction
-                and rec.payload_len > 0):
+        if rec.proto is STREAM and rec.dir is UPLINK and rec.payload_len > 0:
             first = by_seq.setdefault(rec.seq, rec)
             if first.payload_len != rec.payload_len:
                 raise MalformedCaptureError(
-                    f"flow {flow}: segments at seq {rec.seq} disagree on length "
+                    f"stream segments at seq {rec.seq} disagree on length "
                     f"({first.payload_len} vs {rec.payload_len})")
     segments = [by_seq[s] for s in sorted(by_seq)]
     for prev, cur in zip(segments, segments[1:]):
         if cur.seq < _end(prev):
             raise MalformedCaptureError(
-                f"flow {flow}: segment [{cur.seq},{_end(cur)}) overlaps [{prev.seq},{_end(prev)})")
+                f"stream segment [{cur.seq},{_end(cur)}) overlaps [{prev.seq},{_end(prev)})")
     return segments
 
 
@@ -151,17 +152,16 @@ def rtt_control(ue_records: Sequence[CaptureRecord]) -> SampleSet:
 
 
 class _AckIndex:
-    """Capture-ordered pure ACKs of one flow, searchable by capture position
-    and by the running maximum of their cumulative ack."""
+    """Capture-ordered pure ACKs of the stream, searchable by capture
+    position and by the running maximum of their cumulative ack."""
 
-    def __init__(self, ue_records: Sequence[CaptureRecord], flow: int):
+    def __init__(self, ue_records: Sequence[CaptureRecord]):
         self.positions: list[int] = []
         self.records: list[CaptureRecord] = []
         self.max_acks: list[int] = []  # max ack of records[:i + 1]; non-decreasing
         best = 0
         for i, r in enumerate(ue_records):
-            if (r.proto is STREAM and r.dir is DOWNLINK
-                    and r.flow == flow and r.payload_len == 0 and r.ack > 0):
+            if r.proto is STREAM and r.dir is DOWNLINK and r.payload_len == 0 and r.ack > 0:
                 best = max(best, r.ack)
                 self.positions.append(i)
                 self.records.append(r)
@@ -181,18 +181,17 @@ class _AckIndex:
         return self.records[i] if i < len(self.records) else None
 
 
-def rtt_tcp(ue_records: Sequence[CaptureRecord], flow: int) -> SampleSet:
+def rtt_tcp(ue_records: Sequence[CaptureRecord]) -> SampleSet:
     """Per-segment RTT at the UE tap: first cumulative ACK covering the
     segment minus the segment's emission stamp. Segments never covered are
     excluded, as are retransmitted byte ranges (Karn's rule)."""
     data = [r for r in ue_records
-            if r.proto is STREAM and r.dir is UPLINK
-            and r.flow == flow and r.payload_len > 0]
+            if r.proto is STREAM and r.dir is UPLINK and r.payload_len > 0]
     seen: dict[tuple[int, int], int] = {}
     for r in data:
         key = (r.seq, r.payload_len)
         seen[key] = seen.get(key, 0) + 1
-    acks = _AckIndex(ue_records, flow)
+    acks = _AckIndex(ue_records)
     samples = []
     excluded = 0
     for r in data:
@@ -308,11 +307,11 @@ def owd_packet(ue_records: Sequence[CaptureRecord], app_records: Sequence[Captur
 
 
 def frame_samples(ue_records: Sequence[CaptureRecord], app_records: Sequence[CaptureRecord],
-                  flow: int, offsets: Mapping[Tap, float] | None = None,
+                  offsets: Mapping[Tap, float] | None = None,
                   endpoints: FrameEndpoints = FrameEndpoints.FIRST_TO_LAST,
                   ) -> tuple[SampleSet, SampleSet]:
-    """Per-frame service latency and clock-corrected uplink frame OWD of one
-    video flow, from one reassembly of each tap.
+    """Per-frame service latency and clock-corrected uplink frame OWD of the
+    video stream, from one reassembly of each tap.
 
     Latency runs at the UE tap from a frame's first data segment to the first
     subsequent ACK covering its final byte. FIRST_TO_LAST OWD (default) runs
@@ -322,11 +321,11 @@ def frame_samples(ue_records: Sequence[CaptureRecord], app_records: Sequence[Cap
     excluded in both sets; frames without a covering ACK, or not delivered
     whole to the app, are excluded from the latency or OWD set respectively.
     """
-    ue_frames = segment_frames(reassemble(ue_records, flow, UPLINK))
-    app_frames = segment_frames(reassemble(app_records, flow, UPLINK))
+    ue_frames = segment_frames(reassemble(ue_records))
+    app_frames = segment_frames(reassemble(app_records))
     app_by_start = {f.start: f for f in app_frames if f.segments}
     pos = {r.pid: i for i, r in enumerate(ue_records)}
-    acks = _AckIndex(ue_records, flow)
+    acks = _AckIndex(ue_records)
     off_ue = _offset_us(offsets, Tap.UE)
     off_app = _offset_us(offsets, Tap.APP)
     latency: list[float] = []
@@ -357,31 +356,11 @@ def frame_samples(ue_records: Sequence[CaptureRecord], app_records: Sequence[Cap
     return SampleSet(tuple(latency), latency_excluded), SampleSet(tuple(owd), owd_excluded)
 
 
-def stream_flows(records: Sequence[CaptureRecord]) -> list[int]:
-    """Flow ids carrying uplink stream payload, in first-seen order."""
-    seen: list[int] = []
-    for r in records:
-        if (r.proto is STREAM and r.dir is UPLINK
-                and r.payload_len > 0 and r.flow not in seen):
-            seen.append(r.flow)
-    return seen
-
-
-def video_flows(records: Sequence[CaptureRecord]) -> list[int]:
-    """Stream flows that contain frame-boundary markers."""
-    seen: list[int] = []
-    for r in records:
-        if r.marker is FRAME_BOUNDARY and r.flow not in seen:
-            seen.append(r.flow)
-    return seen
-
-
-def measured_goodput_mbps(app_records: Sequence[CaptureRecord], flow: int,
+def measured_goodput_mbps(app_records: Sequence[CaptureRecord],
                           warmup_s: float = 0.5) -> float | None:
     """Delivered uplink payload rate at the APP tap after a warm-up window."""
     arrivals = [(r.t_us, r.payload_len) for r in app_records
-                if r.proto is STREAM and r.dir is UPLINK
-                and r.flow == flow and r.payload_len > 0]
+                if r.proto is STREAM and r.dir is UPLINK and r.payload_len > 0]
     if len(arrivals) < 2:
         return None
     t0 = arrivals[0][0] + warmup_s * 1e6
@@ -439,22 +418,16 @@ def analyze_captures(ue_records: Sequence[CaptureRecord],
         offsets_ms = {node: est.mean_ms for node, est in offsets_est.items()}
 
     ctrl = rtt_control(ue_records)
+    stream = rtt_tcp(ue_records)
 
-    stream_samples: list[float] = []
-    stream_excluded = 0
-    sflows = stream_flows(ue_records)
-    for flow in sflows:
-        ss = rtt_tcp(ue_records, flow)
-        stream_samples.extend(ss.values_ms)
-        stream_excluded += ss.excluded
-    stream = SampleSet(tuple(stream_samples), stream_excluded)
-
-    vflows = video_flows(ue_records)
-    if vflows:
-        flat, fowd = frame_samples(ue_records, app_records, vflows[0], offsets_ms,
-                                   cfg.owd_frame_endpoints)
+    # A stream with frame markers is video, measured per frame; any other
+    # is a bulk probe, measured by its goodput.
+    goodput = None
+    if any(r.marker is FRAME_BOUNDARY for r in ue_records):
+        flat, fowd = frame_samples(ue_records, app_records, offsets_ms, cfg.owd_frame_endpoints)
     else:
         flat = fowd = SampleSet((), 0)
+        goodput = measured_goodput_mbps(app_records)
 
     powd = owd_packet(ue_records, app_records, offsets_ms, cfg.match_mode, UPLINK)
     # Downlink OWD restricted to stream packets so it reads the app's command
@@ -467,11 +440,6 @@ def analyze_captures(ue_records: Sequence[CaptureRecord],
     delivered_pids = {r.pid for r in app_records if r.dir is UPLINK}
     delivered = sum(1 for r in ue_records
                     if r.dir is UPLINK and r.payload_len > 0 and r.pid in delivered_pids)
-
-    goodput = None
-    bulk_candidates = [f for f in sflows if f not in vflows]
-    if bulk_candidates:
-        goodput = measured_goodput_mbps(app_records, bulk_candidates[0])
 
     return AnalysisResult(
         ctrl_rtt=ctrl,

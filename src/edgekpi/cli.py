@@ -36,6 +36,7 @@ from .kpis import (
     build_report,
     demanded_throughput,
     ecdf,
+    percent_label,
     report_rows,
     write_report_csv,
     write_report_ndjson,
@@ -89,8 +90,6 @@ SWEEP_SCENARIOS = (
 )
 
 COMPARISON_FILE = "comparison.csv"
-COMPARISON_COLUMNS = ("scenario", "tech", "range", "ctrl_median_ms", "stream_packet_median_ms",
-                      "stream_frame_median_ms", "owd_frame_p95_ms", "e2e_srt_p95_ms", "velocity_kmh")
 
 
 class CliError(Exception):
@@ -303,7 +302,8 @@ def cmd_analyze(args) -> int:
 def _sweep_scenario(label: str, run_cfg: EmulationRun, outdir: Path, cfg: AnalyzerConfig,
                     opts: ReportOptions, force: bool) -> dict:
     """Emulate one sweep scenario, write its outputs into ``outdir`` and
-    return its ``comparison.csv`` row. Runs in a pool worker, so everything
+    return its ``comparison.csv`` row, keys in column order; the percentile
+    columns name ``--reliability-p``. Runs in a pool worker, so everything
     it takes and returns pickles. It builds no reference cycles, so the
     worker runs it with the cyclic collector off."""
     result = run_emulation(run_cfg)
@@ -316,14 +316,16 @@ def _sweep_scenario(label: str, run_cfg: EmulationRun, outdir: Path, cfg: Analyz
         stats = report.classes.get(cls)
         return round(stats.median_ms, 6) if stats else ""
 
+    p_label = percent_label(opts.reliability_percentile)
     return {
         "scenario": label, "tech": tech, "range": range_band,
         "ctrl_median_ms": med("CTRL"),
         "stream_packet_median_ms": med("STREAM-packet"),
         "stream_frame_median_ms": med("STREAM-frame"),
-        "owd_frame_p95_ms": round(report.owd_frame_at_percentile_ms, 6)
-                            if report.owd_frame_at_percentile_ms is not None else "",
-        "e2e_srt_p95_ms": round(report.e2e_srt_p95_ms, 6) if report.e2e_srt_p95_ms else "",
+        f"owd_frame_p{p_label}_ms": round(report.owd_frame_at_percentile_ms, 6)
+                                    if report.owd_frame_at_percentile_ms is not None else "",
+        f"e2e_srt_p{p_label}_ms": round(report.e2e_srt_at_percentile_ms, 6)
+                                  if report.e2e_srt_at_percentile_ms else "",
         "velocity_kmh": round(report.velocity_kmh[opts.distances_m[0]], 4)
                         if report.velocity_kmh else "",
     }
@@ -390,7 +392,7 @@ def cmd_sweep(args) -> int:
                                    "ended abruptly (killed, or out of memory?)") from None
                 print(f"[{index + 1}/{len(runs)}] {label}: done")
         with open(outdir / COMPARISON_FILE, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=COMPARISON_COLUMNS)
+            writer = csv.DictWriter(fh, fieldnames=list(comparison[0]))
             writer.writeheader()
             writer.writerows(comparison)
     except BaseException:

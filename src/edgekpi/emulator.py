@@ -482,7 +482,7 @@ class _Simulation:
         # Link state. On the jittered access hops a packet can overtake its
         # flow's previous one, so each keeps flow -> latest arrival time. The
         # core hop adds a constant delay, so it keeps the order packets reach
-        # it in; only the stream's downlink can reach it out of time order.
+        # it in.
         self._uplink_free_us = 0.0
         self._fifo_up_core: dict[int, float] = {}
         self._fifo_down_ue: dict[int, float] = {}
@@ -500,7 +500,6 @@ class _Simulation:
         self._sender_cum_ack = 0
         self._outstanding = _AckBook()
         self._srtt_ms: float | None = None
-        self._stream_down_core_us = 0.0  # latest core arrival of its ACKs / commands
 
         base = self.scenario
         self._base_up_us = base.base_owd_up * 1000.0
@@ -552,9 +551,14 @@ class _Simulation:
         p = self._loss_prob
         return p > 0.0 and rng.random() < p
 
-    def _jitter(self, rng: random.Random) -> float:
+    def _access_arrival(self, t_us: float, base_us: float, rng: random.Random) -> float:
+        """When a packet that leaves an access hop's sender at ``t_us``
+        arrives: the base delay plus Gaussian jitter, floored at 0, so that
+        no packet arrives before it left."""
         std = self._jitter_std
-        return rng.gauss(0.0, std) * 1000.0 if std > 0 else 0.0
+        if std <= 0:
+            return t_us + base_us
+        return max(t_us, t_us + base_us + rng.gauss(0.0, std) * 1000.0)
 
     # -- uplink path ------------------------------------------------------
 
@@ -578,7 +582,7 @@ class _Simulation:
         if self._lost(self.rng_loss_up):
             return
         t_core = self._fifo(self._fifo_up_core, pkt.flow,
-                            depart + self._base_up_us + self._jitter(self.rng_jitter_up))
+                            self._access_arrival(depart, self._base_up_us, self.rng_jitter_up))
         self._schedule(t_core, self._arrive_core_up, pkt)
 
     def _arrive_core_up(self, t_us: float, pkt: TruthPacket) -> None:
@@ -650,20 +654,14 @@ class _Simulation:
     def _emit_downlink(self, t_us: float, pkt: TruthPacket) -> None:
         self.truth.packets.append(pkt)
         pkt.t_app_us = self._stamp(_APP, t_us, pkt)
-        t_core = t_us + self._added_us
-        if pkt.proto is STREAM:
-            # an uplink access delay that draws negative gets a segment acked
-            # at an earlier time than an ACK or command already sent; the
-            # core hop holds it behind those
-            t_core = self._stream_down_core_us = max(t_core, self._stream_down_core_us)
-        self._schedule(t_core, self._arrive_core_down, pkt)
+        self._schedule(t_us + self._added_us, self._arrive_core_down, pkt)
 
     def _arrive_core_down(self, t_us: float, pkt: TruthPacket) -> None:
         pkt.t_core_us = self._stamp(_CORE, t_us, pkt)
         if self._lost(self.rng_loss_down):
             return
         t_ue = self._fifo(self._fifo_down_ue, pkt.flow,
-                          t_us + self._base_down_us + self._jitter(self.rng_jitter_down))
+                          self._access_arrival(t_us, self._base_down_us, self.rng_jitter_down))
         self._schedule(t_ue, self._arrive_ue, pkt)
 
     def _arrive_ue(self, t_us: float, pkt: TruthPacket) -> None:

@@ -266,7 +266,8 @@ class KpiReport:
     #: share of frame OWDs within ``options.reliability_bound_ms``
     fraction_within_bound: float | None
     e2e_srt_mean_ms: float | None
-    e2e_srt_p95_ms: float | None
+    #: service response time from ``owd_frame_at_percentile_ms``
+    e2e_srt_at_percentile_ms: float | None
     velocity_kmh: dict[float, float] | None
     demand: ThroughputDemand | None
     goodput_mbps: float | None
@@ -321,7 +322,7 @@ def build_report(analysis: AnalysisResult, options: ReportOptions | None = None)
     lat_p = None
     frac = None
     srt_mean = None
-    srt_p95 = None
+    srt_p = None
     vel = None
     if owd_frm is not None:
         frame_vals = analysis.owd_frame_up.values_ms
@@ -333,11 +334,11 @@ def build_report(analysis: AnalysisResult, options: ReportOptions | None = None)
         if opts.reliability_bound_ms is not None:
             frac = reliability(frame_vals, opts.reliability_bound_ms)
         srt_mean = e2e_srt(owd_frm.mean_ms, opts.processing_ms, opts.owd_down_assumed_ms)
-        srt_p95 = e2e_srt(lat_p, opts.processing_ms, opts.owd_down_assumed_ms)
-        if srt_p95 == 0:
+        srt_p = e2e_srt(lat_p, opts.processing_ms, opts.owd_down_assumed_ms)
+        if srt_p == 0:
             raise InsufficientDataError("service response time is 0 ms, so no velocity bound "
                                         "follows; frame OWD, processing and downlink OWD are all 0")
-        vel = {d: velocity(d, srt_p95) for d in opts.distances_m}
+        vel = {d: velocity(d, srt_p) for d in opts.distances_m}
 
     demand = None
     if analysis.offered_mbps is not None:
@@ -354,7 +355,7 @@ def build_report(analysis: AnalysisResult, options: ReportOptions | None = None)
         owd_frame_at_percentile_ms=lat_p,
         fraction_within_bound=frac,
         e2e_srt_mean_ms=srt_mean,
-        e2e_srt_p95_ms=srt_p95,
+        e2e_srt_at_percentile_ms=srt_p,
         velocity_kmh=vel,
         demand=demand,
         goodput_mbps=analysis.goodput_mbps,
@@ -362,7 +363,7 @@ def build_report(analysis: AnalysisResult, options: ReportOptions | None = None)
     )
 
 
-def _percent_label(p: float) -> str:
+def percent_label(p: float) -> str:
     """``p`` as a percentage, written exactly so no two values share a
     label: 0.95 -> "95", 0.29 -> "29", 0.995 -> "99.5"."""
     return format((Decimal(repr(p)) * 100).normalize(), "f")
@@ -414,14 +415,16 @@ def report_rows(report: KpiReport) -> list[dict]:
     add("OWD-command", "assumed_down", opts.owd_down_assumed_ms, "ms")
 
     add("overall", "availability", round(report.availability_pct, 6) if report.availability_pct is not None else None, "percent")
+    p_label = percent_label(opts.reliability_percentile)
     if report.owd_frame_at_percentile_ms is not None:
-        add("OWD-frame", f"latency_at_p{_percent_label(opts.reliability_percentile)}",
+        add("OWD-frame", f"latency_at_p{p_label}",
             round(report.owd_frame_at_percentile_ms, 6), "ms")
         if report.fraction_within_bound is not None:
             add("OWD-frame", f"reliability_within_{opts.reliability_bound_ms}ms",
                 round(report.fraction_within_bound, 6), "fraction")
     add("overall", "e2e_srt_mean", round(report.e2e_srt_mean_ms, 6) if report.e2e_srt_mean_ms is not None else None, "ms")
-    add("overall", "e2e_srt_p95", round(report.e2e_srt_p95_ms, 6) if report.e2e_srt_p95_ms is not None else None, "ms")
+    srt_p = report.e2e_srt_at_percentile_ms
+    add("overall", f"e2e_srt_p{p_label}", round(srt_p, 6) if srt_p is not None else None, "ms")
     if report.velocity_kmh:
         for d, v in sorted(report.velocity_kmh.items()):
             add("overall", f"velocity_ds_{d}m", round(v, 4), "km/h")

@@ -12,7 +12,6 @@ import gc
 import json
 import math
 import re
-from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -326,43 +325,53 @@ def validate(records: Sequence[CaptureRecord]) -> ValidationResult:
     """Check capture invariants, reporting the first violation with its index.
 
     Checked per tap: unique pid, non-negative payload, boundary markers carry
-    payload, and non-decreasing stream seq per (flow, dir) at the origin tap.
-    A seq below the highest seen so far is accepted only as a retransmission:
-    the same (seq, payload_len) range was already emitted on that tap, flow
-    and direction.
+    payload, one stream flow (the flow of the tap's first STREAM record; CTRL
+    records may carry any flow), and non-decreasing stream seq per direction
+    at the origin tap. A seq below the highest seen so far is accepted only
+    as a retransmission: the same (seq, payload_len) range was already
+    emitted in that direction.
     """
     seen_pids: dict[Tap, set[int]] = {}
-    # Seq state is keyed by (flow, uplink): the origin tap is fixed by the
-    # direction, so this is (tap, flow, dir) without hashing enum members.
-    last_seq: dict[tuple[int, bool], int] = {}
-    emitted: defaultdict[tuple[int, bool], set[tuple[int, int]]] = defaultdict(set)
-    tap = pids = None
+    stream_flows: dict[Tap, int] = {}
+    # Seq state is indexed by ``dir is UPLINK``: the origin tap is fixed by
+    # the direction, so this is (tap, dir) without hashing enum members.
+    last_seq: list[int | None] = [None, None]
+    emitted: tuple[set[tuple[int, int]], ...] = (set(), set())
+    tap = pids = flow = None
     for i, rec in enumerate(records):
         if rec.payload_len < 0:
             return ValidationResult(False, f"negative payload_len {rec.payload_len} (pid {rec.pid})", i)
         if rec.marker is FRAME_BOUNDARY and rec.payload_len <= 0:
             return ValidationResult(False, f"frame boundary with empty payload (pid {rec.pid})", i)
-        if rec.tap is not tap:  # one pid-set lookup per run of same-tap records
+        if rec.tap is not tap:  # one lookup per run of same-tap records
             tap = rec.tap
             pids = seen_pids.setdefault(tap, set())
+            flow = stream_flows.get(tap)
         if rec.pid in pids:
             return ValidationResult(False, f"duplicate pid {rec.pid} at tap {tap.value}", i)
         pids.add(rec.pid)
+        if rec.proto is not STREAM:
+            continue
+        if rec.flow != flow:
+            if flow is not None:
+                return ValidationResult(
+                    False, f"second stream flow {rec.flow} at tap {tap.value} (flow {flow} seen first)", i)
+            flow = stream_flows[tap] = rec.flow
         # Seq ordering is only meaningful for payload-bearing stream segments
         # observed where they were emitted.
-        if rec.proto is STREAM and rec.payload_len > 0:
-            uplink = rec.dir is UPLINK
-            if tap is not _ORIGIN_TAP[uplink]:
-                continue
-            key = (rec.flow, uplink)
-            span = (rec.seq, rec.payload_len)
-            prev = last_seq.get(key)
-            if prev is not None and rec.seq < prev:
-                if span not in emitted[key]:
-                    return ValidationResult(False, f"seq regression {prev} -> {rec.seq} (flow {rec.flow})", i)
-            else:
-                last_seq[key] = rec.seq
-            emitted[key].add(span)
+        if rec.payload_len <= 0:
+            continue
+        uplink = rec.dir is UPLINK
+        if tap is not _ORIGIN_TAP[uplink]:
+            continue
+        span = (rec.seq, rec.payload_len)
+        prev = last_seq[uplink]
+        if prev is not None and rec.seq < prev:
+            if span not in emitted[uplink]:
+                return ValidationResult(False, f"seq regression {prev} -> {rec.seq} (flow {rec.flow})", i)
+        else:
+            last_seq[uplink] = rec.seq
+        emitted[uplink].add(span)
     return ValidationResult(True)
 
 

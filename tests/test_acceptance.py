@@ -15,7 +15,7 @@ import pytest
 from conftest import ping_run, video_run
 from edgekpi import analyzer, emulator, kpis
 from edgekpi.cli import main
-from edgekpi.emulator import VIDEO_FLOW, Workload
+from edgekpi.emulator import Workload
 from edgekpi.model import ClockModel, RangeBand, Scenario, Tap, Tech, VideoConfig
 from edgekpi.selftest import brute_force_percentile, run_selftest
 
@@ -140,7 +140,7 @@ def test_criterion_07_frame_accounting_and_availability():
     started = time.monotonic()
     # exactly 20 frames in a 1 s, 20 fps terminated stream
     result = emulator.run(video_run(duration_s=1.0, fps=20, cv=0.1, seed=71))
-    frames = analyzer.segment_frames(analyzer.reassemble(result.records[Tap.UE], VIDEO_FLOW))
+    frames = analyzer.segment_frames(analyzer.reassemble(result.records[Tap.UE]))
     assert len(frames) == 20
     assert all(f.complete for f in frames)
 
@@ -192,8 +192,7 @@ def test_criterion_09_throughput_verdicts_and_queue_growth():
         duration_s=3.0, fps=20, mean_frame_bytes=340_000, cv=0.1,
         tech=Tech.FOUR_G, range_band=RangeBand.REGIONAL,
         base_up=20.0, base_down=10.0, seed=91))
-    _, owd = analyzer.frame_samples(overload.records[Tap.UE], overload.records[Tap.APP],
-                                    VIDEO_FLOW)
+    _, owd = analyzer.frame_samples(overload.records[Tap.UE], overload.records[Tap.APP])
     assert len(owd.values_ms) >= 50
     assert all(b > a for a, b in zip(owd.values_ms, owd.values_ms[1:]))
     elapsed = time.monotonic() - started

@@ -22,40 +22,43 @@ from edgekpi.analyzer import (
     segment_frames,
     srtt,
 )
-from edgekpi.emulator import VIDEO_FLOW, run
+from edgekpi.emulator import run
 from edgekpi.model import ClockModel, Direction, Marker, NtpSample, Proto, Tap
 
 
 class TestReassemble:
     def test_in_order_stream(self):
         records = [rec(seq=0, payload_len=100), rec(seq=100, payload_len=100)]
-        assert [r.seq for r in reassemble(records, flow=1)] == [0, 100]
+        assert [r.seq for r in reassemble(records)] == [0, 100]
 
     def test_duplicate_counted_once(self):
         # a duplicated range yields one record: the first one observed
         records = [rec(seq=0, payload_len=100, pid=1, t_us=5),
                    rec(seq=0, payload_len=100, pid=2, t_us=1)]
-        assert [r.pid for r in reassemble(records, flow=1)] == [1]
+        assert [r.pid for r in reassemble(records)] == [1]
 
     def test_out_of_order_sorted(self):
         records = [rec(seq=100, payload_len=100), rec(seq=0, payload_len=100)]
-        assert [r.seq for r in reassemble(records, flow=1)] == [0, 100]
+        assert [r.seq for r in reassemble(records)] == [0, 100]
 
     def test_conflicting_lengths_rejected(self):
         records = [rec(seq=0, payload_len=100), rec(seq=0, payload_len=200)]
         with pytest.raises(MalformedCaptureError, match="disagree on length"):
-            reassemble(records, flow=1)
+            reassemble(records)
 
     def test_overlap_rejected(self):
         records = [rec(seq=0, payload_len=100), rec(seq=50, payload_len=100)]
         with pytest.raises(MalformedCaptureError, match="overlaps"):
-            reassemble(records, flow=1)
+            reassemble(records)
 
-    def test_filters_other_flows_and_acks(self):
-        records = [rec(seq=0, payload_len=100, flow=1),
-                   rec(seq=0, payload_len=100, flow=2),
-                   rec(seq=0, payload_len=0, ack=100, dir=Direction.DOWNLINK, flow=1)]
-        assert [(r.seq, r.flow) for r in reassemble(records, flow=1)] == [(0, 1)]
+    def test_filters_acks_and_downlink(self):
+        # a capture carries one stream flow (model.validate rejects a
+        # second), so proto, direction and payload alone select its segments
+        records = [rec(seq=0, payload_len=100),
+                   rec(seq=0, payload_len=0, ack=100, dir=Direction.DOWNLINK),
+                   rec(seq=0, payload_len=200, dir=Direction.DOWNLINK),
+                   rec(seq=0, payload_len=64, proto=Proto.CTRL)]
+        assert reassemble(records) == records[:1]
 
 
 def _frame_records(n_data=10, seg_len=1400, terminated=True):
@@ -71,7 +74,7 @@ def _frame_records(n_data=10, seg_len=1400, terminated=True):
 
 class TestSegmentFrames:
     def test_single_complete_frame(self):
-        frames = segment_frames(reassemble(_frame_records(10), flow=1))
+        frames = segment_frames(reassemble(_frame_records(10)))
         assert len(frames) == 1
         assert frames[0].complete
         assert len(frames[0].segments) == 10
@@ -79,22 +82,22 @@ class TestSegmentFrames:
 
     def test_twenty_fps_one_second(self):
         result = run(video_run(duration_s=1.0))
-        frames = segment_frames(reassemble(result.records[Tap.UE], VIDEO_FLOW))
+        frames = segment_frames(reassemble(result.records[Tap.UE]))
         assert len(frames) == 20
         assert all(f.complete for f in frames)
 
     def test_unterminated_tail_incomplete(self):
-        frames = segment_frames(reassemble(_frame_records(3, terminated=False), flow=1))
+        frames = segment_frames(reassemble(_frame_records(3, terminated=False)))
         assert len(frames) == 1
         assert not frames[0].complete
 
     def test_no_markers_no_frames(self):
         records = [rec(seq=0, payload_len=100), rec(seq=100, payload_len=100)]
-        assert segment_frames(reassemble(records, flow=1)) == []
+        assert segment_frames(reassemble(records)) == []
 
     def test_frame_spans_strictly_between_markers(self):
         records = _frame_records(2) + [rec(seq=2928, payload_len=500)]
-        frames = segment_frames(reassemble(records, flow=1))
+        frames = segment_frames(reassemble(records))
         assert len(frames) == 2
         assert frames[0].complete and not frames[1].complete
         assert [sum(r.payload_len for r in f.segments) for f in frames] == [2800, 500]
@@ -103,7 +106,7 @@ class TestSegmentFrames:
         # the data segment at seq 1464 is missing from the capture
         records = _frame_records(3)
         del records[2]
-        frames = segment_frames(reassemble(records, flow=1))
+        frames = segment_frames(reassemble(records))
         assert len(frames) == 1 and frames[0].complete
         assert not frames[0].contiguous
 
@@ -134,26 +137,26 @@ class TestRttTcp:
     def test_single_segment_immediate_ack(self):
         records = [rec(seq=0, payload_len=100, t_us=0),
                    rec(seq=0, payload_len=0, ack=100, dir=Direction.DOWNLINK, t_us=0)]
-        samples = rtt_tcp(records, flow=1)
+        samples = rtt_tcp(records)
         assert samples.values_ms == (0.0,)
 
     def test_delay_sum(self):
         records = [rec(seq=0, payload_len=100, t_us=0),
                    rec(seq=0, payload_len=0, ack=100, dir=Direction.DOWNLINK, t_us=15_000)]
-        assert rtt_tcp(records, flow=1).values_ms == (15.0,)
+        assert rtt_tcp(records).values_ms == (15.0,)
 
     def test_cumulative_ack_shares_timestamp(self):
         records = [rec(seq=0, payload_len=100, t_us=0),
                    rec(seq=100, payload_len=100, t_us=1000),
                    rec(seq=0, payload_len=0, ack=200, dir=Direction.DOWNLINK, t_us=20_000)]
-        samples = rtt_tcp(records, flow=1)
+        samples = rtt_tcp(records)
         assert samples.values_ms == (20.0, 19.0)
 
     def test_uncovered_segment_excluded(self):
         records = [rec(seq=0, payload_len=100, t_us=0),
                    rec(seq=100, payload_len=100, t_us=0),
                    rec(seq=0, payload_len=0, ack=100, dir=Direction.DOWNLINK, t_us=5000)]
-        samples = rtt_tcp(records, flow=1)
+        samples = rtt_tcp(records)
         assert samples.values_ms == (5.0,)
         assert samples.excluded == 1
 
@@ -162,7 +165,7 @@ class TestRttTcp:
                    rec(seq=0, payload_len=100, t_us=1000),  # retransmission
                    rec(seq=100, payload_len=100, t_us=1000),
                    rec(seq=0, payload_len=0, ack=200, dir=Direction.DOWNLINK, t_us=20_000)]
-        samples = rtt_tcp(records, flow=1)
+        samples = rtt_tcp(records)
         assert samples.values_ms == (19.0,)
         assert samples.excluded == 2
 
@@ -281,7 +284,7 @@ class TestFrameLatency:
                    rec(seq=64, payload_len=100, t_us=0),
                    rec(seq=164, payload_len=64, marker=Marker.FRAME_BOUNDARY, t_us=0),
                    rec(seq=0, payload_len=0, ack=164, dir=Direction.DOWNLINK, t_us=0)]
-        samples, _ = frame_samples(records, [], flow=1)
+        samples, _ = frame_samples(records, [])
         assert samples.values_ms == (0.0,)
 
     def test_hand_computed_event_trace(self):
@@ -289,13 +292,13 @@ class TestFrameLatency:
         # serialization 64B + 10*1400B = 2060.66 us, last byte at app at
         # 12060.66 us, final-segment ACK back at UE at 17060.66 -> 17061 us.
         result = run(video_run(duration_s=0.05, fps=20, mean_frame_bytes=14_000, cv=0.0))
-        samples, _ = frame_samples(result.records[Tap.UE], result.records[Tap.APP], VIDEO_FLOW)
+        samples, _ = frame_samples(result.records[Tap.UE], result.records[Tap.APP])
         assert samples.values_ms == (17.061,)
 
     def test_truncated_frame_excluded(self):
         records = [rec(seq=0, payload_len=64, marker=Marker.FRAME_BOUNDARY, t_us=0),
                    rec(seq=64, payload_len=100, t_us=0)]
-        samples, _ = frame_samples(records, [], flow=1)
+        samples, _ = frame_samples(records, [])
         assert samples.values_ms == ()
         assert samples.excluded == 1
 
@@ -306,7 +309,7 @@ class TestFrameLatency:
               rec(seq=364, payload_len=64, marker=Marker.FRAME_BOUNDARY, t_us=0),
               rec(seq=0, payload_len=0, ack=428, dir=Direction.DOWNLINK, t_us=10)]
         app = [r._replace(tap=Tap.APP, t_us=r.t_us + 5) for r in ue[:4]]
-        latency, owd = frame_samples(ue, app, flow=1)
+        latency, owd = frame_samples(ue, app)
         assert (latency.values_ms, latency.excluded) == ((), 1)
         assert (owd.values_ms, owd.excluded) == ((), 1)
 
@@ -315,7 +318,7 @@ class TestFrameLatency:
                    rec(seq=64, payload_len=100, t_us=0),
                    rec(seq=164, payload_len=64, marker=Marker.FRAME_BOUNDARY, t_us=0),
                    rec(seq=0, payload_len=0, ack=64, dir=Direction.DOWNLINK, t_us=10)]
-        samples, _ = frame_samples(records, [], flow=1)
+        samples, _ = frame_samples(records, [])
         assert samples.values_ms == ()
         assert samples.excluded == 1
 
@@ -335,12 +338,12 @@ class TestFrameOwd:
     def test_single_segment_same_under_both_endpoint_modes(self):
         ue, app = self._single_frame_taps()
         for endpoints in FrameEndpoints:
-            _, samples = frame_samples(ue, app, flow=1, endpoints=endpoints)
+            _, samples = frame_samples(ue, app, endpoints=endpoints)
             assert samples.values_ms == (10.0,)
 
     def test_matches_truth_log(self):
         result = run(video_run(duration_s=1.0, cv=0.1, seed=24))
-        _, samples = frame_samples(result.records[Tap.UE], result.records[Tap.APP], VIDEO_FLOW)
+        _, samples = frame_samples(result.records[Tap.UE], result.records[Tap.APP])
         truth = [f.owd_first_last_ms() for f in result.truth.frames if f.delivered]
         assert len(samples.values_ms) == len(truth)
         for got, expected in zip(samples.values_ms, truth):
@@ -350,7 +353,7 @@ class TestFrameOwd:
         cfg = video_run(duration_s=1.0, mean_frame_bytes=None, cv=0.1, seed=35,
                         base_up=8.0, base_down=4.0)
         result = run(cfg)
-        _, samples = frame_samples(result.records[Tap.UE], result.records[Tap.APP], VIDEO_FLOW)
+        _, samples = frame_samples(result.records[Tap.UE], result.records[Tap.APP])
         truth_mean = statistics.fmean(
             f.owd_first_last_ms() for f in result.truth.frames if f.delivered)
         assert statistics.fmean(samples.values_ms) == pytest.approx(truth_mean, abs=0.05)
@@ -358,21 +361,21 @@ class TestFrameOwd:
     def test_larger_frames_read_slower(self):
         small = run(video_run(duration_s=1.0, mean_frame_bytes=120_000, cv=0.1, seed=25))
         large = run(video_run(duration_s=1.0, mean_frame_bytes=340_000, cv=0.1, seed=25))
-        _, owd_small = frame_samples(small.records[Tap.UE], small.records[Tap.APP], VIDEO_FLOW)
-        _, owd_large = frame_samples(large.records[Tap.UE], large.records[Tap.APP], VIDEO_FLOW)
+        _, owd_small = frame_samples(small.records[Tap.UE], small.records[Tap.APP])
+        _, owd_large = frame_samples(large.records[Tap.UE], large.records[Tap.APP])
         assert statistics.median(owd_large.values_ms) > statistics.median(owd_small.values_ms)
 
     def test_first_to_first_excludes_serialization(self):
         result = run(video_run(duration_s=0.5, cv=0.0, seed=26))
-        _, last = frame_samples(result.records[Tap.UE], result.records[Tap.APP], VIDEO_FLOW,
+        _, last = frame_samples(result.records[Tap.UE], result.records[Tap.APP],
                                 endpoints=FrameEndpoints.FIRST_TO_LAST)
-        _, first = frame_samples(result.records[Tap.UE], result.records[Tap.APP], VIDEO_FLOW,
+        _, first = frame_samples(result.records[Tap.UE], result.records[Tap.APP],
                                  endpoints=FrameEndpoints.FIRST_TO_FIRST)
         assert all(a > b for a, b in zip(last.values_ms, first.values_ms))
 
     def test_incomplete_at_app_excluded(self):
         ue, app = self._single_frame_taps()
-        _, samples = frame_samples(ue, app[:1] + app[2:], flow=1)  # data segment missing at app
+        _, samples = frame_samples(ue, app[:1] + app[2:])  # data segment missing at app
         assert samples.values_ms == ()
         assert samples.excluded == 1
 
@@ -381,7 +384,7 @@ class TestCrossMetricInvariants:
     def test_rtt_at_least_owd_per_segment(self):
         result = run(video_run(duration_s=0.5, cv=0.1, seed=27))
         ue, app = result.records[Tap.UE], result.records[Tap.APP]
-        rtt = rtt_tcp(ue, VIDEO_FLOW)
+        rtt = rtt_tcp(ue)
         owd = owd_packet(ue, app)
         # compare per segment: owd samples follow UE emission order as well
         data = [r for r in ue if r.proto is Proto.STREAM and r.dir is Direction.UPLINK
@@ -391,9 +394,22 @@ class TestCrossMetricInvariants:
         for record, rtt_value in zip(covered, rtt.values_ms):
             assert rtt_value >= owd_by_pid[record.pid] - 1e-9
 
+    def test_no_negative_delay_without_access_base_delay(self):
+        # jitter alone sets each access delay, so half its draws are
+        # negative; with perfect clocks no sample may then read below 0
+        result = run(video_run(duration_s=2.0, mean_frame_bytes=None, cv=0.1, seed=3, pings=20,
+                               base_up=0.0, base_down=0.0, jitter_std=1.0))
+        a = analyze_captures(result.records[Tap.UE], result.records[Tap.CORE],
+                             result.records[Tap.APP], result.ntp)
+        sample_sets = (a.ctrl_rtt, a.stream_rtt, a.frame_latency, a.owd_packet_up,
+                       a.owd_frame_up, a.owd_command_down)
+        assert len(a.ctrl_rtt) == 20 and all(sample_sets)
+        for samples in sample_sets:
+            assert min(samples.values_ms) >= 0.0
+
     def test_frame_latency_at_least_frame_owd(self):
         result = run(video_run(duration_s=1.0, cv=0.1, seed=28))
-        lat, owd = frame_samples(result.records[Tap.UE], result.records[Tap.APP], VIDEO_FLOW)
+        lat, owd = frame_samples(result.records[Tap.UE], result.records[Tap.APP])
         assert len(lat.values_ms) == len(owd.values_ms)
         for a, b in zip(lat.values_ms, owd.values_ms):
             assert a >= b - 1e-9

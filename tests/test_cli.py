@@ -12,6 +12,7 @@ import pytest
 
 from edgekpi.cli import _analysis_options, _build_parser, _sweep_scenario, main
 from edgekpi.config import parse_config
+from edgekpi.kpis import latency_at
 from edgekpi.selftest import check_srtt_recurrence, run_selftest
 
 CONFIG = """
@@ -361,6 +362,39 @@ class TestAnalyze:
         assert one_line_error(capsys) == (
             f"error: {ue}: line 3: bad capture record: {field}: not an integer: {shown}\n")
 
+    def test_second_stream_flow_is_an_error(self, capture_dir, capsys):
+        # every tap gains flow 3: a copy of stream flow 1, 7 s later, with
+        # fresh pids
+        counts = {}
+        for name in ("ue.ndjson", "core.ndjson", "app.ndjson"):
+            path = capture_dir / name
+            records = [json.loads(line) for line in path.read_text().splitlines()]
+            next_pid = max(d["pid"] for d in records) + 1
+            copies = [dict(d, flow=3, t_us=d["t_us"] + 7_000_000, pid=next_pid + i)
+                      for i, d in enumerate(d for d in records if d["proto"] == "STREAM")]
+            path.write_text("".join(json.dumps(d, separators=(",", ":")) + "\n"
+                                    for d in records + copies))
+            counts[name] = len(records)
+        capsys.readouterr()
+        assert main(["analyze", "--in", str(capture_dir)]) == 1
+        assert one_line_error(capsys) == (
+            f"error: {capture_dir / 'ue.ndjson'}: invalid capture at record {counts['ue.ndjson']}: "
+            "second stream flow 3 at tap UE (flow 1 seen first)\n")
+        for name in ("samples.ndjson", "report.csv", "report.ndjson"):
+            assert not (capture_dir / name).exists()
+
+    def test_percentile_rows_follow_reliability_p(self, capture_dir):
+        assert main(["analyze", "--in", str(capture_dir), "--reliability-p", "0.5"]) == 0
+        report = {r["metric"]: r["value"] for r in read_csv(capture_dir / "report.csv")
+                  if r["class"] in ("OWD-frame", "overall")}
+        assert "latency_at_p95" not in report and "e2e_srt_p95" not in report
+        samples = [json.loads(line)["value_ms"]
+                   for line in (capture_dir / "samples.ndjson").read_text().splitlines()
+                   if json.loads(line)["class"] == "OWD-frame"]
+        assert float(report["latency_at_p50"]) == pytest.approx(latency_at(samples, 0.5), abs=1e-6)
+        assert float(report["e2e_srt_p50"]) == pytest.approx(
+            float(report["latency_at_p50"]) + 20.3 + 5.0, abs=1e-6)
+
     def test_refuses_overwrite(self, capture_dir, capsys):
         assert main(["analyze", "--in", str(capture_dir)]) == 0
         assert main(["analyze", "--in", str(capture_dir)]) == 1
@@ -445,6 +479,20 @@ class TestSweep:
             srt = float(row["e2e_srt_p95_ms"])
             assert srt == pytest.approx(float(row["owd_frame_p95_ms"]) + 20.3 + 5.0, abs=1e-4)
             assert float(row["velocity_kmh"]) == pytest.approx(3600.0 / srt, abs=1e-3)
+
+    def test_percentile_columns_follow_reliability_p(self, tmp_path, config_path):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(config_path), "--out", str(out),
+                     "--reliability-p", "0.5"]) == 0
+        rows = read_csv(out / "comparison.csv")
+        assert list(rows[0]) == ["scenario", "tech", "range", "ctrl_median_ms",
+                                 "stream_packet_median_ms", "stream_frame_median_ms",
+                                 "owd_frame_p50_ms", "e2e_srt_p50_ms", "velocity_kmh"]
+        for row in rows:
+            report = {r["metric"]: r["value"]
+                      for r in read_csv(out / row["scenario"] / "report.csv")}
+            assert row["owd_frame_p50_ms"] == report["latency_at_p50"] != ""
+            assert row["e2e_srt_p50_ms"] == report["e2e_srt_p50"] != ""
 
     def test_velocity_column_uses_first_distance(self, tmp_path, config_path):
         out = tmp_path / "sweep"

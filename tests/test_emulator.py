@@ -272,9 +272,8 @@ class TestOrdering:
 
     @pytest.mark.parametrize("base_up,cap,processing_ms,seed", [
         (10.0, 54.6, 20.3, 6),
-        # no uplink base delay: jitter alone sets the access delay, which
-        # then draws negative, so the app acks some segments at an earlier
-        # time than an ACK or command it already sent
+        # no uplink base delay: jitter alone sets the access delay, and half
+        # its draws are negative, which the floor at 0 must catch
         (0.0, math.inf, 1.0, 2),
     ])
     def test_taps_agree_on_order_per_flow(self, base_up, cap, processing_ms, seed):
@@ -296,9 +295,41 @@ class TestOrdering:
                             == [r.pid for r in records[b] if r.pid in both])
                     times = [r.t_us for r in records[b]]
                     assert times == sorted(times)
-        held = [p for p in result.truth.packets if p.dir is Direction.DOWNLINK
-                and p.t_core_us is not None and p.t_core_us > p.t_app_us]
-        assert bool(held) == (base_up == 0.0)
+        # no packet reaches a tap before it left the previous one
+        for p in result.truth.packets:
+            path = (p.t_ue_us, p.t_core_us, p.t_app_us)
+            if p.dir is Direction.DOWNLINK:
+                path = path[::-1]
+            seen = [t for t in path if t is not None]
+            assert seen == sorted(seen), p
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_no_event_scheduled_in_the_past(self, monkeypatch, seed):
+        # random paths with small base delays and large jitter, where
+        # unfloored access delays would draw negative
+        rng = random.Random(seed)
+        cfg = video_run(duration_s=0.5, cv=0.3, seed=seed, pings=10,
+                        base_up=rng.choice([0.0, 1.0, 8.0]), base_down=rng.choice([0.0, 1.0, 4.0]),
+                        jitter_std=rng.choice([1.0, 3.0]), loss_prob=rng.choice([0.0, 0.05]),
+                        retransmit=rng.random() < 0.5,
+                        bandwidth_cap=rng.choice([54.6, math.inf]))
+        cfg = dataclasses.replace(cfg, processing=ProcessingModel(total_ms=rng.choice([0.0, 1.0])))
+        now = [0.0]
+        late = []
+        schedule = emulator._Simulation._schedule
+
+        def spy(self, t_us, fn, *args):
+            if t_us < now[0]:
+                late.append((now[0], t_us))
+
+            def timed(t, *a):
+                now[0] = t
+                fn(t, *a)
+            schedule(self, t_us, timed, *args)
+
+        monkeypatch.setattr(emulator._Simulation, "_schedule", spy)
+        run(cfg)
+        assert late == []
 
     def test_added_delay_additivity(self):
         def truth_owds(range_band):

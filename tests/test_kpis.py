@@ -283,7 +283,7 @@ class TestBuildReport:
         assert report.absent == ()
         assert report.availability_pct == 100.0
         assert report.owd_frame is not None
-        assert report.e2e_srt_p95_ms is not None
+        assert report.e2e_srt_at_percentile_ms is not None
         assert report.velocity_kmh and 1.0 in report.velocity_kmh
         assert report.demand is not None
 
@@ -291,10 +291,10 @@ class TestBuildReport:
         analysis, report = self._report(video_run(duration_s=1.0, cv=0.1, seed=42))
         frame_vals = analysis.owd_frame_up.values_ms
         assert report.owd_frame_at_percentile_ms == latency_at(frame_vals, 0.95)
-        assert report.e2e_srt_p95_ms == pytest.approx(
+        assert report.e2e_srt_at_percentile_ms == pytest.approx(
             e2e_srt(latency_at(frame_vals, 0.95), 20.3, 5.0))
         assert report.velocity_kmh[1.0] == pytest.approx(
-            velocity(1.0, report.e2e_srt_p95_ms))
+            velocity(1.0, report.e2e_srt_at_percentile_ms))
         assert report.availability_pct == availability(analysis.sent_uplink,
                                                        analysis.delivered_uplink)
 
@@ -304,7 +304,7 @@ class TestBuildReport:
         assert "STREAM-packet" in report.absent
         assert report.classes["CTRL"] is not None
         assert report.owd_frame is None
-        assert report.e2e_srt_p95_ms is None
+        assert report.e2e_srt_at_percentile_ms is None
         rows = report_rows(report)
         empty = [r for r in rows if r["class"] == "STREAM-frame"]
         assert empty and empty[0]["value"] == ""
@@ -332,9 +332,10 @@ class TestBuildReport:
         labels = []
         for p in (0.29, 0.57, 0.995, 0.999, 0.95):
             rows = report_rows(build_report(analysis, ReportOptions(reliability_percentile=p)))
-            labels += [r["metric"] for r in rows if r["metric"].startswith("latency_at_p")]
-        assert labels == ["latency_at_p29", "latency_at_p57", "latency_at_p99.5",
-                          "latency_at_p99.9", "latency_at_p95"]
+            labels += [r["metric"] for r in rows
+                       if r["metric"].startswith(("latency_at_p", "e2e_srt_p"))]
+        assert labels == [f"{name}_p{label}" for label in ("29", "57", "99.5", "99.9", "95")
+                          for name in ("latency_at", "e2e_srt")]
 
     def test_final_srtt_for_latency_classes_only(self):
         _, report = self._report(video_run(duration_s=0.5, cv=0.1, seed=48, pings=5))

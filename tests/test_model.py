@@ -367,6 +367,24 @@ class TestValidate:
         records = [rec(dir=Direction.DOWNLINK, seq=1000), rec(dir=Direction.DOWNLINK, seq=0)]
         assert validate(records).ok
 
+    @pytest.mark.parametrize("tap", list(Tap))
+    def test_second_stream_flow_rejected(self, tap):
+        # the tap's first STREAM record fixes its flow, an ACK as much as a
+        # segment; records of the other taps in between do not reset it
+        others = [t for t in Tap if t is not tap]
+        records = [rec(tap=tap, seq=0, payload_len=0, ack=100, dir=Direction.DOWNLINK),
+                   rec(tap=others[0], flow=2), rec(tap=tap, seq=100),
+                   rec(tap=others[1], flow=3), rec(tap=tap, flow=3, seq=200)]
+        result = validate(records)
+        assert not result.ok and result.index == 4
+        assert result.error == f"second stream flow 3 at tap {tap.value} (flow 1 seen first)"
+
+    def test_ctrl_on_other_flow_accepted(self):
+        records = [rec(proto=Proto.CTRL, flow=0, payload_len=64), rec(seq=0),
+                   rec(proto=Proto.CTRL, flow=0, payload_len=64), rec(seq=100),
+                   rec(proto=Proto.CTRL, flow=0, dir=Direction.DOWNLINK, payload_len=64)]
+        assert validate(records).ok
+
     def test_acks_do_not_trip_seq_ordering(self):
         records = [rec(seq=500, payload_len=100),
                    rec(seq=0, payload_len=0, ack=600),

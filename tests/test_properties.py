@@ -26,7 +26,7 @@ from edgekpi.analyzer import (  # noqa: E402
     reassemble,
     segment_frames,
 )
-from edgekpi.emulator import VIDEO_FLOW, run  # noqa: E402
+from edgekpi.emulator import run  # noqa: E402
 from edgekpi.kpis import availability, build_report  # noqa: E402
 from edgekpi.model import ClockModel, Direction, Proto, Tap  # noqa: E402
 
@@ -74,7 +74,7 @@ def test_damaged_capture_ends_in_result_or_analyzer_error(ops):
         analysis = analyze_captures(taps[Tap.UE], taps[Tap.CORE], taps[Tap.APP], result.ntp)
     except (MalformedCaptureError, InsufficientDataError):
         return
-    frames = segment_frames(reassemble(taps[Tap.UE], VIDEO_FLOW))
+    frames = segment_frames(reassemble(taps[Tap.UE]))
     latency = analysis.frame_latency
     assert len(latency) + latency.excluded == len(frames)
     assert 0.0 <= availability(analysis.sent_uplink, analysis.delivered_uplink) <= 100.0
@@ -84,30 +84,29 @@ def test_damaged_capture_ends_in_result_or_analyzer_error(ops):
         pass
 
 
-def covering_reference(records, flow, last_pos, end):
-    """The first pure ACK of ``flow`` after ``last_pos`` reaching ``end``, by
-    a linear scan of the capture."""
+def covering_reference(records, last_pos, end):
+    """The first pure ACK after ``last_pos`` reaching ``end``, by a linear
+    scan of the capture."""
     for r in records[last_pos + 1:]:
-        if (r.proto is Proto.STREAM and r.dir is Direction.DOWNLINK and r.flow == flow
+        if (r.proto is Proto.STREAM and r.dir is Direction.DOWNLINK
                 and r.payload_len == 0 and r.ack > 0 and r.ack >= end):
             return r
     return None
 
 
-#: (proto, direction, flow, carries payload, ack) of each record; acks
-#: need not grow, as in a capture with reordered ACKs.
+#: (proto, direction, carries payload, ack) of each record; acks need not
+#: grow, as in a capture with reordered ACKs.
 hand_built = st.lists(st.tuples(
     st.sampled_from(list(Proto)), st.sampled_from(list(Direction)),
-    st.integers(1, 2), st.booleans(), st.integers(0, 40),
+    st.booleans(), st.integers(0, 40),
 ), max_size=30)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(hand_built, st.integers(-1, 45))
 def test_covering_after_equals_linear_scan(fields, end):
-    records = [rec(t_us=i, proto=proto, dir=direction, flow=flow,
-                   payload_len=100 if payload else 0, ack=ack)
-               for i, (proto, direction, flow, payload, ack) in enumerate(fields)]
-    acks = _AckIndex(records, flow=1)
+    records = [rec(t_us=i, proto=proto, dir=direction, payload_len=100 if payload else 0, ack=ack)
+               for i, (proto, direction, payload, ack) in enumerate(fields)]
+    acks = _AckIndex(records)
     for last_pos in range(-1, len(records)):
-        assert acks.covering_after(last_pos, end) is covering_reference(records, 1, last_pos, end)
+        assert acks.covering_after(last_pos, end) is covering_reference(records, last_pos, end)
