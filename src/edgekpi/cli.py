@@ -47,6 +47,7 @@ from .model import (
     RangeBand,
     Resolution,
     Scenario,
+    STREAM,
     Tap,
     Tech,
     VideoConfig,
@@ -234,12 +235,24 @@ def _analysis_options(args) -> tuple[AnalyzerConfig, ReportOptions]:
 
 def _analyze_and_write(outdir: Path, records: dict[Tap, list], ntp, cfg: AnalyzerConfig,
                        opts: ReportOptions) -> KpiReport:
-    """Validate each tap's capture, analyze them and write the samples and
-    report files into ``outdir``."""
+    """Validate each tap's capture, check that the taps agree on the stream
+    flow, analyze them and write the samples and report files into
+    ``outdir``."""
+    stream_tap = stream_flow = None  # the first tap with a STREAM record, and its flow
     for tap, name in TAP_FILES.items():
         check = validate(records[tap])
         if not check.ok:
             raise CliError(f"{outdir / name}: invalid capture at record {check.index}: {check.error}")
+        # validate pins one stream flow per tap, so its first STREAM record
+        # gives it
+        flow = next((r.flow for r in records[tap] if r.proto is STREAM), None)
+        if flow is None:
+            continue
+        if stream_tap is None:
+            stream_tap, stream_flow = tap, flow
+        elif flow != stream_flow:
+            raise CliError(f"{outdir / name}: stream flow {flow} at tap {tap.value} "
+                           f"(flow {stream_flow} at tap {stream_tap.value})")
     analysis = analyze_captures(records[Tap.UE], records[Tap.CORE], records[Tap.APP], ntp, cfg)
     report = build_report(analysis, opts)
     _write_samples(outdir / SAMPLES_FILE, analysis)

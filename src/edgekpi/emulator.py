@@ -60,11 +60,22 @@ CTRL_PAYLOAD_BYTES = 64
 ACK_EVERY_SEGMENTS = 2
 DELAYED_ACK_MS = 5.0
 
-#: Retransmission (only when Scenario.retransmit): resend after one
-#: measured-SRTT timeout, doubling per attempt, bounded retries.
+#: Retransmission (only when Scenario.retransmit). Each segment has its
+#: own timer, set to the RFC 6298 timeout SRTT + max(G, K * RTTVAR) from RTT
+#: samples of segments sent once (Karn's rule): 1 s before the first sample,
+#: never under Linux's 200 ms TCP_RTO_MIN, doubled per attempt, for at most
+#: MAX_RETRANSMITS resends.
 INITIAL_TIMEOUT_MS = 1000.0
-SRTT_GAIN = 0.125
+MIN_TIMEOUT_MS = 200.0
+SRTT_GAIN = 0.125             # alpha
+RTTVAR_GAIN = 0.25            # beta
+RTTVAR_FACTOR = 4             # K
+CLOCK_GRANULARITY_MS = 0.001  # G: one emulated microsecond
 MAX_RETRANSMITS = 5
+#: Fast retransmit (RFC 5681 section 3.2): the sender resends the segment at
+#: the cumulative ACK on this many duplicate ACKs, then on each partial ACK
+#: until the data sent before it is acknowledged (RFC 6582 NewReno).
+DUP_ACK_THRESHOLD = 3
 
 #: Extra emulated time past the last scheduled emission for which clock
 #: resync samples are generated; later events reuse the final sample.
@@ -413,6 +424,12 @@ class _ReceiveBuffer:
             return self._ends[0]
         return 0
 
+    def out_of_order(self, seq: int) -> bool:
+        """Whether a segment at ``seq`` lands above the cumulative point or
+        while a gap remains below data already received."""
+        cum = self.cumulative()
+        return seq > cum or (bool(self._ends) and self._ends[-1] > cum)
+
 
 class _AckBook:
     """The sender's outstanding segments: segment end -> (emission time,
@@ -500,8 +517,17 @@ class _Simulation:
         self._sender_cum_ack = 0
         self._outstanding = _AckBook()
         self._srtt_ms: float | None = None
+        self._rttvar_ms = 0.0
+        self._rto_ms = INITIAL_TIMEOUT_MS
+        self._originals: dict[int, TruthPacket] = {}  # seq -> segment as first sent
+        self._sent_end = 0     # end of the highest segment sent
+        self._dup_acks = 0
+        # NewReno: _sent_end when fast retransmit last began; in recovery
+        # while the cumulative ACK is below it
+        self._recover = 0
 
         base = self.scenario
+        self._retransmit = base.retransmit
         self._base_up_us = base.base_owd_up * 1000.0
         self._base_down_us = base.base_owd_down * 1000.0
         self._added_us = base.added_owd * 1000.0
@@ -563,7 +589,7 @@ class _Simulation:
     # -- uplink path ------------------------------------------------------
 
     def _emit_uplink(self, t_us: float, pkt: TruthPacket) -> None:
-        if self.scenario.retransmit and pkt.proto is STREAM and pkt.payload_len > 0:
+        if self._retransmit and pkt.proto is STREAM and pkt.payload_len > 0:
             self._arm_retransmit(t_us, pkt)
         self._send_up(t_us, pkt)
 
@@ -604,6 +630,9 @@ class _Simulation:
     # -- receiver ---------------------------------------------------------
 
     def _receive_segment(self, t_us: float, pkt: TruthPacket) -> None:
+        # with retransmission, a segment out of order is acknowledged at once
+        # (RFC 5681 section 4.2), so that the sender sees duplicate ACKs
+        ack_now = self._retransmit and self._rx.out_of_order(pkt.seq)
         self._rx.add(pkt.seq, pkt.seq + pkt.payload_len)
         if (pkt.end_of_frame and pkt.frame_idx is not None
                 and pkt.frame_idx not in self._frames_enqueued):
@@ -617,7 +646,7 @@ class _Simulation:
             _, frame_idx = heapq.heappop(waiting)
             self._start_processing(t_us, frame_idx)
         self._ack_pending += 1
-        if self._ack_pending >= ACK_EVERY_SEGMENTS or pkt.end_of_frame:
+        if ack_now or self._ack_pending >= ACK_EVERY_SEGMENTS or pkt.end_of_frame:
             self._flush_ack(t_us)
         elif self._ack_deadline is None:
             self._ack_deadline = t_us + DELAYED_ACK_MS * 1000.0
@@ -667,38 +696,63 @@ class _Simulation:
     def _arrive_ue(self, t_us: float, pkt: TruthPacket) -> None:
         pkt.t_ue_us = self._stamp(_UE, t_us, pkt)
         pkt.delivered = True
-        if pkt.proto is STREAM and pkt.payload_len == 0 and pkt.ack > 0:
+        if self._retransmit and pkt.proto is STREAM and pkt.payload_len == 0:
             self._sender_sees_ack(t_us, pkt.ack)
 
     # -- sender retransmission (Scenario.retransmit only) ------------------
 
     def _arm_retransmit(self, t_us: float, pkt: TruthPacket) -> None:
         # only originals come here, and each ends past every earlier one
-        self._outstanding.arm(pkt.seq + pkt.payload_len, t_us, False)
-        timeout = self._srtt_ms or INITIAL_TIMEOUT_MS
-        self._schedule(t_us + timeout * 1000.0, self._retransmit_check, pkt, 1)
+        end = pkt.seq + pkt.payload_len
+        self._outstanding.arm(end, t_us, False)
+        self._originals[pkt.seq] = pkt
+        self._sent_end = end
+        self._schedule(t_us + self._rto_ms * 1000.0, self._retransmit_check, pkt, 1)
 
     def _retransmit_check(self, t_us: float, pkt: TruthPacket, attempt: int) -> None:
-        end = pkt.seq + pkt.payload_len
-        if self._sender_cum_ack >= end or attempt > MAX_RETRANSMITS:
+        if self._sender_cum_ack >= pkt.seq + pkt.payload_len or attempt > MAX_RETRANSMITS:
             return
+        self._resend(t_us, pkt)
+        timeout = self._rto_ms * (2 ** attempt)
+        self._schedule(t_us + timeout * 1000.0, self._retransmit_check, pkt, attempt + 1)
+
+    def _resend(self, t_us: float, pkt: TruthPacket) -> None:
         clone = TruthPacket(pid=self._new_pid(), flow=pkt.flow, dir=pkt.dir, proto=pkt.proto,
                             seq=pkt.seq, payload_len=pkt.payload_len, marker=pkt.marker,
                             frame_idx=pkt.frame_idx, end_of_frame=pkt.end_of_frame,
                             retransmission=True)
-        self._outstanding.arm(end, t_us, True)
+        self._outstanding.arm(pkt.seq + pkt.payload_len, t_us, True)
         self._send_up(t_us, clone)
-        timeout = (self._srtt_ms or INITIAL_TIMEOUT_MS) * (2 ** attempt)
-        self._schedule(t_us + timeout * 1000.0, self._retransmit_check, pkt, attempt + 1)
 
     def _sender_sees_ack(self, t_us: float, ack: int) -> None:
-        self._sender_cum_ack = max(self._sender_cum_ack, ack)
-        for emitted_at, retransmitted in self._outstanding.pop_acked(ack):
-            if retransmitted:
-                continue  # Karn: no timing from retransmitted ranges
-            sample_ms = (t_us - emitted_at) / 1000.0
-            prev = self._srtt_ms
-            self._srtt_ms = sample_ms if prev is None else (1 - SRTT_GAIN) * prev + SRTT_GAIN * sample_ms
+        if ack > self._sender_cum_ack:
+            self._sender_cum_ack = ack
+            self._dup_acks = 0
+            for emitted_at, retransmitted in self._outstanding.pop_acked(ack):
+                if not retransmitted:  # Karn: no timing from retransmitted ranges
+                    self._rtt_sample((t_us - emitted_at) / 1000.0)
+            if ack < self._recover:  # partial ACK in recovery: resend the next hole
+                self._resend(t_us, self._originals[ack])
+        elif ack == self._sender_cum_ack and ack < self._sent_end:
+            self._dup_acks += 1
+            # NewReno: no second fast retransmit until the data sent before
+            # the first is acknowledged
+            if self._dup_acks == DUP_ACK_THRESHOLD and ack >= self._recover:
+                self._recover = self._sent_end
+                self._resend(t_us, self._originals[ack])
+
+    def _rtt_sample(self, sample_ms: float) -> None:
+        """RFC 6298 section 2: fold one RTT sample into SRTT, RTTVAR and the
+        timeout."""
+        srtt = self._srtt_ms
+        if srtt is None:
+            srtt, rttvar = sample_ms, sample_ms / 2.0
+        else:
+            rttvar = (1 - RTTVAR_GAIN) * self._rttvar_ms + RTTVAR_GAIN * abs(srtt - sample_ms)
+            srtt = (1 - SRTT_GAIN) * srtt + SRTT_GAIN * sample_ms
+        self._srtt_ms, self._rttvar_ms = srtt, rttvar
+        self._rto_ms = max(MIN_TIMEOUT_MS,
+                           srtt + max(CLOCK_GRANULARITY_MS, RTTVAR_FACTOR * rttvar))
 
     # -- assembly ---------------------------------------------------------
 

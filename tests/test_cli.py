@@ -383,6 +383,20 @@ class TestAnalyze:
         for name in ("samples.ndjson", "report.csv", "report.ndjson"):
             assert not (capture_dir / name).exists()
 
+    @pytest.mark.parametrize("match", ["pid", "seq"])
+    def test_taps_disagreeing_on_the_stream_flow_is_an_error(self, tmp_path, capsys, match):
+        # each tap alone is valid: app.ndjson carries the stream as flow 2
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(GOLDEN / "default.ini"), "--out", str(out)]) == 0
+        app = out / "app.ndjson"
+        app.write_text(app.read_text().replace('"flow":1,', '"flow":2,'))
+        capsys.readouterr()
+        assert main(["analyze", "--in", str(out), "--match", match]) == 1
+        assert one_line_error(capsys) == (
+            f"error: {app}: stream flow 2 at tap APP (flow 1 at tap UE)\n")
+        for name in ("samples.ndjson", "report.csv", "report.ndjson"):
+            assert not (out / name).exists()
+
     def test_percentile_rows_follow_reliability_p(self, capture_dir):
         assert main(["analyze", "--in", str(capture_dir), "--reliability-p", "0.5"]) == 0
         report = {r["metric"]: r["value"] for r in read_csv(capture_dir / "report.csv")

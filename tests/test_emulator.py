@@ -536,6 +536,17 @@ def old_sorted_scan(book: dict, srtt, t_us: float, ack: int):
     return srtt
 
 
+def rfc6298(srtt, rttvar, sample_ms):
+    """RFC 6298 section 2, written out with alpha = 1/8, beta = 1/4, K = 4,
+    G = 1 us and a 200 ms floor: (SRTT, RTTVAR, RTO) after one sample."""
+    if srtt is None:
+        srtt, rttvar = sample_ms, sample_ms / 2
+    else:
+        rttvar = 0.75 * rttvar + 0.25 * abs(srtt - sample_ms)
+        srtt = 0.875 * srtt + 0.125 * sample_ms
+    return srtt, rttvar, max(200.0, srtt + max(0.001, 4 * rttvar))
+
+
 class TestAckBook:
     # (end, emission time us, retransmitted), armed out of order; end 2800
     # is armed again by its retransmission.
@@ -559,11 +570,196 @@ class TestAckBook:
             sim._outstanding.arm(end, t_us, rtx)
             reference[end] = (t_us, rtx)
         srtt = None
+        state = (None, 0.0, emulator.INITIAL_TIMEOUT_MS)  # RFC 6298 (SRTT, RTTVAR, RTO)
         for t_us, ack in self.ACKS:
+            timed = sorted((end, t) for end, (t, rtx) in reference.items() if end <= ack and not rtx)
             sim._sender_sees_ack(t_us, ack)
             srtt = old_sorted_scan(reference, srtt, t_us, ack)
-            assert sim._srtt_ms == srtt
+            for _, emitted_at in timed:
+                state = rfc6298(state[0], state[1], (t_us - emitted_at) / 1000.0)
+            assert state[0] == sim._srtt_ms == srtt
+            assert (sim._rttvar_ms, sim._rto_ms) == state[1:]
         assert srtt is not None and not reference
+
+
+def stream_segment(pid, seq, length=1400):
+    return emulator.TruthPacket(pid, VIDEO_FLOW, Direction.UPLINK, Proto.STREAM, seq, length)
+
+
+def resent_seqs(sim) -> list[int]:
+    return [p.seq for p in sim.truth.packets if p.retransmission]
+
+
+class TestSender:
+    def test_rto_follows_rfc6298_with_its_floor(self):
+        sim = emulator._Simulation(video_run(retransmit=True))
+        assert sim._rto_ms == emulator.INITIAL_TIMEOUT_MS
+        srtt = rttvar = None
+        # small samples put the formula under the 200 ms floor, large and
+        # spread ones above it
+        samples = [12.5, 30.0, 18.25, 400.0, 650.0, 90.0, 12.0, 12.0, 12.0, 12.0]
+        floored = 0
+        for sample in samples:
+            sim._rtt_sample(sample)
+            srtt, rttvar, rto = rfc6298(srtt, rttvar, sample)
+            assert (sim._srtt_ms, sim._rttvar_ms, sim._rto_ms) == (srtt, rttvar, rto)
+            floored += rto == 200.0
+        assert 0 < floored < len(samples)
+
+    def test_karn_skips_retransmitted_ranges(self):
+        sim = emulator._Simulation(video_run(retransmit=True))
+        sim._outstanding.arm(1400, 0.0, False)
+        sim._outstanding.arm(2800, 6_000.0, True)
+        sim._sender_sees_ack(10_000.0, 2800)
+        assert (sim._srtt_ms, sim._rttvar_ms) == (10.0, 5.0)
+        # an ACK of retransmitted ranges alone gives no sample
+        sim._outstanding.arm(4200, 20_000.0, True)
+        sim._sender_sees_ack(90_000.0, 4200)
+        assert (sim._srtt_ms, sim._rttvar_ms) == (10.0, 5.0)
+
+    @pytest.fixture
+    def sender(self):
+        """A sender that has sent six 1400-byte segments, none acknowledged."""
+        sim = emulator._Simulation(video_run(retransmit=True))
+        for i in range(6):
+            sim._emit_uplink(float(i), stream_segment(i, i * 1400))
+        return sim
+
+    def test_third_duplicate_ack_resends_the_segment_at_the_ack(self, sender):
+        sender._sender_sees_ack(20_000.0, 1400)
+        for n in range(1, 6):
+            sender._sender_sees_ack(20_000.0 + n, 1400)
+            assert resent_seqs(sender) == ([1400] if n >= emulator.DUP_ACK_THRESHOLD else [])
+        [copy] = [p for p in sender.truth.packets if p.retransmission]
+        assert (copy.seq, copy.payload_len, copy.flow, copy.proto) == (
+            1400, 1400, VIDEO_FLOW, Proto.STREAM)
+
+    def test_partial_ack_resends_the_next_hole(self, sender):
+        for _ in range(1 + emulator.DUP_ACK_THRESHOLD):
+            sender._sender_sees_ack(20_000.0, 1400)
+        sender._sender_sees_ack(40_000.0, 4200)   # partial: 8400 was sent
+        assert resent_seqs(sender) == [1400, 4200]
+        sender._sender_sees_ack(60_000.0, 8400)   # full: recovery ends
+        sender._sender_sees_ack(60_001.0, 8400)   # nothing outstanding
+        assert resent_seqs(sender) == [1400, 4200]
+
+    @staticmethod
+    def acks_outside_delayed_ack_policy(sim) -> int:
+        """ACKs the app sent with fewer than ACK_EVERY_SEGMENTS segments
+        pending, none of them a frame's last and none pending for
+        DELAYED_ACK_MS (perfect clocks, so stamps are true times)."""
+        truth = sim.truth.by_pid()
+        pending, first_t, eof, outside = 0, None, False, 0
+        for r in sim._records[NODES.index(Tap.APP)]:
+            if r.proto is not Proto.STREAM:
+                continue
+            if r.dir is Direction.UPLINK and r.payload_len > 0:
+                pending += 1
+                first_t = r.t_us if first_t is None else first_t
+                eof = truth[r.pid].end_of_frame
+            elif r.dir is Direction.DOWNLINK and r.payload_len == 0:
+                if not (pending >= emulator.ACK_EVERY_SEGMENTS or eof
+                        or r.t_us - first_t >= emulator.DELAYED_ACK_MS * 1000):
+                    outside += 1
+                pending, first_t, eof = 0, None, False
+        return outside
+
+    def test_retransmit_off_sends_no_early_ack_and_no_resend(self):
+        cfg = video_run(duration_s=2.0, cv=0.3, seed=4, loss_prob=0.05, jitter_std=1.0)
+        sim = emulator._Simulation(cfg)
+        result = sim.run_events()
+        assert not any(p.retransmission for p in result.truth.packets)
+        ue = [(r.seq, r.payload_len) for r in result.records[Tap.UE]
+              if r.proto is Proto.STREAM and r.dir is Direction.UPLINK and r.payload_len > 0]
+        assert len(ue) == len(set(ue))
+        assert sim._dup_acks == 0 and sim._srtt_ms is None
+        assert self.acks_outside_delayed_ack_policy(sim) == 0
+        # the check sees the immediate ACKs of the same path with retransmission
+        sim_rtx = emulator._Simulation(dataclasses.replace(
+            cfg, scenario=dataclasses.replace(cfg.scenario, retransmit=True)))
+        sim_rtx.run_events()
+        assert self.acks_outside_delayed_ack_policy(sim_rtx) > 0
+
+
+#: The benchmark's 5 s retransmission scenario (VGA MJPEG at 20 fps, 100
+#: pings, 1 ms jitter), at a given loss.
+RTX_VIDEO = """\
+[scenario]
+tech = FIVE_G
+range = EDGE
+jitter_std = 1
+loss_prob = {loss}
+retransmit = true
+
+[video]
+encoder = MJPEG
+resolution = VGA
+fps = 20
+duration_s = 5
+
+[workload]
+ping_interval_ms = 100
+ping_count = 100
+"""
+
+
+def sender_figures(truth) -> dict:
+    """From a truth log: uplink data emissions, unique byte ranges, and the
+    mean frame completion in ms. A frame completes at the latest, over its
+    data ranges, of each range's earliest app arrival; it is timed from the
+    frame's first emission."""
+    copies: dict[tuple[int, int], list] = defaultdict(list)
+    for p in truth.packets:
+        if p.dir is Direction.UPLINK and p.proto is Proto.STREAM and p.payload_len > 0:
+            copies[p.seq, p.payload_len].append(p)
+    frames: dict[int, list] = defaultdict(list)
+    for sent in copies.values():
+        if sent[0].frame_idx is not None and sent[0].marker is Marker.NONE:
+            frames[sent[0].frame_idx].append(sent)
+    completion = []
+    for ranges in frames.values():
+        first_emit = min(p.t_ue_us for sent in ranges for p in sent if not p.retransmission)
+        arrivals = [[p.t_app_us for p in sent if p.t_app_us is not None] for sent in ranges]
+        if all(arrivals):
+            completion.append((max(min(a) for a in arrivals) - first_emit) / 1000.0)
+    return {"emissions": sum(map(len, copies.values())), "ranges": len(copies),
+            "frames": len(frames), "complete": len(completion),
+            "mean_completion_ms": statistics.fmean(completion)}
+
+
+@pytest.fixture(scope="module")
+def rtx_video_figures(tmp_path_factory):
+    """sender_figures of the 5 s retransmission scenario, by (loss, seed)."""
+    root = tmp_path_factory.mktemp("rtx-video")
+    cache = {}
+
+    def figures(loss: float, seed: int) -> dict:
+        if (loss, seed) not in cache:
+            path = root / f"loss-{loss}.ini"
+            path.write_text(RTX_VIDEO.format(loss=loss))
+            cache[loss, seed] = sender_figures(run(parse_config(path).to_run(seed)).truth)
+        return cache[loss, seed]
+    return figures
+
+
+class TestSenderOnTruth:
+    SEEDS = range(1, 11)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_no_range_sent_twice_without_loss(self, rtx_video_figures, seed):
+        f = rtx_video_figures(0.0, seed)
+        assert f["emissions"] == f["ranges"]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_few_copies_at_two_percent_loss(self, rtx_video_figures, seed):
+        f = rtx_video_figures(0.02, seed)
+        assert f["emissions"] / f["ranges"] <= 1.25
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_frame_completion_within_five_times_lossless(self, rtx_video_figures, seed):
+        lossless, lossy = rtx_video_figures(0.0, seed), rtx_video_figures(0.02, seed)
+        assert lossless["complete"] == lossy["complete"] == lossy["frames"] == 100
+        assert lossy["mean_completion_ms"] <= 5 * lossless["mean_completion_ms"]
 
 
 class TestStampsShared:
