@@ -269,9 +269,13 @@ def owd_packet(ue_records: Sequence[CaptureRecord], app_records: Sequence[Captur
             out.append(r)
         return out
 
-    ue_pool = pool(ue_records)
-    app_pool = pool(app_records)
-    origin_pool, far_pool = (ue_pool, app_pool) if direction is UPLINK else (app_pool, ue_pool)
+    # the packet leaves the origin tap and reaches the far one
+    if direction is UPLINK:
+        origin_pool, far_pool = pool(ue_records), pool(app_records)
+        off_origin, off_far = _offset_us(offsets, Tap.UE), _offset_us(offsets, Tap.APP)
+    else:
+        origin_pool, far_pool = pool(app_records), pool(ue_records)
+        off_origin, off_far = _offset_us(offsets, Tap.APP), _offset_us(offsets, Tap.UE)
 
     if by_seq:
         def key(r: CaptureRecord):
@@ -284,8 +288,6 @@ def owd_packet(ue_records: Sequence[CaptureRecord], app_records: Sequence[Captur
     for r in far_pool:
         far_by_key.setdefault(key(r), r)
 
-    off_ue = _offset_us(offsets, Tap.UE)
-    off_app = _offset_us(offsets, Tap.APP)
     samples = []
     excluded = 0
     seen_keys: set = set()
@@ -298,11 +300,7 @@ def owd_packet(ue_records: Sequence[CaptureRecord], app_records: Sequence[Captur
         if far is None:
             excluded += 1
             continue
-        if direction is UPLINK:
-            delta_us = (far.t_us - off_app) - (r.t_us - off_ue)
-        else:
-            delta_us = (far.t_us - off_ue) - (r.t_us - off_app)
-        samples.append(delta_us / 1000.0)
+        samples.append(((far.t_us - off_far) - (r.t_us - off_origin)) / 1000.0)
     return SampleSet(tuple(samples), excluded)
 
 

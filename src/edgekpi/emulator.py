@@ -17,6 +17,7 @@ import json
 import math
 import random
 from bisect import bisect_left, bisect_right
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable
@@ -431,31 +432,6 @@ class _ReceiveBuffer:
         return seq > cum or (bool(self._ends) and self._ends[-1] > cum)
 
 
-class _AckBook:
-    """The sender's outstanding segments: segment end -> (emission time,
-    retransmitted), plus a min-heap holding each of those ends once so that
-    an ACK pops the ends it covers in ascending order."""
-
-    __slots__ = ("_book", "_ends")
-
-    def __init__(self):
-        self._book: dict[int, tuple[float, bool]] = {}
-        self._ends: list[int] = []
-
-    def arm(self, end: int, t_us: float, retransmitted: bool) -> None:
-        if end not in self._book:
-            heapq.heappush(self._ends, end)
-        self._book[end] = (t_us, retransmitted)
-
-    def pop_acked(self, ack: int) -> list[tuple[float, bool]]:
-        """Remove every end <= ``ack``; return their entries, lowest end first."""
-        ends, book = self._ends, self._book
-        acked = []
-        while ends and ends[0] <= ack:
-            acked.append(book.pop(heapq.heappop(ends)))
-        return acked
-
-
 class _Simulation:
     def __init__(self, run: EmulationRun):
         self.run = run
@@ -510,16 +486,20 @@ class _Simulation:
         self._rx = _ReceiveBuffer()
         self._ack_pending = 0
         self._ack_deadline: float | None = None
-        self._frames_awaiting: list[tuple[int, int]] = []  # (end seq, frame_idx) heap
-        self._frames_enqueued: set[int] = set()
+        # (end seq, frame_idx) of every frame in byte order, and the next
+        # frame to hand to processing
+        self._frame_ends: list[tuple[int, int]] = []
+        self._next_frame = 0
         self._proc_free_us = 0.0
         self._dl_seq = 0
         self._sender_cum_ack = 0
-        self._outstanding = _AckBook()
+        # The unacknowledged segments in seq order: seq -> [segment as first
+        # sent, last send time, resent]. An OrderedDict, because a plain
+        # dict's first key is found by scanning the slots freed at its front.
+        self._unacked: OrderedDict[int, list] = OrderedDict()
         self._srtt_ms: float | None = None
         self._rttvar_ms = 0.0
         self._rto_ms = INITIAL_TIMEOUT_MS
-        self._originals: dict[int, TruthPacket] = {}  # seq -> segment as first sent
         self._sent_end = 0     # end of the highest segment sent
         self._dup_acks = 0
         # NewReno: _sent_end when fast retransmit last began; in recovery
@@ -634,17 +614,14 @@ class _Simulation:
         # (RFC 5681 section 4.2), so that the sender sees duplicate ACKs
         ack_now = self._retransmit and self._rx.out_of_order(pkt.seq)
         self._rx.add(pkt.seq, pkt.seq + pkt.payload_len)
-        if (pkt.end_of_frame and pkt.frame_idx is not None
-                and pkt.frame_idx not in self._frames_enqueued):
-            # retransmissions can deliver the closing segment twice; the
-            # frame is still processed once
-            self._frames_enqueued.add(pkt.frame_idx)
-            heapq.heappush(self._frames_awaiting, (pkt.seq + pkt.payload_len, pkt.frame_idx))
+        # a frame starts once the cumulative point passes its last byte, so
+        # in byte order and once, however many copies of it arrive
         cum = self._rx.cumulative()
-        waiting = self._frames_awaiting
-        while waiting and waiting[0][0] <= cum:
-            _, frame_idx = heapq.heappop(waiting)
-            self._start_processing(t_us, frame_idx)
+        frames, i = self._frame_ends, self._next_frame
+        while i < len(frames) and frames[i][0] <= cum:
+            self._start_processing(t_us, frames[i][1])
+            i += 1
+        self._next_frame = i
         self._ack_pending += 1
         if ack_now or self._ack_pending >= ACK_EVERY_SEGMENTS or pkt.end_of_frame:
             self._flush_ack(t_us)
@@ -702,44 +679,52 @@ class _Simulation:
     # -- sender retransmission (Scenario.retransmit only) ------------------
 
     def _arm_retransmit(self, t_us: float, pkt: TruthPacket) -> None:
-        # only originals come here, and each ends past every earlier one
-        end = pkt.seq + pkt.payload_len
-        self._outstanding.arm(end, t_us, False)
-        self._originals[pkt.seq] = pkt
-        self._sent_end = end
+        # only originals come here, in ascending seq, so the book stays in
+        # seq order
+        self._unacked[pkt.seq] = [pkt, t_us, False]
+        self._sent_end = pkt.seq + pkt.payload_len
         self._schedule(t_us + self._rto_ms * 1000.0, self._retransmit_check, pkt, 1)
 
     def _retransmit_check(self, t_us: float, pkt: TruthPacket, attempt: int) -> None:
         if self._sender_cum_ack >= pkt.seq + pkt.payload_len or attempt > MAX_RETRANSMITS:
             return
-        self._resend(t_us, pkt)
+        self._resend(t_us, pkt.seq)
         timeout = self._rto_ms * (2 ** attempt)
         self._schedule(t_us + timeout * 1000.0, self._retransmit_check, pkt, attempt + 1)
 
-    def _resend(self, t_us: float, pkt: TruthPacket) -> None:
+    def _resend(self, t_us: float, seq: int) -> None:
+        """Send again the unacknowledged segment at ``seq``; its book entry
+        keeps its place and records the resend."""
+        entry = self._unacked[seq]
+        pkt = entry[0]
+        entry[1], entry[2] = t_us, True
         clone = TruthPacket(pid=self._new_pid(), flow=pkt.flow, dir=pkt.dir, proto=pkt.proto,
-                            seq=pkt.seq, payload_len=pkt.payload_len, marker=pkt.marker,
+                            seq=seq, payload_len=pkt.payload_len, marker=pkt.marker,
                             frame_idx=pkt.frame_idx, end_of_frame=pkt.end_of_frame,
                             retransmission=True)
-        self._outstanding.arm(pkt.seq + pkt.payload_len, t_us, True)
         self._send_up(t_us, clone)
 
     def _sender_sees_ack(self, t_us: float, ack: int) -> None:
         if ack > self._sender_cum_ack:
             self._sender_cum_ack = ack
             self._dup_acks = 0
-            for emitted_at, retransmitted in self._outstanding.pop_acked(ack):
-                if not retransmitted:  # Karn: no timing from retransmitted ranges
-                    self._rtt_sample((t_us - emitted_at) / 1000.0)
+            book = self._unacked
+            while book:
+                pkt, sent_at, resent = next(iter(book.values()))
+                if pkt.seq + pkt.payload_len > ack:
+                    break
+                book.popitem(last=False)
+                if not resent:  # Karn: no timing from retransmitted ranges
+                    self._rtt_sample((t_us - sent_at) / 1000.0)
             if ack < self._recover:  # partial ACK in recovery: resend the next hole
-                self._resend(t_us, self._originals[ack])
+                self._resend(t_us, ack)
         elif ack == self._sender_cum_ack and ack < self._sent_end:
             self._dup_acks += 1
             # NewReno: no second fast retransmit until the data sent before
             # the first is acknowledged
             if self._dup_acks == DUP_ACK_THRESHOLD and ack >= self._recover:
                 self._recover = self._sent_end
-                self._resend(t_us, self._originals[ack])
+                self._resend(t_us, ack)
 
     def _rtt_sample(self, sample_ms: float) -> None:
         """RFC 6298 section 2: fold one RTT sample into SRTT, RTTVAR and the
@@ -764,6 +749,8 @@ class _Simulation:
                               marker=plan.marker, frame_idx=plan.frame_idx,
                               end_of_frame=plan.end_of_frame)
             self._schedule(plan.t_us, self._emit_uplink, pkt)
+            if plan.end_of_frame:
+                self._frame_ends.append((plan.seq + plan.payload_len, plan.frame_idx))
 
     def run_events(self) -> RunResult:
         w = self.run.workload
@@ -773,15 +760,15 @@ class _Simulation:
                                   proto=CTRL, seq=0, payload_len=CTRL_PAYLOAD_BYTES)
                 self._schedule(t, self._emit_uplink, pkt)
         if w.video is not None and w.video_duration_s > 0:
-            plans = gen_video_stream(w.video, w.video_duration_s, self.run.mss, self.rng_sizes)
-            self._plan_uplink_stream(VIDEO_FLOW, plans)
+            self._plan_uplink_stream(VIDEO_FLOW, gen_video_stream(
+                w.video, w.video_duration_s, self.run.mss, self.rng_sizes))
         if w.bulk_duration_s > 0:
             offered = w.bulk_offered_mbps
             if offered is None:
                 cap = self.scenario.bandwidth_cap
                 offered = 2.0 * cap if not math.isinf(cap) else 100.0
-            plans = gen_bulk_probe(w.bulk_duration_s, self.run.mss, offered)
-            self._plan_uplink_stream(BULK_FLOW, plans)
+            self._plan_uplink_stream(BULK_FLOW, gen_bulk_probe(
+                w.bulk_duration_s, self.run.mss, offered))
 
         q, pop = self._q, heapq.heappop
         while q:

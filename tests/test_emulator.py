@@ -547,28 +547,54 @@ def rfc6298(srtt, rttvar, sample_ms):
     return srtt, rttvar, max(200.0, srtt + max(0.001, 4 * rttvar))
 
 
-class TestAckBook:
-    # (end, emission time us, retransmitted), armed out of order; end 2800
-    # is armed again by its retransmission.
-    ARMS = [(4200, 1_000.0, False), (1400, 1_300.0, False), (2800, 1_700.0, False),
-            (5600, 2_100.0, False), (7000, 2_350.0, False), (2800, 9_900.0, True)]
-    ACKS = [(12_000.0, 3000), (13_100.0, 3000), (15_750.0, 5600), (19_000.0, 9000)]
+def stream_segment(pid, seq, length=1400):
+    return emulator.TruthPacket(pid, VIDEO_FLOW, Direction.UPLINK, Proto.STREAM, seq, length)
 
-    def test_pops_each_end_once_in_ascending_order(self):
-        book = emulator._AckBook()
-        for end, t_us, rtx in self.ARMS:
-            book.arm(end, t_us, rtx)
-        assert book.pop_acked(3000) == [(1_300.0, False), (9_900.0, True)]
-        assert book.pop_acked(3000) == []
-        assert book.pop_acked(9000) == [(1_000.0, False), (2_100.0, False), (2_350.0, False)]
-        assert book.pop_acked(10**9) == []
+
+def resent_seqs(sim) -> list[int]:
+    return [p.seq for p in sim.truth.packets if p.retransmission]
+
+
+class TestAckBook:
+    """The sender's book of unacknowledged segments, armed on the send path:
+    originals in ascending seq through ``_emit_uplink``, resends through
+    ``_resend``."""
+
+    # (seq, length, emission time us) of the originals, then (seq, time us)
+    # of a resend: the segment ending at 2800 is sent again
+    SENDS = [(0, 1400, 1_000.0), (1400, 1400, 1_300.0), (2800, 1400, 1_700.0),
+             (4200, 1400, 2_100.0), (5600, 1400, 2_350.0)]
+    RESEND = (1400, 9_900.0)
+    ACKS = [(12_000.0, 2800), (13_100.0, 2800), (15_750.0, 5600), (19_000.0, 7000)]
+
+    def sender(self):
+        sim = emulator._Simulation(video_run(retransmit=True, loss_prob=0.02))
+        for pid, (seq, length, t_us) in enumerate(self.SENDS):
+            sim._emit_uplink(t_us, stream_segment(pid, seq, length))
+        seq, t_us = self.RESEND
+        sim._resend(t_us, seq)
+        return sim
+
+    def test_pops_each_end_once_in_ascending_order(self, monkeypatch):
+        sim = self.sender()
+        samples = []
+        monkeypatch.setattr(sim, "_rtt_sample", samples.append)
+        sim._sender_sees_ack(12_000.0, 2800)
+        # seq 0 is timed; seq 1400 was resent, so Karn's rule skips it
+        assert samples == [11.0] and list(sim._unacked) == [2800, 4200, 5600]
+        sim._sender_sees_ack(13_100.0, 2800)
+        assert samples == [11.0] and list(sim._unacked) == [2800, 4200, 5600]
+        sim._sender_sees_ack(15_750.0, 7000)
+        assert samples == [11.0, 14.05, 13.65, 13.4] and not sim._unacked
+        sim._sender_sees_ack(19_000.0, 7000)
+        assert samples == [11.0, 14.05, 13.65, 13.4]
 
     def test_srtt_equals_sorted_scan(self):
-        sim = emulator._Simulation(video_run(retransmit=True, loss_prob=0.02))
-        reference: dict[int, tuple[float, bool]] = {}
-        for end, t_us, rtx in self.ARMS:
-            sim._outstanding.arm(end, t_us, rtx)
-            reference[end] = (t_us, rtx)
+        sim = self.sender()
+        # segment end -> (last send time, resent), as the old sorted scan kept it
+        reference = {seq + length: (t_us, False) for seq, length, t_us in self.SENDS}
+        seq, t_us = self.RESEND
+        reference[seq + 1400] = (t_us, True)
         srtt = None
         state = (None, 0.0, emulator.INITIAL_TIMEOUT_MS)  # RFC 6298 (SRTT, RTTVAR, RTO)
         for t_us, ack in self.ACKS:
@@ -579,15 +605,45 @@ class TestAckBook:
                 state = rfc6298(state[0], state[1], (t_us - emitted_at) / 1000.0)
             assert state[0] == sim._srtt_ms == srtt
             assert (sim._rttvar_ms, sim._rto_ms) == state[1:]
-        assert srtt is not None and not reference
+        assert srtt is not None and not reference and not sim._unacked
 
+    def test_resend_updates_its_entry_in_place(self):
+        sim = emulator._Simulation(video_run(retransmit=True))
+        originals = [stream_segment(i, i * 1400) for i in range(4)]
+        for i, pkt in enumerate(originals):
+            sim._emit_uplink(float(i), pkt)
+        sim._resend(50_000.0, 0)
+        sim._resend(60_000.0, 2800)
+        assert list(sim._unacked) == [0, 1400, 2800, 4200]
+        assert [entry[0] for entry in sim._unacked.values()] == originals
+        assert [entry[1:] for entry in sim._unacked.values()] == [
+            [50_000.0, True], [1.0, False], [60_000.0, True], [3.0, False]]
 
-def stream_segment(pid, seq, length=1400):
-    return emulator.TruthPacket(pid, VIDEO_FLOW, Direction.UPLINK, Proto.STREAM, seq, length)
+    def test_holds_exactly_the_unacknowledged_seqs_mid_run(self, monkeypatch):
+        cfg = video_run(duration_s=0.5, cv=0.3, seed=6, loss_prob=0.05, jitter_std=1.0,
+                        retransmit=True)
+        sim = emulator._Simulation(cfg)
+        sees_ack = emulator._Simulation._sender_sees_ack
+        checked = []
 
+        def spy(t_us, ack):
+            sees_ack(sim, t_us, ack)
+            unacked = [p.seq for p in sim.truth.packets
+                       if p.dir is Direction.UPLINK and p.proto is Proto.STREAM
+                       and not p.retransmission and p.seq + p.payload_len > sim._sender_cum_ack]
+            assert list(sim._unacked) == unacked
+            checked.append(len(unacked))
 
-def resent_seqs(sim) -> list[int]:
-    return [p.seq for p in sim.truth.packets if p.retransmission]
+        monkeypatch.setattr(sim, "_sender_sees_ack", spy)
+        result = sim.run_events()
+        assert any(p.retransmission for p in result.truth.packets)
+        assert max(checked) > 0 and checked[-1] == 0
+
+    def test_empty_after_a_lossless_run(self):
+        sim = emulator._Simulation(video_run(duration_s=0.5, jitter_std=1.0, retransmit=True))
+        result = sim.run_events()
+        assert not any(p.retransmission for p in result.truth.packets)
+        assert sim._sender_cum_ack == sim._sent_end > 0 and not sim._unacked
 
 
 class TestSender:
@@ -608,12 +664,14 @@ class TestSender:
 
     def test_karn_skips_retransmitted_ranges(self):
         sim = emulator._Simulation(video_run(retransmit=True))
-        sim._outstanding.arm(1400, 0.0, False)
-        sim._outstanding.arm(2800, 6_000.0, True)
+        sim._emit_uplink(0.0, stream_segment(0, 0))
+        sim._emit_uplink(1_000.0, stream_segment(1, 1400))
+        sim._resend(6_000.0, 1400)
         sim._sender_sees_ack(10_000.0, 2800)
         assert (sim._srtt_ms, sim._rttvar_ms) == (10.0, 5.0)
         # an ACK of retransmitted ranges alone gives no sample
-        sim._outstanding.arm(4200, 20_000.0, True)
+        sim._emit_uplink(15_000.0, stream_segment(2, 2800))
+        sim._resend(20_000.0, 2800)
         sim._sender_sees_ack(90_000.0, 4200)
         assert (sim._srtt_ms, sim._rttvar_ms) == (10.0, 5.0)
 

@@ -42,6 +42,10 @@ CASES = {
         ["simulate", "--config", "{golden}/retransmit.ini", "--seed", "3", "--out", "{out}"],
         ["analyze", "--in", "{out}"],
     ],
+    "retransmit4g": [
+        ["simulate", "--config", "{golden}/retransmit4g.ini", "--seed", "1", "--out", "{out}"],
+        ["analyze", "--in", "{out}"],
+    ],
 }
 
 
