@@ -30,6 +30,15 @@ from .model import (
 )
 
 
+#: The round-trip latency classes: ping RTT, per-segment stream RTT and
+#: per-frame service latency, all timed at the UE tap.
+LATENCY_CLASSES = ("CTRL", "STREAM-packet", "STREAM-frame")
+#: Every sample class an analysis yields, in the order the samples file and
+#: the report write them: the latency classes, then the clock-corrected
+#: one-way delays of uplink packets, uplink frames and downlink commands.
+SAMPLE_CLASSES = (*LATENCY_CLASSES, "OWD-packet", "OWD-frame", "OWD-command")
+
+
 class MatchMode(Enum):
     BY_PID = "BY_PID"
     BY_SEQ = "BY_SEQ"
@@ -255,7 +264,8 @@ def owd_packet(ue_records: Sequence[CaptureRecord], app_records: Sequence[Captur
 
     ``offsets`` maps node to its estimated clock offset in ms. BY_SEQ matching
     (the fallback for captures without shared packet ids) keys on
-    (flow, seq, payload_len) and therefore only considers stream segments.
+    (seq, payload_len) and therefore only considers stream segments; a
+    capture carries one stream flow, so the flow would separate nothing.
     """
     by_seq = match_mode is MatchMode.BY_SEQ
 
@@ -279,7 +289,7 @@ def owd_packet(ue_records: Sequence[CaptureRecord], app_records: Sequence[Captur
 
     if by_seq:
         def key(r: CaptureRecord):
-            return (r.flow, r.seq, r.payload_len)
+            return (r.seq, r.payload_len)
     else:
         def key(r: CaptureRecord):
             return r.pid
@@ -386,14 +396,10 @@ def offered_rate_mbps(ue_records: Sequence[CaptureRecord]) -> float | None:
 
 @dataclass
 class AnalysisResult:
-    """Raw sample sets extracted from one capture set."""
+    """Raw sample sets extracted from one capture set; ``samples`` holds one
+    set per name of ``SAMPLE_CLASSES``, in that order."""
 
-    ctrl_rtt: SampleSet
-    stream_rtt: SampleSet
-    frame_latency: SampleSet
-    owd_packet_up: SampleSet
-    owd_frame_up: SampleSet
-    owd_command_down: SampleSet
+    samples: dict[str, SampleSet]
     offsets: dict[Tap, OffsetEstimate] | None
     sent_uplink: int
     delivered_uplink: int
@@ -440,12 +446,7 @@ def analyze_captures(ue_records: Sequence[CaptureRecord],
                     if r.dir is UPLINK and r.payload_len > 0 and r.pid in delivered_pids)
 
     return AnalysisResult(
-        ctrl_rtt=ctrl,
-        stream_rtt=stream,
-        frame_latency=flat,
-        owd_packet_up=powd,
-        owd_frame_up=fowd,
-        owd_command_down=cmd_owd,
+        samples=dict(zip(SAMPLE_CLASSES, (ctrl, stream, flat, powd, fowd, cmd_owd), strict=True)),
         offsets=offsets_est,
         sent_uplink=sent,
         delivered_uplink=delivered,

@@ -189,19 +189,12 @@ def cmd_simulate(args) -> int:
 
 
 def _write_samples(path: Path, analysis) -> None:
-    classes = (
-        ("CTRL", analysis.ctrl_rtt),
-        ("STREAM-packet", analysis.stream_rtt),
-        ("STREAM-frame", analysis.frame_latency),
-        ("OWD-packet", analysis.owd_packet_up),
-        ("OWD-frame", analysis.owd_frame_up),
-        ("OWD-command", analysis.owd_command_down),
-    )
+    """One line per sample, class by class in ``analysis.samples`` order."""
     # The bytes json.dumps(..., separators=(",", ":")) gives: a sample is a
     # finite float, which it prints with float.__repr__.
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(f'{{"class":"{name}","idx":{idx},"value_ms":{value!r}}}\n'
-                      for name, sample_set in classes
+                      for name, sample_set in analysis.samples.items()
                       for idx, value in enumerate(sample_set.values_ms))
 
 

@@ -15,12 +15,13 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .analyzer import AnalysisResult, InsufficientDataError, SampleSet, srtt
-from .model import NODES, check_finite
+from .analyzer import AnalysisResult, InsufficientDataError, LATENCY_CLASSES, SampleSet, srtt
+from .model import DEFAULT_BANDWIDTH_CAP_MBPS, NODES, check_finite
 
 
-#: Default bandwidth caps (Mbit/s) a demand figure is judged against.
-DEFAULT_CAPS_MBPS = (54.6, 32.2)
+#: Default bandwidth caps (Mbit/s) a demand figure is judged against: each
+#: technology's default cap.
+DEFAULT_CAPS_MBPS = tuple(DEFAULT_BANDWIDTH_CAP_MBPS.values())
 
 
 @dataclass(frozen=True)
@@ -201,12 +202,6 @@ def improvement_pct(baseline_ms: float, value_ms: float) -> float:
 
 # -- report assembly --------------------------------------------------------
 
-#: Traffic classes a report covers, in emission order.
-CLASS_CTRL = "CTRL"
-CLASS_STREAM_PACKET = "STREAM-packet"
-CLASS_STREAM_FRAME = "STREAM-frame"
-LATENCY_CLASSES = (CLASS_CTRL, CLASS_STREAM_PACKET, CLASS_STREAM_FRAME)
-
 
 @dataclass(frozen=True)
 class ClassStats:
@@ -244,20 +239,22 @@ class ReportOptions:
             raise ValueError("distances_m must be >= 0")
         if not 0.0 < self.reliability_percentile <= 1.0:
             raise ValueError("reliability_percentile must be in (0, 1]")
+        if self.reliability_bound_ms is not None and self.reliability_bound_ms < 0:
+            raise ValueError("reliability_bound_ms must be >= 0")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
 
 
 @dataclass
 class KpiReport:
-    """Complete KPI suite for one capture set; absent classes are None and
-    listed in ``absent``. ``error_budget`` is the clock-error budget of the
-    run's NTP trace, None when the one-way delays are uncorrected."""
+    """Complete KPI suite for one capture set. ``classes`` summarises every
+    sample class but OWD-command, in ``SAMPLE_CLASSES`` order; a class without
+    samples is None, and the latency classes among those are listed in
+    ``absent``. ``error_budget`` is the clock-error budget of the run's NTP
+    trace, None when the one-way delays are uncorrected."""
 
     options: ReportOptions
     classes: dict[str, ClassStats | None]
-    owd_packet: ClassStats | None
-    owd_frame: ClassStats | None
     error_budget: ErrorBudget | None
     owd_command_measured_ms: float | None
     availability_pct: float | None
@@ -303,16 +300,12 @@ def build_report(analysis: AnalysisResult, options: ReportOptions | None = None)
     if analysis.offsets:
         budget = propagate_error(*(analysis.offsets[node].std_ms for node in NODES))
 
-    classes = {
-        CLASS_CTRL: _class_stats(analysis.ctrl_rtt, opts.alpha),
-        CLASS_STREAM_PACKET: _class_stats(analysis.stream_rtt, opts.alpha),
-        CLASS_STREAM_FRAME: _class_stats(analysis.frame_latency, opts.alpha),
-    }
-    absent = tuple(name for name, stats in classes.items() if stats is None)
+    classes = {name: _class_stats(samples, opts.alpha if name in LATENCY_CLASSES else None)
+               for name, samples in analysis.samples.items() if name != "OWD-command"}
+    absent = tuple(name for name in LATENCY_CLASSES if classes[name] is None)
 
-    owd_pkt = _class_stats(analysis.owd_packet_up)
-    owd_frm = _class_stats(analysis.owd_frame_up)
-    cmd_vals = analysis.owd_command_down.values_ms
+    owd_frm = classes["OWD-frame"]
+    cmd_vals = analysis.samples["OWD-command"].values_ms
     cmd_owd = statistics.fmean(cmd_vals) if cmd_vals else None
 
     avail = None
@@ -325,7 +318,7 @@ def build_report(analysis: AnalysisResult, options: ReportOptions | None = None)
     srt_p = None
     vel = None
     if owd_frm is not None:
-        frame_vals = analysis.owd_frame_up.values_ms
+        frame_vals = analysis.samples["OWD-frame"].values_ms
         lat_p = latency_at(frame_vals, opts.reliability_percentile)
         if min(owd_frm.mean_ms, lat_p) < 0:
             raise InsufficientDataError(
@@ -347,8 +340,6 @@ def build_report(analysis: AnalysisResult, options: ReportOptions | None = None)
     return KpiReport(
         options=opts,
         classes=classes,
-        owd_packet=owd_pkt,
-        owd_frame=owd_frm,
         error_budget=budget,
         owd_command_measured_ms=cmd_owd,
         availability_pct=avail,
@@ -385,30 +376,25 @@ def report_rows(report: KpiReport) -> list[dict]:
             "unit": unit, "sigma": sigma if sigma is not None else "",
         })
 
-    for cls in LATENCY_CLASSES:
-        stats = report.classes.get(cls)
-        if stats is None:
-            add(cls, "latency", None, "ms")
-            continue
-        add(cls, "count", stats.count, "packets")
-        add(cls, "excluded", stats.excluded, "packets")
-        add(cls, "mean", round(stats.mean_ms, 6), "ms")
-        add(cls, "median", round(stats.median_ms, 6), "ms")
-        add(cls, "p95", round(stats.p95_ms, 6), "ms")
-        add(cls, "srtt_final", round(stats.srtt_final_ms, 6), "ms")
-
+    # A latency class writes its exclusions and final SRTT; a one-way delay
+    # class writes the run's clock-error budget instead.
     budget = report.error_budget
     sigma = round(budget.quadrature_ms, 6) if budget is not None else None
-    for name, owd in (("OWD-packet", report.owd_packet), ("OWD-frame", report.owd_frame)):
-        if owd is None:
-            add(name, "owd_up", None, "ms")
+    for cls, stats in report.classes.items():
+        latency = cls in LATENCY_CLASSES
+        if stats is None:
+            add(cls, "latency" if latency else "owd_up", None, "ms")
             continue
-        add(name, "count", owd.count, "packets")
-        add(name, "mean", round(owd.mean_ms, 6), "ms", sigma=sigma)
-        add(name, "median", round(owd.median_ms, 6), "ms")
-        add(name, "p95", round(owd.p95_ms, 6), "ms")
-        if budget is not None:
-            add(name, "sigma_linear_sum", round(budget.linear_sum_ms, 6), "ms")
+        add(cls, "count", stats.count, "packets")
+        if latency:
+            add(cls, "excluded", stats.excluded, "packets")
+        add(cls, "mean", round(stats.mean_ms, 6), "ms", sigma=None if latency else sigma)
+        add(cls, "median", round(stats.median_ms, 6), "ms")
+        add(cls, "p95", round(stats.p95_ms, 6), "ms")
+        if latency:
+            add(cls, "srtt_final", round(stats.srtt_final_ms, 6), "ms")
+        elif budget is not None:
+            add(cls, "sigma_linear_sum", round(budget.linear_sum_ms, 6), "ms")
 
     if report.owd_command_measured_ms is not None:
         add("OWD-command", "mean", round(report.owd_command_measured_ms, 6), "ms")

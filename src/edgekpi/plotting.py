@@ -6,6 +6,10 @@ from __future__ import annotations
 from typing import Sequence
 
 from .kpis import BoxplotStats, Ecdf
+from .model import DEFAULT_BANDWIDTH_CAP_MBPS
+
+#: The cap lines a demand chart draws, lowest first.
+_CAPS_MBPS = tuple(sorted(DEFAULT_BANDWIDTH_CAP_MBPS.values()))
 
 _W, _H = 640, 400
 _MARGIN = 60
@@ -99,7 +103,7 @@ def render_box_svg(groups: Sequence[tuple[str, BoxplotStats]], title: str = "Lat
 
 
 def render_throughput_svg(bars: Sequence[tuple[str, float]],
-                          thresholds: Sequence[float] = (32.2, 54.6),
+                          thresholds: Sequence[float] = _CAPS_MBPS,
                           title: str = "Demanded throughput") -> str:
     """Demand bars against horizontal cap threshold lines."""
     if not bars:
@@ -183,7 +187,7 @@ def render_box_ascii(groups: Sequence[tuple[str, BoxplotStats]]) -> str:
 
 
 def render_throughput_ascii(bars: Sequence[tuple[str, float]],
-                            thresholds: Sequence[float] = (32.2, 54.6)) -> str:
+                            thresholds: Sequence[float] = _CAPS_MBPS) -> str:
     hi = max([v for _, v in bars] + list(thresholds)) * 1.1
     width = _ASCII_W
     lines = []

@@ -12,6 +12,7 @@ from edgekpi.analyzer import (
     InsufficientDataError,
     MalformedCaptureError,
     MatchMode,
+    SAMPLE_CLASSES,
     analyze_captures,
     estimate_offsets,
     frame_samples,
@@ -401,9 +402,8 @@ class TestCrossMetricInvariants:
                                base_up=0.0, base_down=0.0, jitter_std=1.0))
         a = analyze_captures(result.records[Tap.UE], result.records[Tap.CORE],
                              result.records[Tap.APP], result.ntp)
-        sample_sets = (a.ctrl_rtt, a.stream_rtt, a.frame_latency, a.owd_packet_up,
-                       a.owd_frame_up, a.owd_command_down)
-        assert len(a.ctrl_rtt) == 20 and all(sample_sets)
+        sample_sets = a.samples.values()
+        assert len(a.samples["CTRL"]) == 20 and all(sample_sets)
         for samples in sample_sets:
             assert min(samples.values_ms) >= 0.0
 
@@ -420,11 +420,12 @@ class TestAnalyzeCaptures:
         result = run(video_run(duration_s=1.0, cv=0.1, seed=30, pings=10))
         a = analyze_captures(result.records[Tap.UE], result.records[Tap.CORE],
                              result.records[Tap.APP], result.ntp)
-        assert len(a.ctrl_rtt.values_ms) == 10
-        assert len(a.frame_latency.values_ms) == 20
-        assert len(a.owd_frame_up.values_ms) == 20
-        assert a.stream_rtt.values_ms
-        assert a.owd_command_down.values_ms
+        assert tuple(a.samples) == SAMPLE_CLASSES
+        assert len(a.samples["CTRL"].values_ms) == 10
+        assert len(a.samples["STREAM-frame"].values_ms) == 20
+        assert len(a.samples["OWD-frame"].values_ms) == 20
+        assert a.samples["STREAM-packet"].values_ms
+        assert a.samples["OWD-command"].values_ms
         assert a.sent_uplink > a.delivered_uplink * 0  # counts populated
         assert a.offered_mbps is not None
         assert a.goodput_mbps is None  # no bulk flow
@@ -433,6 +434,6 @@ class TestAnalyzeCaptures:
         result = run(ping_run(count=5))
         a = analyze_captures(result.records[Tap.UE], result.records[Tap.CORE],
                              result.records[Tap.APP], result.ntp)
-        assert len(a.ctrl_rtt.values_ms) == 5
-        assert a.frame_latency.values_ms == ()
-        assert a.stream_rtt.values_ms == ()
+        assert len(a.samples["CTRL"].values_ms) == 5
+        assert a.samples["STREAM-frame"].values_ms == ()
+        assert a.samples["STREAM-packet"].values_ms == ()

@@ -692,6 +692,7 @@ class TestBadAnalysisFlags:
         (["--processing-ms", "-5"], "processing_ms"),
         (["--owd-down-ms", "nan"], "owd_down_assumed_ms"),
         (["--bound-ms", "nan"], "reliability_bound_ms"),
+        (["--bound-ms", "-5"], "reliability_bound_ms"),
     ]
 
     @pytest.mark.parametrize("flags, field", FLAGS)

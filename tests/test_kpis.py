@@ -8,7 +8,7 @@ import pytest
 
 from conftest import ping_run, video_run
 from edgekpi import emulator
-from edgekpi.analyzer import InsufficientDataError, analyze_captures
+from edgekpi.analyzer import LATENCY_CLASSES, InsufficientDataError, analyze_captures
 from edgekpi.kpis import (
     CapVerdict,
     ReportOptions,
@@ -282,14 +282,14 @@ class TestBuildReport:
         analysis, report = self._report(video_run(duration_s=1.0, cv=0.1, seed=41, pings=10))
         assert report.absent == ()
         assert report.availability_pct == 100.0
-        assert report.owd_frame is not None
+        assert report.classes["OWD-frame"] is not None
         assert report.e2e_srt_at_percentile_ms is not None
         assert report.velocity_kmh and 1.0 in report.velocity_kmh
         assert report.demand is not None
 
     def test_report_fields_equal_direct_operations(self):
         analysis, report = self._report(video_run(duration_s=1.0, cv=0.1, seed=42))
-        frame_vals = analysis.owd_frame_up.values_ms
+        frame_vals = analysis.samples["OWD-frame"].values_ms
         assert report.owd_frame_at_percentile_ms == latency_at(frame_vals, 0.95)
         assert report.e2e_srt_at_percentile_ms == pytest.approx(
             e2e_srt(latency_at(frame_vals, 0.95), 20.3, 5.0))
@@ -303,7 +303,7 @@ class TestBuildReport:
         assert "STREAM-frame" in report.absent
         assert "STREAM-packet" in report.absent
         assert report.classes["CTRL"] is not None
-        assert report.owd_frame is None
+        assert report.classes["OWD-frame"] is None
         assert report.e2e_srt_at_percentile_ms is None
         rows = report_rows(report)
         empty = [r for r in rows if r["class"] == "STREAM-frame"]
@@ -339,9 +339,9 @@ class TestBuildReport:
 
     def test_final_srtt_for_latency_classes_only(self):
         _, report = self._report(video_run(duration_s=0.5, cv=0.1, seed=48, pings=5))
-        assert all(stats.srtt_final_ms is not None for stats in report.classes.values())
-        assert report.owd_packet.srtt_final_ms is None
-        assert report.owd_frame.srtt_final_ms is None
+        assert all(report.classes[cls].srtt_final_ms is not None for cls in LATENCY_CLASSES)
+        assert report.classes["OWD-packet"].srtt_final_ms is None
+        assert report.classes["OWD-frame"].srtt_final_ms is None
 
     def test_report_files_round_trip(self, tmp_path):
         _, report = self._report(video_run(duration_s=0.5, cv=0.1, seed=45))

@@ -75,7 +75,7 @@ def test_damaged_capture_ends_in_result_or_analyzer_error(ops):
     except (MalformedCaptureError, InsufficientDataError):
         return
     frames = segment_frames(reassemble(taps[Tap.UE]))
-    latency = analysis.frame_latency
+    latency = analysis.samples["STREAM-frame"]
     assert len(latency) + latency.excluded == len(frames)
     assert 0.0 <= availability(analysis.sent_uplink, analysis.delivered_uplink) <= 100.0
     try:
