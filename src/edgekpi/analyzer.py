@@ -52,7 +52,12 @@ class FrameEndpoints(Enum):
 
 
 class MalformedCaptureError(ValueError):
-    """Capture contains conflicting stream segments."""
+    """Capture contains conflicting stream segments; ``tap`` is the tap of
+    the records that conflict."""
+
+    def __init__(self, message: str, tap: Tap):
+        self.tap = tap
+        super().__init__(message)
 
 
 class InsufficientDataError(ValueError):
@@ -102,12 +107,12 @@ def reassemble(records: Sequence[CaptureRecord]) -> list[CaptureRecord]:
             if first.payload_len != rec.payload_len:
                 raise MalformedCaptureError(
                     f"stream segments at seq {rec.seq} disagree on length "
-                    f"({first.payload_len} vs {rec.payload_len})")
+                    f"({first.payload_len} vs {rec.payload_len})", rec.tap)
     segments = [by_seq[s] for s in sorted(by_seq)]
     for prev, cur in zip(segments, segments[1:]):
         if cur.seq < _end(prev):
             raise MalformedCaptureError(
-                f"stream segment [{cur.seq},{_end(cur)}) overlaps [{prev.seq},{_end(prev)})")
+                f"stream segment [{cur.seq},{_end(cur)}) overlaps [{prev.seq},{_end(prev)})", cur.tap)
     return segments
 
 

@@ -116,18 +116,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--force", action="store_true", help="overwrite existing outputs")
 
     def add_analysis_flags(p):
-        p.add_argument("--alpha", type=float, default=0.125, help="SRTT gain (0,1)")
+        p.add_argument("--alpha", type=float, default=ReportOptions.alpha, help="SRTT gain (0,1)")
         p.add_argument("--match", choices=("pid", "seq"), default="pid",
                        help="packet matching mode for OWD")
         p.add_argument("--frame-owd", choices=("first-last", "first-first"), default="first-last",
                        help="frame OWD endpoint convention")
-        p.add_argument("--processing-ms", type=float, default=20.3,
+        p.add_argument("--processing-ms", type=float, default=ReportOptions.processing_ms,
                        help="application processing time used in the response-time KPI")
-        p.add_argument("--owd-down-ms", type=float, default=5.0,
+        p.add_argument("--owd-down-ms", type=float, default=ReportOptions.owd_down_assumed_ms,
                        help="assumed downlink response OWD")
         p.add_argument("--distance-m", type=float, action="append", default=None,
                        help="reaction distance(s) for the velocity bound (repeatable)")
-        p.add_argument("--reliability-p", type=float, default=0.95, help="reliability percentile")
+        p.add_argument("--reliability-p", type=float, default=ReportOptions.reliability_percentile,
+                       help="reliability percentile")
         p.add_argument("--bound-ms", type=float, default=None,
                        help="service latency bound for the reliability fraction")
 
@@ -210,7 +211,7 @@ def _analysis_options(args) -> tuple[AnalyzerConfig, ReportOptions]:
         opts = ReportOptions(
             processing_ms=args.processing_ms,
             owd_down_assumed_ms=args.owd_down_ms,
-            distances_m=tuple(args.distance_m) if args.distance_m else (1.0,),
+            distances_m=tuple(args.distance_m or ReportOptions.distances_m),
             reliability_percentile=args.reliability_p,
             reliability_bound_ms=args.bound_ms,
             alpha=args.alpha,
@@ -230,7 +231,7 @@ def _analyze_and_write(outdir: Path, records: dict[Tap, list], ntp, cfg: Analyze
                        opts: ReportOptions) -> KpiReport:
     """Validate each tap's capture, check that the taps agree on the stream
     flow, analyze them and write the samples and report files into
-    ``outdir``."""
+    ``outdir``. An error that one input file causes names that file."""
     stream_tap = stream_flow = None  # the first tap with a STREAM record, and its flow
     for tap, name in TAP_FILES.items():
         check = validate(records[tap])
@@ -246,7 +247,12 @@ def _analyze_and_write(outdir: Path, records: dict[Tap, list], ntp, cfg: Analyze
         elif flow != stream_flow:
             raise CliError(f"{outdir / name}: stream flow {flow} at tap {tap.value} "
                            f"(flow {stream_flow} at tap {stream_tap.value})")
-    analysis = analyze_captures(records[Tap.UE], records[Tap.CORE], records[Tap.APP], ntp, cfg)
+    try:
+        analysis = analyze_captures(records[Tap.UE], records[Tap.CORE], records[Tap.APP], ntp, cfg)
+    except MalformedCaptureError as exc:
+        raise CliError(f"{outdir / TAP_FILES[exc.tap]}: {exc}") from exc
+    except InsufficientDataError as exc:  # raised only by the NTP trace's offset estimate
+        raise CliError(f"{outdir / NTP_FILE}: {exc}") from exc
     report = build_report(analysis, opts)
     _write_samples(outdir / SAMPLES_FILE, analysis)
     rows = report_rows(report)
@@ -367,7 +373,7 @@ def cmd_sweep(args) -> int:
     # The scenario keys the file pinned, bar the ones each sweep scenario
     # sets; the rest take each technology's and range's defaults.
     pinned = {key: value for key, value in parsed.raw_scenario.items()
-              if key not in ("tech", "range", "added_owd")}
+              if key not in ("tech", "range")}
     runs = []
     for label, tech, range_band in SWEEP_SCENARIOS:
         scenario = Scenario(tech=tech, range=range_band, **pinned)
@@ -527,8 +533,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (CliError, ConfigError, CaptureFormatError, MalformedCaptureError,
-            InsufficientDataError, OSError) as exc:
+    except (CliError, ConfigError, CaptureFormatError, InsufficientDataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -56,8 +56,8 @@ def _syntax_error(path: str | Path, exc: configparser.Error) -> ConfigError:
     return ConfigError(f"line {lineno}: {what}", path)
 
 
-#: The parser of a float where ``inf``, ``none`` and ``unlimited`` all mean
-#: infinity.
+#: The parser of ``bandwidth_cap``: a float where ``inf``, ``none`` and
+#: ``unlimited`` all mean infinity, that is no cap.
 CAP = "cap"
 
 
@@ -71,20 +71,18 @@ KEYS: dict[str, dict] = {
     "scenario": {
         "tech": {**_names(Tech), "5G": Tech.FIVE_G, "4G": Tech.FOUR_G},
         "range": _names(RangeBand),
-        "added_owd": CAP, "base_owd_up": CAP, "base_owd_down": CAP,
-        "jitter_std": float, "loss_prob": float, "bandwidth_cap": CAP, "retransmit": bool,
+        "base_owd_up": float, "base_owd_down": float, "jitter_std": float,
+        "loss_prob": float, "bandwidth_cap": CAP, "retransmit": bool,
     },
     "clocks": dict.fromkeys(("offset_ue_ms", "offset_core_ms", "offset_app_ms", "sigma_ue_ms",
                              "sigma_core_ms", "sigma_app_ms", "resync_interval_s"), float),
     "video": {"encoder": _names(Encoder), "resolution": _names(Resolution), "fps": float,
               "mean_frame_bytes": int, "frame_size_cv": float, "duration_s": float},
     "workload": {"ping_interval_ms": float, "ping_count": int, "mss": int,
-                 "bulk_duration_s": float, "bulk_offered_mbps": CAP},
-    "processing": {"total_ms": float, "stage_blob": float, "stage_detect": float,
-                   "stage_interpret": float, "stage_command": float, "response_bytes": int},
+                 "bulk_duration_s": float, "bulk_offered_mbps": float},
+    "processing": {"total_ms": float, "response_bytes": int},
     "run": {"seed": int},
 }
-_STAGE_KEYS = ("stage_blob", "stage_detect", "stage_interpret", "stage_command")
 
 
 def _parse(kind, raw: str):
@@ -168,16 +166,9 @@ def parse_config(path: str | Path) -> ParsedConfig:
     mss = workload.pop("mss", DEFAULT_MSS)
     if mss <= 0:
         raise ConfigError("[workload] mss must be > 0")
-    if workload.get("bulk_offered_mbps") == math.inf:
-        del workload["bulk_offered_mbps"]  # the default offered rate
     duration = video.pop("duration_s", 0.0)  # > 0 turns the stream on
     if duration < 0:
         raise ConfigError("[video] duration_s must be >= 0")
-    stages = [processing.pop(key) for key in _STAGE_KEYS if key in processing]
-    if stages:
-        if len(stages) != len(_STAGE_KEYS):
-            raise ConfigError("[processing] all four stage fractions must be given together")
-        processing["stage_fractions"] = tuple(stages)
 
     return ParsedConfig(
         scenario=_build("scenario", Scenario,
@@ -202,11 +193,10 @@ def _fmt(value) -> str:
 
 def manifest_text(run: EmulationRun) -> str:
     """Render a run as config text with every default resolved."""
-    w, p = run.workload, run.processing
+    w = run.workload
     sources = {"scenario": run.scenario, "clocks": run.clocks, "video": w.video,
-               "workload": w, "processing": p, "run": run}
-    not_fields = {"duration_s": w.video_duration_s, "mss": run.mss,
-                  **dict(zip(_STAGE_KEYS, p.stage_fractions))}
+               "workload": w, "processing": run.processing, "run": run}
+    not_fields = {"duration_s": w.video_duration_s, "mss": run.mss}
     lines = []
     for section, keys in KEYS.items():
         source = sources[section]

@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from .model import (
+    ADDED_OWD_MS,
     ClockModel,
     CaptureRecord,
     CTRL,
@@ -510,7 +511,7 @@ class _Simulation:
         self._retransmit = base.retransmit
         self._base_up_us = base.base_owd_up * 1000.0
         self._base_down_us = base.base_owd_down * 1000.0
-        self._added_us = base.added_owd * 1000.0
+        self._added_us = ADDED_OWD_MS[base.range] * 1000.0
         self._cap = base.bandwidth_cap  # Mbit/s == bit/us
         self._loss_prob = base.loss_prob
         self._jitter_std = base.jitter_std

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .analyzer import AnalysisResult, InsufficientDataError, LATENCY_CLASSES, SampleSet, srtt
-from .model import DEFAULT_BANDWIDTH_CAP_MBPS, NODES, check_finite
+from .model import DEFAULT_BANDWIDTH_CAP_MBPS, NODES, ProcessingModel, check_finite
 
 
 #: Default bandwidth caps (Mbit/s) a demand figure is judged against: each
@@ -220,7 +220,7 @@ class ClassStats:
 class ReportOptions:
     """Externally supplied knobs the captures cannot reveal."""
 
-    processing_ms: float = 20.3
+    processing_ms: float = ProcessingModel.total_ms
     owd_down_assumed_ms: float = 5.0
     distances_m: tuple[float, ...] = (1.0,)
     reliability_percentile: float = 0.95

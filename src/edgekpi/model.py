@@ -412,14 +412,13 @@ class ClockModel:
 class Scenario:
     """Full path model for one emulated network configuration.
 
-    ``added_owd``, ``base_owd_up/down`` and ``bandwidth_cap`` may be left
-    ``None`` to resolve the per-range / per-technology defaults; an explicit
-    ``added_owd`` that contradicts the fixed range map is rejected.
+    ``base_owd_up/down`` and ``bandwidth_cap`` may be left ``None`` to
+    resolve the per-technology defaults; the core-side delay is the range's,
+    ``ADDED_OWD_MS[range]``.
     """
 
     tech: Tech
     range: RangeBand
-    added_owd: float | None = None
     base_owd_up: float | None = None
     base_owd_down: float | None = None
     jitter_std: float = 0.0
@@ -431,11 +430,6 @@ class Scenario:
         check_finite(self, allow_inf=("bandwidth_cap",))
         if self.range is RangeBand.EDGE and self.tech is not Tech.FIVE_G:
             raise ValueError("EDGE range is only available with FIVE_G")
-        mapped = ADDED_OWD_MS[self.range]
-        if self.added_owd is None:
-            object.__setattr__(self, "added_owd", mapped)
-        elif abs(self.added_owd - mapped) > 1e-9:
-            raise ValueError(f"added_owd {self.added_owd} contradicts fixed map for {self.range.value} ({mapped})")
         base_up, base_down = DEFAULT_BASE_OWD_MS[self.tech]
         if self.base_owd_up is None:
             object.__setattr__(self, "base_owd_up", base_up)
@@ -475,34 +469,20 @@ class VideoConfig:
             raise ValueError("frame_size_cv must be >= 0")
 
 
-#: Names of the serially executed per-frame processing stages.
-PROCESSING_STAGES = ("blob_transform", "detection", "interpretation", "command_creation")
-
-
 @dataclass(frozen=True)
 class ProcessingModel:
-    """Per-frame application processing: a total budget split into four
-    serial stages, followed by one downlink command packet."""
+    """Per-frame application processing: ``total_ms`` per frame (by default
+    the paper's measured processing time), then one downlink command packet."""
 
     total_ms: float = 20.3
-    stage_fractions: tuple[float, float, float, float] = (0.25, 0.60, 0.10, 0.05)
     response_bytes: int = 200
 
     def __post_init__(self):
         check_finite(self)
         if self.total_ms < 0:
             raise ValueError("total_ms must be >= 0")
-        if len(self.stage_fractions) != len(PROCESSING_STAGES):
-            raise ValueError(f"expected {len(PROCESSING_STAGES)} stage fractions")
-        if any(f < 0 for f in self.stage_fractions):
-            raise ValueError("stage fractions must be >= 0")
-        if abs(sum(self.stage_fractions) - 1.0) > 1e-9:
-            raise ValueError(f"stage fractions must sum to 1, got {sum(self.stage_fractions)!r}")
         if self.response_bytes <= 0:
             raise ValueError("response_bytes must be > 0")
-
-    def stage_ms(self) -> tuple[float, ...]:
-        return tuple(self.total_ms * f for f in self.stage_fractions)
 
 
 @dataclass(frozen=True)

@@ -161,10 +161,15 @@ class TestBadConfig:
         (PING_ONLY.replace("[scenario]\n", "[scenario]\n  stray\n"),
          "{cfg}: line 3: neither a [section] header nor a key = value line"),
         (PING_ONLY + "ping_count = 6\n", "{cfg}: line 8: [workload] duplicate key 'ping_count'"),
+        (PING_ONLY.replace("range = EDGE", "range = REGIONAL\nadded_owd = 2.0"),
+         "[scenario] unknown key 'added_owd'"),
+        (PING_ONLY + "\n[processing]\nstage_blob = 0.25\n", "[processing] unknown key 'stage_blob'"),
+        (BULK + "bulk_offered_mbps = inf\n",
+         "[workload] bulk_offered_mbps must be a finite number, got inf"),
     ], ids=["mss-zero", "mss-negative", "bulk-rate-negative", "bad-boolean", "bad-integer",
             "video-duration-negative", "bulk-duration-negative", "default-section",
             "empty-default-section", "no-section-header", "indented-stray-line",
-            "duplicate-key"])
+            "duplicate-key", "added-owd", "stage-fraction", "bulk-rate-inf"])
     def test_exits_1_with_one_line_and_writes_nothing(self, tmp_path, capsys, command,
                                                       config, message):
         cfg = tmp_path / "bad.ini"
@@ -240,7 +245,9 @@ class TestAnalyze:
         ("garbage\n", "{path}: line 1: 'garbage' comes before any [section] header"),
         ("[scenario]\ntech = SIXG\n",
          "{path}: [scenario] tech: unknown value 'SIXG' (expected one of 4G, 5G, FIVE_G, FOUR_G)"),
-    ], ids=["syntax", "value"])
+        ("[scenario]\ntech = FIVE_G\nrange = EDGE\nadded_owd = 0.0\n",
+         "{path}: [scenario] unknown key 'added_owd'"),
+    ], ids=["syntax", "value", "removed-key"])
     def test_damaged_manifest_exits_1_before_writing(self, capture_dir, capsys, manifest,
                                                      message):
         path = capture_dir / "manifest.ini"
@@ -396,6 +403,37 @@ class TestAnalyze:
             f"error: {app}: stream flow 2 at tap APP (flow 1 at tap UE)\n")
         for name in ("samples.ndjson", "report.csv", "report.ndjson"):
             assert not (out / name).exists()
+
+    def test_conflicting_segment_lengths_name_their_file(self, capture_dir, capsys):
+        # app.ndjson gains a second copy of an uplink data segment, one byte
+        # shorter, with a fresh pid
+        app = capture_dir / "app.ndjson"
+        records = [json.loads(line) for line in app.read_text().splitlines()]
+        seg = next(d for d in records
+                   if d["dir"] == "UPLINK" and d["proto"] == "STREAM" and d["len"] > 1)
+        copy = dict(seg, len=seg["len"] - 1, pid=max(d["pid"] for d in records) + 1)
+        app.write_text("".join(json.dumps(d, separators=(",", ":")) + "\n"
+                               for d in records + [copy]))
+        capsys.readouterr()
+        assert main(["analyze", "--in", str(capture_dir)]) == 1
+        assert one_line_error(capsys) == (
+            f"error: {app}: stream segments at seq {seg['seq']} disagree on length "
+            f"({seg['len']} vs {copy['len']})\n")
+        for name in ("samples.ndjson", "report.csv", "report.ndjson"):
+            assert not (capture_dir / name).exists()
+
+    def test_too_few_ntp_samples_name_their_file(self, capture_dir, capsys):
+        # ntp.ndjson cut to its first sample of each node
+        ntp = capture_dir / "ntp.ndjson"
+        first = {}
+        for line in ntp.read_text().splitlines():
+            first.setdefault(json.loads(line)["node"], line)
+        ntp.write_text("".join(line + "\n" for line in first.values()))
+        capsys.readouterr()
+        assert main(["analyze", "--in", str(capture_dir)]) == 1
+        assert one_line_error(capsys) == f"error: {ntp}: need >= 2 offset samples for UE, got 1\n"
+        for name in ("samples.ndjson", "report.csv", "report.ndjson"):
+            assert not (capture_dir / name).exists()
 
     def test_percentile_rows_follow_reliability_p(self, capture_dir):
         assert main(["analyze", "--in", str(capture_dir), "--reliability-p", "0.5"]) == 0

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from edgekpi.config import ConfigError, manifest_text, parse_config, write_manifest
+from edgekpi.config import KEYS, ConfigError, manifest_text, parse_config, write_manifest
 from edgekpi.emulator import run
 from edgekpi.model import Encoder, RangeBand, Resolution, Tap, Tech, record_to_json
 
@@ -59,10 +59,6 @@ mss = 1200
 
 [processing]
 total_ms = 18
-stage_blob = 0.4
-stage_detect = 0.4
-stage_interpret = 0.1
-stage_command = 0.1
 response_bytes = 128
 
 [run]
@@ -112,7 +108,6 @@ class TestParse:
         parsed = parse_config(write(tmp_path, FULL))
         assert parsed.scenario.tech is Tech.FOUR_G
         assert parsed.scenario.range is RangeBand.NATIONAL
-        assert parsed.scenario.added_owd == 4.0
         assert parsed.scenario.retransmit is True
         assert parsed.workload.video.encoder is Encoder.H264
         assert parsed.workload.video.resolution is Resolution.HD
@@ -218,11 +213,8 @@ class TestParse:
 
     @pytest.mark.parametrize("word", ["inf", "Infinity", "none", "unlimited"])
     def test_cap_words_mean_infinity(self, tmp_path, word):
-        text = with_line(with_line(BULK, "scenario", f"bandwidth_cap = {word}"),
-                         "workload", f"bulk_offered_mbps = {word}")
-        parsed = parse_config(write(tmp_path, text))
-        assert math.isinf(parsed.scenario.bandwidth_cap)
-        assert parsed.workload.bulk_offered_mbps is None  # the default offered rate
+        text = with_line(BULK, "scenario", f"bandwidth_cap = {word}")
+        assert math.isinf(parse_config(write(tmp_path, text)).scenario.bandwidth_cap)
 
     def test_raw_scenario_holds_the_keys_the_file_set(self, tmp_path):
         parsed = parse_config(write(tmp_path, FULL))
@@ -232,6 +224,55 @@ class TestParse:
             "bandwidth_cap": 30.0, "retransmit": True}
         assert parse_config(write(tmp_path, MINIMAL)).raw_scenario == {
             "tech": Tech.FIVE_G, "range": RangeBand.EDGE}
+
+
+#: The bases the witnesses below start from: pings alone, with a short
+#: video, with a short video on a lossy path, and with a bulk probe.
+PINGS = """
+[scenario]
+tech = FIVE_G
+range = REGIONAL
+
+[workload]
+ping_count = 3
+"""
+VIDEO = with_line(PINGS, "video", "duration_s = 0.2")
+LOSSY_VIDEO = with_line(VIDEO, "scenario", "loss_prob = 0.05")
+BULK_PROBE = with_line(PINGS, "workload", "bulk_duration_s = 0.1")
+
+#: key -> (base config, a valid value other than the base's) such that the
+#: two runs differ. Every key of config.KEYS needs one: a key that cannot
+#: change a run does not belong in the config.
+WITNESSES = {
+    "scenario": {"tech": (PINGS, "4G"), "range": (PINGS, "NATIONAL"),
+                 "base_owd_up": (PINGS, "12"), "base_owd_down": (PINGS, "7"),
+                 "jitter_std": (PINGS, "1"), "loss_prob": (PINGS, "1"),
+                 "bandwidth_cap": (VIDEO, "30"), "retransmit": (LOSSY_VIDEO, "true")},
+    "clocks": {"offset_ue_ms": (PINGS, "1.5"), "offset_core_ms": (PINGS, "1.5"),
+               "offset_app_ms": (PINGS, "1.5"), "sigma_ue_ms": (PINGS, "0.5"),
+               "sigma_core_ms": (PINGS, "0.5"), "sigma_app_ms": (PINGS, "0.5"),
+               "resync_interval_s": (PINGS, "0.5")},
+    "video": {"encoder": (VIDEO, "H264"), "resolution": (VIDEO, "HD"), "fps": (VIDEO, "10"),
+              "mean_frame_bytes": (VIDEO, "5000"), "frame_size_cv": (VIDEO, "0.3"),
+              "duration_s": (VIDEO, "0.4")},
+    "workload": {"ping_interval_ms": (PINGS, "50"), "ping_count": (PINGS, "4"),
+                 "mss": (VIDEO, "1000"), "bulk_duration_s": (BULK_PROBE, "0.2"),
+                 "bulk_offered_mbps": (BULK_PROBE, "10")},
+    "processing": {"total_ms": (VIDEO, "5"), "response_bytes": (VIDEO, "300")},
+    "run": {"seed": (VIDEO, "8")},
+}
+
+
+@pytest.mark.parametrize("section, key", [(s, k) for s in KEYS for k in KEYS[s]])
+def test_every_key_changes_the_run(tmp_path, section, key):
+    if key not in WITNESSES.get(section, {}):
+        pytest.fail(f"[{section}] {key} has no witness that it changes a run")
+    base, value = WITNESSES[section][key]
+    changed = with_line(base, section, f"{key} = {value}")
+    assert changed != base
+    first = run(parse_config(write(tmp_path, base, "base.ini")).to_run())
+    second = run(parse_config(write(tmp_path, changed, "changed.ini")).to_run())
+    assert (first.records, first.truth, first.ntp) != (second.records, second.truth, second.ntp)
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -11,6 +11,7 @@ from conftest import rec
 from edgekpi import emulator
 from edgekpi.config import parse_config
 from edgekpi.emulator import EmulationRun, Workload
+from edgekpi.kpis import ReportOptions
 from edgekpi.model import (
     ADDED_OWD_MS,
     CaptureFormatError,
@@ -266,8 +267,10 @@ class TestFiniteConfig:
             "offset_ue_ms", "offset_core_ms", "offset_app_ms",
             "sigma_ue_ms", "sigma_core_ms", "sigma_app_ms", "resync_interval_s")
     ] + [
+        (ReportOptions, {}, "processing_ms"),
+    ] + [
         (Scenario, {"tech": Tech.FIVE_G, "range": RangeBand.EDGE}, name) for name in (
-            "added_owd", "base_owd_up", "base_owd_down", "jitter_std", "loss_prob")
+            "base_owd_up", "base_owd_down", "jitter_std", "loss_prob")
     ] + [
         (VideoConfig, {}, name) for name in ("fps", "frame_size_cv")
     ] + [
@@ -285,11 +288,6 @@ class TestFiniteConfig:
     def test_non_finite_rejected(self, cls, base, name, value):
         with pytest.raises(ValueError, match=f"{name} must be a finite number"):
             cls(**base, **{name: value})
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_non_finite_stage_fraction_rejected(self, value):
-        with pytest.raises(ValueError, match="stage_fractions must be a finite number"):
-            ProcessingModel(stage_fractions=(value, 0.6, 0.1, 0.05))
 
     def test_bandwidth_cap_inf_means_no_cap(self):
         assert math.isinf(Scenario(Tech.FIVE_G, RangeBand.EDGE, bandwidth_cap=math.inf).bandwidth_cap)
@@ -396,19 +394,11 @@ class TestScenario:
     @pytest.mark.parametrize("range_band,expected", [
         (RangeBand.EDGE, 0.0), (RangeBand.REGIONAL, 2.0), (RangeBand.NATIONAL, 4.0)])
     def test_added_owd_fixed_map(self, range_band, expected):
-        tech = Tech.FIVE_G
-        assert Scenario(tech=tech, range=range_band).added_owd == expected
         assert ADDED_OWD_MS[range_band] == expected
 
     def test_edge_requires_5g(self):
         with pytest.raises(ValueError, match="EDGE"):
             Scenario(tech=Tech.FOUR_G, range=RangeBand.EDGE)
-
-    def test_added_owd_contradiction_rejected(self):
-        with pytest.raises(ValueError, match="added_owd"):
-            Scenario(tech=Tech.FIVE_G, range=RangeBand.REGIONAL, added_owd=3.0)
-        # explicit but consistent is fine
-        assert Scenario(tech=Tech.FIVE_G, range=RangeBand.REGIONAL, added_owd=2.0).added_owd == 2.0
 
     def test_bandwidth_cap_defaults(self):
         assert Scenario(tech=Tech.FIVE_G, range=RangeBand.EDGE).bandwidth_cap == 54.6
@@ -459,25 +449,7 @@ class TestVideoConfig:
 class TestProcessingModel:
     def test_defaults(self):
         p = ProcessingModel()
-        assert p.total_ms == 20.3
-        assert sum(p.stage_fractions) == pytest.approx(1.0)
-
-    def test_fraction_sum_enforced_at_construction(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            ProcessingModel(stage_fractions=(0.25, 0.25, 0.25, 0.2))
-
-    def test_fraction_sum_tolerance(self):
-        ProcessingModel(stage_fractions=(0.25, 0.6, 0.1, 0.05 + 5e-10))
-        with pytest.raises(ValueError):
-            ProcessingModel(stage_fractions=(0.25, 0.6, 0.1, 0.05 + 5e-9))
-
-    def test_negative_fraction_rejected(self):
-        with pytest.raises(ValueError):
-            ProcessingModel(stage_fractions=(1.2, -0.2, 0.0, 0.0))
-
-    def test_stage_ms_split(self):
-        p = ProcessingModel(total_ms=20.0, stage_fractions=(0.5, 0.25, 0.15, 0.1))
-        assert p.stage_ms() == (10.0, 5.0, 3.0, 2.0)
+        assert (p.total_ms, p.response_bytes) == (20.3, 200)
 
 
 class TestClockModel:
