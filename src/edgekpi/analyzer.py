@@ -13,6 +13,7 @@ import statistics
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 from .model import (
@@ -292,12 +293,7 @@ def owd_packet(ue_records: Sequence[CaptureRecord], app_records: Sequence[Captur
         origin_pool, far_pool = pool(app_records), pool(ue_records)
         off_origin, off_far = _offset_us(offsets, Tap.APP), _offset_us(offsets, Tap.UE)
 
-    if by_seq:
-        def key(r: CaptureRecord):
-            return (r.seq, r.payload_len)
-    else:
-        def key(r: CaptureRecord):
-            return r.pid
+    key = attrgetter("seq", "payload_len") if by_seq else attrgetter("pid")
 
     far_by_key: dict = {}
     for r in far_pool:

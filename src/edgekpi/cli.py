@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import gc
 import json
+import math
 import shutil
 import sys
 from pathlib import Path
@@ -228,10 +229,10 @@ def _analysis_options(args) -> tuple[AnalyzerConfig, ReportOptions]:
 
 
 def _analyze_and_write(outdir: Path, records: dict[Tap, list], ntp, cfg: AnalyzerConfig,
-                       opts: ReportOptions) -> KpiReport:
+                       opts: ReportOptions) -> tuple[KpiReport, list[dict]]:
     """Validate each tap's capture, check that the taps agree on the stream
-    flow, analyze them and write the samples and report files into
-    ``outdir``. An error that one input file causes names that file."""
+    flow, analyze them, write the samples and report files into ``outdir``
+    and return the report and its rows; an error names its input file."""
     stream_tap = stream_flow = None  # the first tap with a STREAM record, and its flow
     for tap, name in TAP_FILES.items():
         check = validate(records[tap])
@@ -258,7 +259,7 @@ def _analyze_and_write(outdir: Path, records: dict[Tap, list], ntp, cfg: Analyze
     rows = report_rows(report)
     write_report_csv(outdir / REPORT_CSV, rows)
     write_report_ndjson(outdir / REPORT_NDJSON, rows)
-    return report
+    return report, rows
 
 
 def _scenario_meta_from_manifest(indir: Path) -> dict[str, str]:
@@ -302,7 +303,7 @@ def cmd_analyze(args) -> int:
     ntp_path = indir / NTP_FILE
     ntp = _read_named(read_ntp_file, ntp_path) if ntp_path.exists() else None
     opts = dataclasses.replace(opts, **meta)
-    report = _analyze_and_write(indir, records, ntp, cfg, opts)
+    report, _ = _analyze_and_write(indir, records, ntp, cfg, opts)
     for name in report.absent:
         print(f"note: no {name} samples in this capture; KPIs marked absent")
     if not ntp:
@@ -314,32 +315,25 @@ def cmd_analyze(args) -> int:
 def _sweep_scenario(label: str, run_cfg: EmulationRun, outdir: Path, cfg: AnalyzerConfig,
                     opts: ReportOptions, force: bool) -> dict:
     """Emulate one sweep scenario, write its outputs into ``outdir`` and
-    return its ``comparison.csv`` row, keys in column order; the percentile
-    columns name ``--reliability-p``. Runs in a pool worker, so everything
-    it takes and returns pickles. It builds no reference cycles, so the
-    worker runs it with the cyclic collector off."""
+    return its ``comparison.csv`` row, keys in column order, each value its
+    report row's or empty; percentile columns name ``--reliability-p``. Runs
+    in a pool worker, so all it takes and returns pickles. It builds no
+    reference cycles, so the worker runs it with the cyclic collector off."""
     result = run_emulation(run_cfg)
     _write_run_outputs(result, run_cfg, outdir, force)
     tech, range_band = run_cfg.scenario.tech.value, run_cfg.scenario.range.value
     opts = dataclasses.replace(opts, scenario_label=label, tech=tech, range_band=range_band)
-    report = _analyze_and_write(outdir, result.records, result.ntp, cfg, opts)
-
-    def med(cls):
-        stats = report.classes.get(cls)
-        return round(stats.median_ms, 6) if stats else ""
-
+    _, rows = _analyze_and_write(outdir, result.records, result.ntp, cfg, opts)
+    value = {(row["class"], row["metric"]): row["value"] for row in rows}
     p_label = percent_label(opts.reliability_percentile)
     return {
         "scenario": label, "tech": tech, "range": range_band,
-        "ctrl_median_ms": med("CTRL"),
-        "stream_packet_median_ms": med("STREAM-packet"),
-        "stream_frame_median_ms": med("STREAM-frame"),
-        f"owd_frame_p{p_label}_ms": round(report.owd_frame_at_percentile_ms, 6)
-                                    if report.owd_frame_at_percentile_ms is not None else "",
-        f"e2e_srt_p{p_label}_ms": round(report.e2e_srt_at_percentile_ms, 6)
-                                  if report.e2e_srt_at_percentile_ms else "",
-        "velocity_kmh": round(report.velocity_kmh[opts.distances_m[0]], 4)
-                        if report.velocity_kmh else "",
+        "ctrl_median_ms": value.get(("CTRL", "median"), ""),
+        "stream_packet_median_ms": value.get(("STREAM-packet", "median"), ""),
+        "stream_frame_median_ms": value.get(("STREAM-frame", "median"), ""),
+        f"owd_frame_p{p_label}_ms": value.get(("OWD-frame", f"latency_at_p{p_label}"), ""),
+        f"e2e_srt_p{p_label}_ms": value.get(("overall", f"e2e_srt_p{p_label}"), ""),
+        "velocity_kmh": value.get(("overall", f"velocity_ds_{opts.distances_m[0]}m"), ""),
     }
 
 
@@ -433,7 +427,8 @@ def _read_ndjson(path: Path, kind: str, parse) -> list:
                     continue
                 try:
                     rows.append(parse(json.loads(line)))
-                except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
+                except (ValueError, KeyError, TypeError, AttributeError, RecursionError,
+                        OverflowError) as exc:
                     why = f"missing field {exc}" if isinstance(exc, KeyError) else exc
                     raise CliError(f"{path} line {lineno}: bad {kind} record: {why}")
         except UnicodeDecodeError as exc:  # raised by the read, outside every line
@@ -441,46 +436,53 @@ def _read_ndjson(path: Path, kind: str, parse) -> list:
     return rows
 
 
+def _number(d: dict, key: str) -> float:
+    """``d[key]``, which must be a finite JSON number and not a bool."""
+    value = d[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"could not convert {key} {value!r} to a finite number")
+    return float(value)
+
+
+def _sample(d: dict) -> tuple[str, float]:
+    if not isinstance(d["class"], str):
+        raise ValueError(f"class {d['class']!r} is not a string")
+    return d["class"], _number(d, "value_ms")
+
+
 def _load_samples(path: Path) -> dict[str, list[float]]:
+    """Sample values by class; a class listed has at least one."""
     if not path.exists():
         raise CliError(f"samples file not found: {path}")
     by_class: dict[str, list[float]] = {}
-    for cls, value in _read_ndjson(path, "sample", lambda d: (d["class"], float(d["value_ms"]))):
+    for cls, value in _read_ndjson(path, "sample", _sample):
         by_class.setdefault(cls, []).append(value)
     return by_class
 
 
-def _pick_class(by_class: dict[str, list[float]], wanted: str) -> list[float]:
-    if wanted in by_class and by_class[wanted]:
-        return by_class[wanted]
-    available = ", ".join(sorted(k for k, v in by_class.items() if v)) or "none"
-    raise CliError(f"no samples of class {wanted!r} (available: {available})")
-
-
 def cmd_plot(args) -> int:
     out = Path(args.out)
+    if args.kind != "throughput" and not args.infile:
+        raise CliError(f"--in is required for {args.kind} plots")
     if args.kind == "cdf":
-        if not args.infile:
-            raise CliError("--in is required for cdf plots")
-        samples = _pick_class(_load_samples(Path(args.infile)), args.sample_class)
-        dist = ecdf(samples)
+        by_class = _load_samples(Path(args.infile))
+        if args.sample_class not in by_class:
+            available = ", ".join(sorted(by_class)) or "none"
+            raise CliError(f"no samples of class {args.sample_class!r} (available: {available})")
+        dist = ecdf(by_class[args.sample_class])
         text = (render_cdf_ascii(dist, args.reliability) if args.ascii
                 else render_cdf_svg(dist, args.reliability, f"{args.sample_class} CDF"))
     elif args.kind == "box":
-        if not args.infile:
-            raise CliError("--in is required for box plots")
         inpath = Path(args.infile)
         groups = []
         if inpath.is_dir():
             for sub in sorted(p for p in inpath.iterdir() if (p / SAMPLES_FILE).exists()):
                 by_class = _load_samples(sub / SAMPLES_FILE)
-                if args.sample_class in by_class and by_class[args.sample_class]:
+                if args.sample_class in by_class:
                     groups.append((sub.name, boxplot_stats(by_class[args.sample_class])))
         else:
-            by_class = _load_samples(inpath)
-            for name in sorted(by_class):
-                if by_class[name]:
-                    groups.append((name, boxplot_stats(by_class[name])))
+            for name, values in sorted(_load_samples(inpath).items()):
+                groups.append((name, boxplot_stats(values)))
         if not groups:
             raise CliError("no samples found for box plot")
         text = render_box_ascii(groups) if args.ascii else render_box_svg(groups)
@@ -498,7 +500,7 @@ def cmd_plot(args) -> int:
             def demand_bar(d):
                 if d.get("metric") != "demanded_throughput":
                     return None
-                return (d.get("scenario") or "demand", float(d["value"]))
+                return (d.get("scenario") or "demand", _number(d, "value"))
 
             bars = [bar for bar in _read_ndjson(Path(args.infile), "report", demand_bar) if bar]
             if not bars:

@@ -7,12 +7,16 @@ the reverse path without a rate cap (ACKs and small commands only). Every
 packet is stamped at each tap with that node's local clock: true time plus
 the node's offset plus piecewise-constant resync noise.
 
+The stream's two ends hold its state: :class:`_Sender` at the UE (made only
+with retransmission) and :class:`_Receiver` at the app. They answer what must
+happen next, and :class:`_Simulation` turns their answers into events.
 Identical :class:`EmulationRun` inputs produce bit-identical outputs.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 import math
 import random
@@ -275,12 +279,6 @@ class TruthPacket:
     end_of_frame: bool = False
     retransmission: bool = False
 
-    def owd_ms(self) -> float | None:
-        if self.t_ue_us is None or self.t_app_us is None:
-            return None
-        delta = self.t_app_us - self.t_ue_us
-        return (delta if self.dir is UPLINK else -delta) / 1000.0
-
 
 @dataclass
 class TruthFrame:
@@ -314,9 +312,6 @@ class TruthLog:
     packets: list[TruthPacket] = field(default_factory=list)
     frames: list[TruthFrame] = field(default_factory=list)
 
-    def by_pid(self) -> dict[int, TruthPacket]:
-        return {p.pid: p for p in self.packets}
-
 
 def frame_truth(packets: Iterable[TruthPacket]) -> list[TruthFrame]:
     """Per-frame truth of a packet log, in ``frame_idx`` order.
@@ -336,11 +331,7 @@ def frame_truth(packets: Iterable[TruthPacket]) -> list[TruthFrame]:
         if p.dir is DOWNLINK:
             commands[k] = p
         elif p.marker is NO_MARKER:
-            group = segments.get(k)
-            if group is None:
-                segments[k] = [p]
-            else:
-                group.append(p)
+            segments.setdefault(k, []).append(p)
     frames = []
     for k in sorted(segments):
         segs = segments[k]
@@ -398,20 +389,99 @@ class RunResult:
     ntp: list[NtpSample]
 
 
-class _ReceiveBuffer:
-    """Tracks the stream's received byte ranges (cumulative-ACK view)."""
-
-    __slots__ = ("_starts", "_ends")
+class _Sender:
+    """The UE's end of the stream, made only with Scenario.retransmit. It
+    takes sends, timer expiries and ACKs, and answers what to resend."""
 
     def __init__(self):
-        # Disjoint, non-touching [start, end) ranges in ascending order, so
-        # both lists are strictly increasing.
+        # seq -> [segment as first sent, last send time, resent] in seq order,
+        # an OrderedDict: a plain dict scans its freed front slots for a first key
+        self.unacked: OrderedDict[int, list] = OrderedDict()
+        self.srtt_ms: float | None = None
+        self.rttvar_ms = 0.0
+        self.rto_ms = INITIAL_TIMEOUT_MS
+        self.cum_ack = 0
+        self.sent_end = 0  # end of the highest segment sent
+        self.dup_acks = 0
+        self.recover = 0   # NewReno: in recovery while the cumulative ACK is below it
+
+    def send(self, t_us: float, pkt: TruthPacket) -> float:
+        """Book an original segment; return when its timer first expires."""
+        # originals come in ascending seq, so the book stays in seq order
+        self.unacked[pkt.seq] = [pkt, t_us, False]
+        self.sent_end = pkt.seq + pkt.payload_len
+        return t_us + self.rto_ms * 1000.0
+
+    def timeout(self, t_us: float, pkt: TruthPacket, attempt: int) -> float | None:
+        """``pkt``'s timer expires for the ``attempt``-th time: if it is to
+        be resent, book that and return when the timer expires next."""
+        if self.cum_ack >= pkt.seq + pkt.payload_len or attempt > MAX_RETRANSMITS:
+            return None
+        self.resend(t_us, pkt.seq)
+        return t_us + self.rto_ms * 2 ** attempt * 1000.0
+
+    def resend(self, t_us: float, seq: int) -> TruthPacket:
+        """Book a resend of the segment at ``seq``; return it as first sent."""
+        entry = self.unacked[seq]
+        entry[1], entry[2] = t_us, True
+        return entry[0]
+
+    def ack(self, t_us: float, ack: int) -> TruthPacket | None:
+        """Take a cumulative ACK; return the segment to resend now, if any."""
+        if ack > self.cum_ack:
+            self.cum_ack = ack
+            self.dup_acks = 0
+            book = self.unacked
+            while book:
+                pkt, sent_at, resent = next(iter(book.values()))
+                if pkt.seq + pkt.payload_len > ack:
+                    break
+                book.popitem(last=False)
+                if not resent:  # Karn: no timing from retransmitted ranges
+                    self.rtt_sample((t_us - sent_at) / 1000.0)
+            if ack < self.recover:  # partial ACK in recovery: resend the next hole
+                return self.resend(t_us, ack)
+        elif ack == self.cum_ack and ack < self.sent_end:
+            self.dup_acks += 1
+            # NewReno: no second fast retransmit until recovery ends
+            if self.dup_acks == DUP_ACK_THRESHOLD and ack >= self.recover:
+                self.recover = self.sent_end
+                return self.resend(t_us, ack)
+        return None
+
+    def rtt_sample(self, sample_ms: float) -> None:
+        """RFC 6298 section 2: fold one RTT sample into SRTT, RTTVAR and RTO."""
+        srtt = self.srtt_ms
+        if srtt is None:
+            srtt, rttvar = sample_ms, sample_ms / 2.0
+        else:
+            rttvar = (1 - RTTVAR_GAIN) * self.rttvar_ms + RTTVAR_GAIN * abs(srtt - sample_ms)
+            srtt = (1 - SRTT_GAIN) * srtt + SRTT_GAIN * sample_ms
+        self.srtt_ms, self.rttvar_ms = srtt, rttvar
+        self.rto_ms = max(MIN_TIMEOUT_MS, srtt + max(CLOCK_GRANULARITY_MS, RTTVAR_FACTOR * rttvar))
+
+
+class _Receiver:
+    """The app's end of the stream ``flow`` that ``plans`` send: it takes
+    segments and delayed-ACK timer expiries, and answers which frames are
+    ready and what to acknowledge."""
+
+    def __init__(self, flow: int, plans: list[SegmentPlan], ack_out_of_order: bool):
+        self.flow = flow
+        # frame k ends at byte _frame_ends[k]; frames before _next_frame are ready
+        self._frame_ends = [p.seq + p.payload_len for p in plans if p.end_of_frame]
+        self._next_frame = 0
+        # with retransmission, a segment out of order is acknowledged at once
+        # (RFC 5681 section 4.2), so that the sender sees duplicate ACKs
+        self._ack_out_of_order = ack_out_of_order
+        self._ack_pending = 0
+        self._ack_deadline: float | None = None
+        # the received [start, end) ranges, disjoint and non-touching: both lists ascend
         self._starts: list[int] = []
         self._ends: list[int] = []
 
     def add(self, start: int, end: int) -> None:
-        """Merge the non-empty range [start, end) with every range it
-        overlaps or touches."""
+        """Merge the range [start, end) with every range it overlaps or touches."""
         starts, ends = self._starts, self._ends
         i = bisect_left(ends, start)         # first range not wholly before
         j = bisect_right(starts, end, i)     # first range wholly after
@@ -426,17 +496,42 @@ class _ReceiveBuffer:
             return self._ends[0]
         return 0
 
-    def out_of_order(self, seq: int) -> bool:
-        """Whether a segment at ``seq`` lands above the cumulative point or
-        while a gap remains below data already received."""
+    def segment(self, t_us: float, pkt: TruthPacket) -> tuple[range, int | None, float | None]:
+        """Take a data segment; return the frames now ready, the cumulative
+        ACK to send now or None, and the delayed-ACK deadline set or None."""
         cum = self.cumulative()
-        return seq > cum or (bool(self._ends) and self._ends[-1] > cum)
+        # out of order: above the cumulative point, or while a gap remains
+        # below data already received
+        ack_now = self._ack_out_of_order and (
+            pkt.seq > cum or bool(self._ends) and self._ends[-1] > cum)
+        self.add(pkt.seq, pkt.seq + pkt.payload_len)
+        # a frame is ready once the cumulative point passes its last byte,
+        # so in byte order and once, however many copies of it arrive
+        i = self._next_frame
+        self._next_frame = j = bisect_right(self._frame_ends, self.cumulative(), i)
+        self._ack_pending += 1
+        ack = deadline = None
+        if ack_now or self._ack_pending >= ACK_EVERY_SEGMENTS or pkt.end_of_frame:
+            ack = self._flush()
+        elif self._ack_deadline is None:
+            deadline = self._ack_deadline = t_us + DELAYED_ACK_MS * 1000.0
+        return range(i, j), ack, deadline
+
+    def ack_timer(self, t_us: float) -> int | None:
+        """The delayed-ACK timer expires: the ACK due, or None if one went out since."""
+        if self._ack_deadline is not None and t_us >= self._ack_deadline:
+            return self._flush()
+        return None
+
+    def _flush(self) -> int:
+        self._ack_pending = 0
+        self._ack_deadline = None
+        return self.cumulative()
 
 
 class _Simulation:
     def __init__(self, run: EmulationRun):
         self.run = run
-        self.scenario = run.scenario
         master = random.Random(run.seed)
         # Independent sub-streams so that e.g. frame sizes do not change when
         # only the scenario's delays change.
@@ -470,8 +565,8 @@ class _Simulation:
         # counter is unique, so heap order never compares two methods, and
         # events at one time run in the order they were scheduled.
         self._q: list[tuple[float, int, Callable[..., None], tuple]] = []
-        self._counter = 0
-        self._next_pid = 0
+        self._counter = itertools.count()
+        self._pids = itertools.count()
 
         # Link state. On the jittered access hops a packet can overtake its
         # flow's previous one, so each keeps flow -> latest arrival time. The
@@ -481,34 +576,14 @@ class _Simulation:
         self._fifo_up_core: dict[int, float] = {}
         self._fifo_down_ue: dict[int, float] = {}
 
-        # The one stream flow (video or bulk; Workload allows at most one):
-        # its receiver, processing and sender state.
-        self._stream_flow = VIDEO_FLOW  # set when the stream is planned
-        self._rx = _ReceiveBuffer()
-        self._ack_pending = 0
-        self._ack_deadline: float | None = None
-        # (end seq, frame_idx) of every frame in byte order, and the next
-        # frame to hand to processing
-        self._frame_ends: list[tuple[int, int]] = []
-        self._next_frame = 0
+        # The stream (Workload allows at most one): its two ends, the receiver
+        # made when the stream is planned, and the app's processing state.
+        base = run.scenario
+        self._sender = _Sender() if base.retransmit else None
+        self._receiver: _Receiver | None = None
         self._proc_free_us = 0.0
         self._dl_seq = 0
-        self._sender_cum_ack = 0
-        # The unacknowledged segments in seq order: seq -> [segment as first
-        # sent, last send time, resent]. An OrderedDict, because a plain
-        # dict's first key is found by scanning the slots freed at its front.
-        self._unacked: OrderedDict[int, list] = OrderedDict()
-        self._srtt_ms: float | None = None
-        self._rttvar_ms = 0.0
-        self._rto_ms = INITIAL_TIMEOUT_MS
-        self._sent_end = 0     # end of the highest segment sent
-        self._dup_acks = 0
-        # NewReno: _sent_end when fast retransmit last began; in recovery
-        # while the cumulative ACK is below it
-        self._recover = 0
 
-        base = self.scenario
-        self._retransmit = base.retransmit
         self._base_up_us = base.base_owd_up * 1000.0
         self._base_down_us = base.base_owd_down * 1000.0
         self._added_us = ADDED_OWD_MS[base.range] * 1000.0
@@ -520,13 +595,7 @@ class _Simulation:
 
     def _schedule(self, t_us: float, fn: Callable[..., None], *args) -> None:
         """Run ``fn(t_us, *args)`` at true time ``t_us``."""
-        heapq.heappush(self._q, (t_us, self._counter, fn, args))
-        self._counter += 1
-
-    def _new_pid(self) -> int:
-        pid = self._next_pid
-        self._next_pid += 1
-        return pid
+        heapq.heappush(self._q, (t_us, next(self._counter), fn, args))
 
     def _stamp(self, node: int, t_us: float, pkt: TruthPacket) -> int:
         """Capture ``pkt`` at ``NODES[node]`` on that node's clock; return
@@ -569,10 +638,23 @@ class _Simulation:
 
     # -- uplink path ------------------------------------------------------
 
-    def _emit_uplink(self, t_us: float, pkt: TruthPacket) -> None:
-        if self._retransmit and pkt.proto is STREAM and pkt.payload_len > 0:
-            self._arm_retransmit(t_us, pkt)
+    def _send_original(self, t_us: float, pkt: TruthPacket) -> None:
+        self._schedule(self._sender.send(t_us, pkt), self._retransmit_check, pkt, 1)
         self._send_up(t_us, pkt)
+
+    def _retransmit_check(self, t_us: float, pkt: TruthPacket, attempt: int) -> None:
+        next_check = self._sender.timeout(t_us, pkt, attempt)
+        if next_check is not None:
+            self._resend(t_us, pkt)
+            self._schedule(next_check, self._retransmit_check, pkt, attempt + 1)
+
+    def _resend(self, t_us: float, pkt: TruthPacket) -> None:
+        """Send a copy of the stream segment ``pkt`` again."""
+        clone = TruthPacket(pid=next(self._pids), flow=pkt.flow, dir=pkt.dir, proto=pkt.proto,
+                            seq=pkt.seq, payload_len=pkt.payload_len, marker=pkt.marker,
+                            frame_idx=pkt.frame_idx, end_of_frame=pkt.end_of_frame,
+                            retransmission=True)
+        self._send_up(t_us, clone)
 
     def _send_up(self, t_us: float, pkt: TruthPacket) -> None:
         """Log and stamp ``pkt`` at the UE, pass stream packets through the
@@ -600,47 +682,29 @@ class _Simulation:
         pkt.t_app_us = self._stamp(_APP, t_us, pkt)
         pkt.delivered = True
         if pkt.proto is CTRL:
-            reply = TruthPacket(pid=self._new_pid(), flow=pkt.flow, dir=DOWNLINK,
+            reply = TruthPacket(pid=next(self._pids), flow=pkt.flow, dir=DOWNLINK,
                                 proto=CTRL, seq=0, payload_len=pkt.payload_len,
                                 ack=pkt.pid)
             self._emit_downlink(t_us, reply)
             return
-        if pkt.payload_len > 0:
-            self._receive_segment(t_us, pkt)
+        frames, ack, deadline = self._receiver.segment(t_us, pkt)
+        for frame_idx in frames:
+            self._start_processing(t_us, frame_idx)
+        self._send_ack(t_us, ack)
+        if deadline is not None:
+            self._schedule(deadline, self._ack_timer)
 
-    # -- receiver ---------------------------------------------------------
-
-    def _receive_segment(self, t_us: float, pkt: TruthPacket) -> None:
-        # with retransmission, a segment out of order is acknowledged at once
-        # (RFC 5681 section 4.2), so that the sender sees duplicate ACKs
-        ack_now = self._retransmit and self._rx.out_of_order(pkt.seq)
-        self._rx.add(pkt.seq, pkt.seq + pkt.payload_len)
-        # a frame starts once the cumulative point passes its last byte, so
-        # in byte order and once, however many copies of it arrive
-        cum = self._rx.cumulative()
-        frames, i = self._frame_ends, self._next_frame
-        while i < len(frames) and frames[i][0] <= cum:
-            self._start_processing(t_us, frames[i][1])
-            i += 1
-        self._next_frame = i
-        self._ack_pending += 1
-        if ack_now or self._ack_pending >= ACK_EVERY_SEGMENTS or pkt.end_of_frame:
-            self._flush_ack(t_us)
-        elif self._ack_deadline is None:
-            self._ack_deadline = t_us + DELAYED_ACK_MS * 1000.0
-            self._schedule(self._ack_deadline, self._ack_timer)
+    # -- app --------------------------------------------------------------
 
     def _ack_timer(self, t_us: float) -> None:
-        deadline = self._ack_deadline
-        if deadline is not None and t_us >= deadline and self._ack_pending > 0:
-            self._flush_ack(t_us)
+        self._send_ack(t_us, self._receiver.ack_timer(t_us))
 
-    def _flush_ack(self, t_us: float) -> None:
-        self._ack_pending = 0
-        self._ack_deadline = None
-        ack = TruthPacket(pid=self._new_pid(), flow=self._stream_flow, dir=DOWNLINK,
-                          proto=STREAM, seq=0, payload_len=0, ack=self._rx.cumulative())
-        self._emit_downlink(t_us, ack)
+    def _send_ack(self, t_us: float, ack: int | None) -> None:
+        """Send the cumulative ACK ``ack``, if there is one."""
+        if ack is not None:
+            self._emit_downlink(t_us, TruthPacket(pid=next(self._pids), flow=self._receiver.flow,
+                                                  dir=DOWNLINK, proto=STREAM, seq=0,
+                                                  payload_len=0, ack=ack))
 
     def _start_processing(self, t_us: float, frame_idx: int) -> None:
         start = max(t_us, self._proc_free_us)
@@ -652,7 +716,7 @@ class _Simulation:
         seq = self._dl_seq
         size = self.run.processing.response_bytes
         self._dl_seq = seq + size
-        cmd = TruthPacket(pid=self._new_pid(), flow=self._stream_flow, dir=DOWNLINK,
+        cmd = TruthPacket(pid=next(self._pids), flow=self._receiver.flow, dir=DOWNLINK,
                           proto=STREAM, seq=seq, payload_len=size, frame_idx=frame_idx)
         self._emit_downlink(t_us, cmd)
 
@@ -674,99 +738,37 @@ class _Simulation:
     def _arrive_ue(self, t_us: float, pkt: TruthPacket) -> None:
         pkt.t_ue_us = self._stamp(_UE, t_us, pkt)
         pkt.delivered = True
-        if self._retransmit and pkt.proto is STREAM and pkt.payload_len == 0:
-            self._sender_sees_ack(t_us, pkt.ack)
-
-    # -- sender retransmission (Scenario.retransmit only) ------------------
-
-    def _arm_retransmit(self, t_us: float, pkt: TruthPacket) -> None:
-        # only originals come here, in ascending seq, so the book stays in
-        # seq order
-        self._unacked[pkt.seq] = [pkt, t_us, False]
-        self._sent_end = pkt.seq + pkt.payload_len
-        self._schedule(t_us + self._rto_ms * 1000.0, self._retransmit_check, pkt, 1)
-
-    def _retransmit_check(self, t_us: float, pkt: TruthPacket, attempt: int) -> None:
-        if self._sender_cum_ack >= pkt.seq + pkt.payload_len or attempt > MAX_RETRANSMITS:
-            return
-        self._resend(t_us, pkt.seq)
-        timeout = self._rto_ms * (2 ** attempt)
-        self._schedule(t_us + timeout * 1000.0, self._retransmit_check, pkt, attempt + 1)
-
-    def _resend(self, t_us: float, seq: int) -> None:
-        """Send again the unacknowledged segment at ``seq``; its book entry
-        keeps its place and records the resend."""
-        entry = self._unacked[seq]
-        pkt = entry[0]
-        entry[1], entry[2] = t_us, True
-        clone = TruthPacket(pid=self._new_pid(), flow=pkt.flow, dir=pkt.dir, proto=pkt.proto,
-                            seq=seq, payload_len=pkt.payload_len, marker=pkt.marker,
-                            frame_idx=pkt.frame_idx, end_of_frame=pkt.end_of_frame,
-                            retransmission=True)
-        self._send_up(t_us, clone)
-
-    def _sender_sees_ack(self, t_us: float, ack: int) -> None:
-        if ack > self._sender_cum_ack:
-            self._sender_cum_ack = ack
-            self._dup_acks = 0
-            book = self._unacked
-            while book:
-                pkt, sent_at, resent = next(iter(book.values()))
-                if pkt.seq + pkt.payload_len > ack:
-                    break
-                book.popitem(last=False)
-                if not resent:  # Karn: no timing from retransmitted ranges
-                    self._rtt_sample((t_us - sent_at) / 1000.0)
-            if ack < self._recover:  # partial ACK in recovery: resend the next hole
-                self._resend(t_us, ack)
-        elif ack == self._sender_cum_ack and ack < self._sent_end:
-            self._dup_acks += 1
-            # NewReno: no second fast retransmit until the data sent before
-            # the first is acknowledged
-            if self._dup_acks == DUP_ACK_THRESHOLD and ack >= self._recover:
-                self._recover = self._sent_end
-                self._resend(t_us, ack)
-
-    def _rtt_sample(self, sample_ms: float) -> None:
-        """RFC 6298 section 2: fold one RTT sample into SRTT, RTTVAR and the
-        timeout."""
-        srtt = self._srtt_ms
-        if srtt is None:
-            srtt, rttvar = sample_ms, sample_ms / 2.0
-        else:
-            rttvar = (1 - RTTVAR_GAIN) * self._rttvar_ms + RTTVAR_GAIN * abs(srtt - sample_ms)
-            srtt = (1 - SRTT_GAIN) * srtt + SRTT_GAIN * sample_ms
-        self._srtt_ms, self._rttvar_ms = srtt, rttvar
-        self._rto_ms = max(MIN_TIMEOUT_MS,
-                           srtt + max(CLOCK_GRANULARITY_MS, RTTVAR_FACTOR * rttvar))
+        if self._sender is not None and pkt.proto is STREAM and pkt.payload_len == 0:
+            lost = self._sender.ack(t_us, pkt.ack)
+            if lost is not None:
+                self._resend(t_us, lost)
 
     # -- assembly ---------------------------------------------------------
 
-    def _plan_uplink_stream(self, flow: int, plans: Iterable[SegmentPlan]) -> None:
-        self._stream_flow = flow
+    def _plan_uplink_stream(self, flow: int, plans: list[SegmentPlan]) -> None:
+        send = self._send_up if self._sender is None else self._send_original
         for plan in plans:
-            pkt = TruthPacket(pid=self._new_pid(), flow=flow, dir=UPLINK,
+            pkt = TruthPacket(pid=next(self._pids), flow=flow, dir=UPLINK,
                               proto=STREAM, seq=plan.seq, payload_len=plan.payload_len,
                               marker=plan.marker, frame_idx=plan.frame_idx,
                               end_of_frame=plan.end_of_frame)
-            self._schedule(plan.t_us, self._emit_uplink, pkt)
-            if plan.end_of_frame:
-                self._frame_ends.append((plan.seq + plan.payload_len, plan.frame_idx))
+            self._schedule(plan.t_us, send, pkt)
+        self._receiver = _Receiver(flow, plans, self._sender is not None)
 
     def run_events(self) -> RunResult:
         w = self.run.workload
         if w.ping_count > 0:
             for t in gen_control_pings(w.ping_interval_ms, w.ping_count):
-                pkt = TruthPacket(pid=self._new_pid(), flow=CONTROL_FLOW, dir=UPLINK,
+                pkt = TruthPacket(pid=next(self._pids), flow=CONTROL_FLOW, dir=UPLINK,
                                   proto=CTRL, seq=0, payload_len=CTRL_PAYLOAD_BYTES)
-                self._schedule(t, self._emit_uplink, pkt)
+                self._schedule(t, self._send_up, pkt)
         if w.video is not None and w.video_duration_s > 0:
             self._plan_uplink_stream(VIDEO_FLOW, gen_video_stream(
                 w.video, w.video_duration_s, self.run.mss, self.rng_sizes))
         if w.bulk_duration_s > 0:
             offered = w.bulk_offered_mbps
             if offered is None:
-                cap = self.scenario.bandwidth_cap
+                cap = self.run.scenario.bandwidth_cap
                 offered = 2.0 * cap if not math.isinf(cap) else 100.0
             self._plan_uplink_stream(BULK_FLOW, gen_bulk_probe(
                 w.bulk_duration_s, self.run.mss, offered))

@@ -233,7 +233,7 @@ class TestOwdPacket:
     def test_matches_truth_under_perfect_clocks(self):
         result = run(video_run(duration_s=0.5, cv=0.1, seed=21, pings=5))
         samples = owd_packet(result.records[Tap.UE], result.records[Tap.APP])
-        truth = {p.pid: p.owd_ms() for p in result.truth.packets
+        truth = {p.pid: (p.t_app_us - p.t_ue_us) / 1000.0 for p in result.truth.packets
                  if p.dir is Direction.UPLINK and p.delivered and p.payload_len > 0}
         ue_up = [r for r in result.records[Tap.UE]
                  if r.dir is Direction.UPLINK and r.payload_len > 0]

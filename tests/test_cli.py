@@ -818,6 +818,12 @@ class TestPlot:
         ('{"metric":"demanded_throughput","scenario":"x"}', "missing field 'value'"),
         ('{"metric":"demanded_throughput","value":"fast"}', "could not convert"),
         ("[1, 2]", "has no attribute"),
+        ('{"metric":"demanded_throughput","value":NaN}', "value nan to a finite number"),
+        ('{"metric":"demanded_throughput","value":-Infinity}', "value -inf to a finite number"),
+        ('{"metric":"demanded_throughput","value":1e999}', "value inf to a finite number"),
+        ('{"metric":"demanded_throughput","value":true}', "value True to a finite number"),
+        pytest.param('{"metric":"demanded_throughput","value":1' + "0" * 400 + "}", "too large",
+                     id="400-digit value-too large"),
     ])
     def test_throughput_bad_report_line(self, analyzed_dir, tmp_path, capsys, line, why):
         report = analyzed_dir / "report.ndjson"
@@ -828,6 +834,27 @@ class TestPlot:
                      "--out", str(tmp_path / "tp.svg")]) == 1
         err = one_line_error(capsys)
         assert f"{report} line 3: bad report record: " in err and why in err
+
+    @pytest.mark.parametrize("kind", ["cdf", "box"])
+    @pytest.mark.parametrize("line, why", [
+        ('{"class":5,"idx":0,"value_ms":1.0}', "class 5 is not a string"),
+        ('{"class":null,"idx":0,"value_ms":1.0}', "class None is not a string"),
+        ('{"class":"OWD-frame","idx":0,"value_ms":NaN}', "value_ms nan to a finite number"),
+        ('{"class":"OWD-frame","idx":0,"value_ms":Infinity}', "value_ms inf to a finite number"),
+        ('{"class":"OWD-frame","idx":0,"value_ms":true}', "value_ms True to a finite number"),
+        ('{"class":"OWD-frame","idx":0,"value_ms":"5"}', "value_ms '5' to a finite number"),
+        ('{"class":"OWD-frame","idx":0}', "missing field 'value_ms'"),
+    ])
+    def test_bad_sample_line(self, analyzed_dir, tmp_path, capsys, kind, line, why):
+        samples = analyzed_dir / "samples.ndjson"
+        lines = samples.read_text().splitlines()
+        lines.insert(2, line)
+        samples.write_text("\n".join(lines) + "\n")
+        out = tmp_path / f"{kind}.svg"
+        assert main(["plot", "--kind", kind, "--in", str(samples), "--out", str(out)]) == 1
+        err = one_line_error(capsys)
+        assert f"{samples} line 3: bad sample record: " in err and why in err
+        assert not out.exists()
 
     def test_deeply_nested_sample_line(self, analyzed_dir, tmp_path, capsys):
         samples = analyzed_dir / "samples.ndjson"

@@ -119,6 +119,8 @@ def test_emulation_leaves_no_young_objects(collector):
     ("default", 42, []),
     ("retransmit", 3, []),
     ("lossy", 5, ["--match", "seq", "--frame-owd", "first-first", "--alpha", "0.25"]),
+    # the sender's timer and fast-retransmit paths
+    ("retransmit4g", 1, []),
 ])
 def test_simulate_read_analyze_builds_no_reference_cycles(tmp_path, collector, case, seed, flags):
     cfg, _ = _analysis_options(

@@ -218,7 +218,7 @@ class TestDelayBookkeeping:
 
     def test_truth_log_matches_records_under_perfect_clocks(self):
         result = run(ping_run(count=5))
-        truth = result.truth.by_pid()
+        truth = {p.pid: p for p in result.truth.packets}
         for tap in NODES:
             for record in result.records[tap]:
                 tp = truth[record.pid]
@@ -337,7 +337,7 @@ class TestOrdering:
                             range_band=range_band, tech=Tech.FIVE_G,
                             base_up=8.0, base_down=4.0)
             result = run(cfg)
-            return {p.pid: p.owd_ms() for p in result.truth.packets
+            return {p.pid: (p.t_app_us - p.t_ue_us) / 1000.0 for p in result.truth.packets
                     if p.dir is Direction.UPLINK and p.delivered}
 
         edge = truth_owds(RangeBand.EDGE)
@@ -392,7 +392,7 @@ class TestClocks:
     def test_constant_offset_shifts_stamps(self):
         clocks = ClockModel(offset_app_ms=5.0, sigma_ue_ms=0, sigma_core_ms=0, sigma_app_ms=0)
         result = run(ping_run(count=3, clocks=clocks))
-        truth = result.truth.by_pid()
+        truth = {p.pid: p for p in result.truth.packets}
         for record in result.records[Tap.APP]:
             assert record.t_us - truth[record.pid].t_app_us == 5000
         for record in result.records[Tap.UE]:
@@ -403,7 +403,7 @@ class TestClocks:
                             resync_interval_s=1.0)
         cfg = ping_run(count=30, interval_ms=200.0, clocks=clocks, seed=10)
         result = run(cfg)
-        truth = result.truth.by_pid()
+        truth = {p.pid: p for p in result.truth.packets}
         errs = {}
         for record in result.records[Tap.UE]:
             if record.dir is Direction.UPLINK:
@@ -418,7 +418,7 @@ class TestClocks:
         cfg = ping_run(count=20, interval_ms=500.0, clocks=clocks, seed=11)
         result = run(cfg)
         trace_ue = [s.offset_ms for s in result.ntp if s.node is Tap.UE]
-        truth = result.truth.by_pid()
+        truth = {p.pid: p for p in result.truth.packets}
         for record in result.records[Tap.UE]:
             if record.dir is not Direction.UPLINK:
                 continue
@@ -551,14 +551,42 @@ def stream_segment(pid, seq, length=1400):
     return emulator.TruthPacket(pid, VIDEO_FLOW, Direction.UPLINK, Proto.STREAM, seq, length)
 
 
-def resent_seqs(sim) -> list[int]:
-    return [p.seq for p in sim.truth.packets if p.retransmission]
+def replay(truth, on_ack=None) -> "emulator._Sender":
+    """A new sender fed a run's stream events at the UE, in time order, from
+    its truth log: each original segment as the UE sent it and each ACK that
+    reached the UE. ``on_ack(sender, sent)`` runs after each ACK, with the
+    originals sent so far."""
+    events = sorted((p for p in truth.packets if p.proto is Proto.STREAM and p.t_ue_us is not None
+                     and (p.dir is Direction.UPLINK and not p.retransmission
+                          or p.dir is Direction.DOWNLINK and p.payload_len == 0)),
+                    key=lambda p: (p.t_ue_us, p.dir is Direction.DOWNLINK))
+    sender, sent = emulator._Sender(), []
+    for p in events:
+        if p.dir is Direction.UPLINK:
+            sender.send(p.t_ue_us, p)
+            sent.append(p)
+        else:
+            sender.ack(p.t_ue_us, p.ack)
+            if on_ack is not None:
+                on_ack(sender, sent)
+    return sender
+
+
+class SampleLog(emulator._Sender):
+    """A sender that keeps the RTT samples it takes."""
+
+    def __init__(self):
+        super().__init__()
+        self.samples = []
+
+    def rtt_sample(self, sample_ms):
+        self.samples.append(sample_ms)
+        super().rtt_sample(sample_ms)
 
 
 class TestAckBook:
-    """The sender's book of unacknowledged segments, armed on the send path:
-    originals in ascending seq through ``_emit_uplink``, resends through
-    ``_resend``."""
+    """The sender's book of unacknowledged segments: originals in ascending
+    seq through ``send``, resends through ``resend``."""
 
     # (seq, length, emission time us) of the originals, then (seq, time us)
     # of a resend: the segment ending at 2800 is sent again
@@ -567,30 +595,29 @@ class TestAckBook:
     RESEND = (1400, 9_900.0)
     ACKS = [(12_000.0, 2800), (13_100.0, 2800), (15_750.0, 5600), (19_000.0, 7000)]
 
-    def sender(self):
-        sim = emulator._Simulation(video_run(retransmit=True, loss_prob=0.02))
+    def sender(self, cls=emulator._Sender):
+        sender = cls()
         for pid, (seq, length, t_us) in enumerate(self.SENDS):
-            sim._emit_uplink(t_us, stream_segment(pid, seq, length))
+            sender.send(t_us, stream_segment(pid, seq, length))
         seq, t_us = self.RESEND
-        sim._resend(t_us, seq)
-        return sim
+        sender.resend(t_us, seq)
+        return sender
 
-    def test_pops_each_end_once_in_ascending_order(self, monkeypatch):
-        sim = self.sender()
-        samples = []
-        monkeypatch.setattr(sim, "_rtt_sample", samples.append)
-        sim._sender_sees_ack(12_000.0, 2800)
+    def test_pops_each_end_once_in_ascending_order(self):
+        sender = self.sender(SampleLog)
+        samples = sender.samples
+        sender.ack(12_000.0, 2800)
         # seq 0 is timed; seq 1400 was resent, so Karn's rule skips it
-        assert samples == [11.0] and list(sim._unacked) == [2800, 4200, 5600]
-        sim._sender_sees_ack(13_100.0, 2800)
-        assert samples == [11.0] and list(sim._unacked) == [2800, 4200, 5600]
-        sim._sender_sees_ack(15_750.0, 7000)
-        assert samples == [11.0, 14.05, 13.65, 13.4] and not sim._unacked
-        sim._sender_sees_ack(19_000.0, 7000)
+        assert samples == [11.0] and list(sender.unacked) == [2800, 4200, 5600]
+        sender.ack(13_100.0, 2800)
+        assert samples == [11.0] and list(sender.unacked) == [2800, 4200, 5600]
+        sender.ack(15_750.0, 7000)
+        assert samples == [11.0, 14.05, 13.65, 13.4] and not sender.unacked
+        sender.ack(19_000.0, 7000)
         assert samples == [11.0, 14.05, 13.65, 13.4]
 
     def test_srtt_equals_sorted_scan(self):
-        sim = self.sender()
+        sender = self.sender()
         # segment end -> (last send time, resent), as the old sorted scan kept it
         reference = {seq + length: (t_us, False) for seq, length, t_us in self.SENDS}
         seq, t_us = self.RESEND
@@ -599,116 +626,133 @@ class TestAckBook:
         state = (None, 0.0, emulator.INITIAL_TIMEOUT_MS)  # RFC 6298 (SRTT, RTTVAR, RTO)
         for t_us, ack in self.ACKS:
             timed = sorted((end, t) for end, (t, rtx) in reference.items() if end <= ack and not rtx)
-            sim._sender_sees_ack(t_us, ack)
+            sender.ack(t_us, ack)
             srtt = old_sorted_scan(reference, srtt, t_us, ack)
             for _, emitted_at in timed:
                 state = rfc6298(state[0], state[1], (t_us - emitted_at) / 1000.0)
-            assert state[0] == sim._srtt_ms == srtt
-            assert (sim._rttvar_ms, sim._rto_ms) == state[1:]
-        assert srtt is not None and not reference and not sim._unacked
+            assert state[0] == sender.srtt_ms == srtt
+            assert (sender.rttvar_ms, sender.rto_ms) == state[1:]
+        assert srtt is not None and not reference and not sender.unacked
 
     def test_resend_updates_its_entry_in_place(self):
-        sim = emulator._Simulation(video_run(retransmit=True))
+        sender = emulator._Sender()
         originals = [stream_segment(i, i * 1400) for i in range(4)]
         for i, pkt in enumerate(originals):
-            sim._emit_uplink(float(i), pkt)
-        sim._resend(50_000.0, 0)
-        sim._resend(60_000.0, 2800)
-        assert list(sim._unacked) == [0, 1400, 2800, 4200]
-        assert [entry[0] for entry in sim._unacked.values()] == originals
-        assert [entry[1:] for entry in sim._unacked.values()] == [
+            sender.send(float(i), pkt)
+        assert sender.resend(50_000.0, 0) is originals[0]
+        assert sender.resend(60_000.0, 2800) is originals[2]
+        assert list(sender.unacked) == [0, 1400, 2800, 4200]
+        assert [entry[0] for entry in sender.unacked.values()] == originals
+        assert [entry[1:] for entry in sender.unacked.values()] == [
             [50_000.0, True], [1.0, False], [60_000.0, True], [3.0, False]]
 
-    def test_holds_exactly_the_unacknowledged_seqs_mid_run(self, monkeypatch):
-        cfg = video_run(duration_s=0.5, cv=0.3, seed=6, loss_prob=0.05, jitter_std=1.0,
-                        retransmit=True)
-        sim = emulator._Simulation(cfg)
-        sees_ack = emulator._Simulation._sender_sees_ack
+    def test_holds_exactly_the_unacknowledged_seqs_mid_run(self):
+        result = run(video_run(duration_s=0.5, cv=0.3, seed=6, loss_prob=0.05, jitter_std=1.0,
+                               retransmit=True))
         checked = []
 
-        def spy(t_us, ack):
-            sees_ack(sim, t_us, ack)
-            unacked = [p.seq for p in sim.truth.packets
-                       if p.dir is Direction.UPLINK and p.proto is Proto.STREAM
-                       and not p.retransmission and p.seq + p.payload_len > sim._sender_cum_ack]
-            assert list(sim._unacked) == unacked
+        def check(sender, sent):
+            unacked = [p.seq for p in sent if p.seq + p.payload_len > sender.cum_ack]
+            assert list(sender.unacked) == unacked
             checked.append(len(unacked))
 
-        monkeypatch.setattr(sim, "_sender_sees_ack", spy)
-        result = sim.run_events()
+        replay(result.truth, check)
         assert any(p.retransmission for p in result.truth.packets)
         assert max(checked) > 0 and checked[-1] == 0
 
     def test_empty_after_a_lossless_run(self):
-        sim = emulator._Simulation(video_run(duration_s=0.5, jitter_std=1.0, retransmit=True))
-        result = sim.run_events()
+        result = run(video_run(duration_s=0.5, jitter_std=1.0, retransmit=True))
         assert not any(p.retransmission for p in result.truth.packets)
-        assert sim._sender_cum_ack == sim._sent_end > 0 and not sim._unacked
+        sender = replay(result.truth)
+        assert sender.cum_ack == sender.sent_end > 0 and not sender.unacked
 
 
 class TestSender:
     def test_rto_follows_rfc6298_with_its_floor(self):
-        sim = emulator._Simulation(video_run(retransmit=True))
-        assert sim._rto_ms == emulator.INITIAL_TIMEOUT_MS
+        sender = emulator._Sender()
+        assert sender.rto_ms == emulator.INITIAL_TIMEOUT_MS
         srtt = rttvar = None
         # small samples put the formula under the 200 ms floor, large and
         # spread ones above it
         samples = [12.5, 30.0, 18.25, 400.0, 650.0, 90.0, 12.0, 12.0, 12.0, 12.0]
         floored = 0
         for sample in samples:
-            sim._rtt_sample(sample)
+            sender.rtt_sample(sample)
             srtt, rttvar, rto = rfc6298(srtt, rttvar, sample)
-            assert (sim._srtt_ms, sim._rttvar_ms, sim._rto_ms) == (srtt, rttvar, rto)
+            assert (sender.srtt_ms, sender.rttvar_ms, sender.rto_ms) == (srtt, rttvar, rto)
             floored += rto == 200.0
         assert 0 < floored < len(samples)
 
     def test_karn_skips_retransmitted_ranges(self):
-        sim = emulator._Simulation(video_run(retransmit=True))
-        sim._emit_uplink(0.0, stream_segment(0, 0))
-        sim._emit_uplink(1_000.0, stream_segment(1, 1400))
-        sim._resend(6_000.0, 1400)
-        sim._sender_sees_ack(10_000.0, 2800)
-        assert (sim._srtt_ms, sim._rttvar_ms) == (10.0, 5.0)
+        sender = emulator._Sender()
+        sender.send(0.0, stream_segment(0, 0))
+        sender.send(1_000.0, stream_segment(1, 1400))
+        sender.resend(6_000.0, 1400)
+        sender.ack(10_000.0, 2800)
+        assert (sender.srtt_ms, sender.rttvar_ms) == (10.0, 5.0)
         # an ACK of retransmitted ranges alone gives no sample
-        sim._emit_uplink(15_000.0, stream_segment(2, 2800))
-        sim._resend(20_000.0, 2800)
-        sim._sender_sees_ack(90_000.0, 4200)
-        assert (sim._srtt_ms, sim._rttvar_ms) == (10.0, 5.0)
+        sender.send(15_000.0, stream_segment(2, 2800))
+        sender.resend(20_000.0, 2800)
+        sender.ack(90_000.0, 4200)
+        assert (sender.srtt_ms, sender.rttvar_ms) == (10.0, 5.0)
+
+    def test_timer_resends_until_acknowledged_with_doubling_waits(self):
+        sender = emulator._Sender()
+        pkt = stream_segment(0, 0)
+        assert sender.send(0.0, pkt) == emulator.INITIAL_TIMEOUT_MS * 1000
+        expiries = [sender.timeout(t_us, pkt, attempt)
+                    for attempt, t_us in enumerate([1e6, 3e6], start=1)]
+        assert expiries == [3e6, 7e6] and sender.unacked[0][1:] == [3e6, True]
+        sender.ack(7e6, 1400)
+        assert sender.timeout(7e6, pkt, 3) is None
+
+    def test_timer_gives_up_after_max_retransmits(self):
+        sender = emulator._Sender()
+        pkt = stream_segment(0, 0)
+        sender.send(0.0, pkt)
+        assert sender.timeout(1e6, pkt, emulator.MAX_RETRANSMITS) is not None
+        assert sender.timeout(2e6, pkt, emulator.MAX_RETRANSMITS + 1) is None
 
     @pytest.fixture
     def sender(self):
-        """A sender that has sent six 1400-byte segments, none acknowledged."""
-        sim = emulator._Simulation(video_run(retransmit=True))
-        for i in range(6):
-            sim._emit_uplink(float(i), stream_segment(i, i * 1400))
-        return sim
+        """A sender that has sent six 1400-byte segments, none acknowledged,
+        and the segments."""
+        sender = emulator._Sender()
+        segments = [stream_segment(i, i * 1400) for i in range(6)]
+        for i, pkt in enumerate(segments):
+            sender.send(float(i), pkt)
+        return sender, segments
 
     def test_third_duplicate_ack_resends_the_segment_at_the_ack(self, sender):
-        sender._sender_sees_ack(20_000.0, 1400)
+        sender, segments = sender
+        assert sender.ack(20_000.0, 1400) is None
+        resent = []
         for n in range(1, 6):
-            sender._sender_sees_ack(20_000.0 + n, 1400)
-            assert resent_seqs(sender) == ([1400] if n >= emulator.DUP_ACK_THRESHOLD else [])
-        [copy] = [p for p in sender.truth.packets if p.retransmission]
+            lost = sender.ack(20_000.0 + n, 1400)
+            resent += [] if lost is None else [lost]
+            assert [p.seq for p in resent] == ([1400] if n >= emulator.DUP_ACK_THRESHOLD else [])
+        [copy] = resent
+        assert copy is segments[1]
         assert (copy.seq, copy.payload_len, copy.flow, copy.proto) == (
             1400, 1400, VIDEO_FLOW, Proto.STREAM)
 
     def test_partial_ack_resends_the_next_hole(self, sender):
-        for _ in range(1 + emulator.DUP_ACK_THRESHOLD):
-            sender._sender_sees_ack(20_000.0, 1400)
-        sender._sender_sees_ack(40_000.0, 4200)   # partial: 8400 was sent
-        assert resent_seqs(sender) == [1400, 4200]
-        sender._sender_sees_ack(60_000.0, 8400)   # full: recovery ends
-        sender._sender_sees_ack(60_001.0, 8400)   # nothing outstanding
-        assert resent_seqs(sender) == [1400, 4200]
+        sender, _ = sender
+        resent = [sender.ack(20_000.0, 1400) for _ in range(1 + emulator.DUP_ACK_THRESHOLD)]
+        resent.append(sender.ack(40_000.0, 4200))   # partial: 8400 was sent
+        assert [p.seq for p in resent if p is not None] == [1400, 4200]
+        resent.append(sender.ack(60_000.0, 8400))   # full: recovery ends
+        resent.append(sender.ack(60_001.0, 8400))   # nothing outstanding
+        assert [p.seq for p in resent if p is not None] == [1400, 4200]
 
     @staticmethod
-    def acks_outside_delayed_ack_policy(sim) -> int:
+    def acks_outside_delayed_ack_policy(result) -> int:
         """ACKs the app sent with fewer than ACK_EVERY_SEGMENTS segments
         pending, none of them a frame's last and none pending for
         DELAYED_ACK_MS (perfect clocks, so stamps are true times)."""
-        truth = sim.truth.by_pid()
+        truth = {p.pid: p for p in result.truth.packets}
         pending, first_t, eof, outside = 0, None, False, 0
-        for r in sim._records[NODES.index(Tap.APP)]:
+        for r in result.records[Tap.APP]:
             if r.proto is not Proto.STREAM:
                 continue
             if r.dir is Direction.UPLINK and r.payload_len > 0:
@@ -724,19 +768,18 @@ class TestSender:
 
     def test_retransmit_off_sends_no_early_ack_and_no_resend(self):
         cfg = video_run(duration_s=2.0, cv=0.3, seed=4, loss_prob=0.05, jitter_std=1.0)
-        sim = emulator._Simulation(cfg)
-        result = sim.run_events()
+        result = run(cfg)
         assert not any(p.retransmission for p in result.truth.packets)
         ue = [(r.seq, r.payload_len) for r in result.records[Tap.UE]
               if r.proto is Proto.STREAM and r.dir is Direction.UPLINK and r.payload_len > 0]
         assert len(ue) == len(set(ue))
-        assert sim._dup_acks == 0 and sim._srtt_ms is None
-        assert self.acks_outside_delayed_ack_policy(sim) == 0
+        # no sender is made, so nothing reacts to an ACK
+        assert emulator._Simulation(cfg)._sender is None
+        assert self.acks_outside_delayed_ack_policy(result) == 0
         # the check sees the immediate ACKs of the same path with retransmission
-        sim_rtx = emulator._Simulation(dataclasses.replace(
+        rtx = run(dataclasses.replace(
             cfg, scenario=dataclasses.replace(cfg.scenario, retransmit=True)))
-        sim_rtx.run_events()
-        assert self.acks_outside_delayed_ack_policy(sim_rtx) > 0
+        assert self.acks_outside_delayed_ack_policy(rtx) > 0
 
 
 #: The benchmark's 5 s retransmission scenario (VGA MJPEG at 20 fps, 100
@@ -873,7 +916,7 @@ class TestEventQueue:
 
 
 def old_receive_ranges(ranges: list[list[int]], start: int, end: int) -> list[list[int]]:
-    """_ReceiveBuffer.add before bisection: rebuild the whole range list."""
+    """The receiver's range merge before bisection: rebuild the whole range list."""
     new = [start, end]
     out = []
     placed = False
@@ -892,11 +935,31 @@ def old_receive_ranges(ranges: list[list[int]], start: int, end: int) -> list[li
     return out
 
 
+def video_plans(frame_bytes: list[int]) -> list[emulator.SegmentPlan]:
+    """One boundary segment then one data segment per frame, as
+    gen_video_stream lays them out."""
+    plans, seq = [], 0
+    for k, size in enumerate(frame_bytes):
+        boundary = BOUNDARY_SEGMENT_BYTES
+        plans.append(emulator.SegmentPlan(0, seq, boundary, Marker.FRAME_BOUNDARY, k, False))
+        plans.append(emulator.SegmentPlan(0, seq + boundary, size, Marker.NONE, k, True))
+        seq += boundary + size
+    return plans
+
+
+def arrive(receiver, t_us, plan):
+    """Hand ``plan``'s segment to ``receiver`` at ``t_us``; its answer."""
+    pkt = emulator.TruthPacket(0, VIDEO_FLOW, Direction.UPLINK, Proto.STREAM, plan.seq,
+                               plan.payload_len, end_of_frame=plan.end_of_frame)
+    frames, ack, deadline = receiver.segment(t_us, pkt)
+    return list(frames), ack, deadline
+
+
 class TestReceiveBuffer:
     def test_matches_rebuilt_range_list(self):
         rng = random.Random(5)
         for _ in range(200):
-            buf, reference = emulator._ReceiveBuffer(), []
+            buf, reference = emulator._Receiver(VIDEO_FLOW, [], False), []
             for _ in range(rng.randrange(1, 30)):
                 start = rng.randrange(0, 60)
                 end = start + rng.randrange(1, 12)
@@ -905,3 +968,45 @@ class TestReceiveBuffer:
                 assert [list(r) for r in zip(buf._starts, buf._ends)] == reference
                 expected = reference[0][1] if reference[0][0] == 0 else 0
                 assert buf.cumulative() == expected
+
+    def test_acks_every_second_segment_each_frame_end_and_on_its_timer(self):
+        plans = video_plans([100, 100])
+        receiver = emulator._Receiver(VIDEO_FLOW, plans, False)
+        deadline = 1_000.0 + emulator.DELAYED_ACK_MS * 1000
+        # a boundary segment alone waits for the timer
+        assert arrive(receiver, 1_000.0, plans[0]) == ([], None, deadline)
+        assert receiver.ack_timer(deadline - 1) is None
+        assert receiver.ack_timer(deadline) == 64
+        # the frame's last segment is acknowledged at once, and readies it
+        assert arrive(receiver, 9_000.0, plans[1]) == ([0], 164, None)
+        assert arrive(receiver, 9_500.0, plans[2]) == ([], None, 9_500.0 + 5_000.0)
+        # the second pending segment is acknowledged at once; the timer set
+        # before it then finds no ACK due
+        assert arrive(receiver, 9_600.0, plans[3]) == ([1], 328, None)
+        assert receiver.ack_timer(14_500.0) is None
+
+    def test_frames_ready_in_byte_order_once(self):
+        plans = video_plans([100, 100, 100])
+        receiver = emulator._Receiver(VIDEO_FLOW, plans, False)
+        # frame 1 arrives whole before frame 0's data: it waits for it
+        assert arrive(receiver, 1.0, plans[2])[0] == []
+        assert arrive(receiver, 2.0, plans[3])[0] == []
+        assert arrive(receiver, 3.0, plans[0])[0] == []
+        assert arrive(receiver, 4.0, plans[1])[0] == [0, 1]
+        # a copy of a frame already ready readies nothing
+        assert arrive(receiver, 5.0, plans[3])[0] == []
+        assert arrive(receiver, 6.0, plans[5])[0] == []
+        assert arrive(receiver, 7.0, plans[4])[0] == [2]
+
+    @pytest.mark.parametrize("ack_out_of_order", [False, True])
+    def test_segment_out_of_order_acknowledged_at_once_only_with_retransmission(
+            self, ack_out_of_order):
+        plans = video_plans([100])
+        receiver = emulator._Receiver(VIDEO_FLOW, plans, ack_out_of_order)
+        _, ack, deadline = arrive(receiver, 1.0, plans[0])
+        assert (ack, deadline) == (None, 1.0 + emulator.DELAYED_ACK_MS * 1000)
+        receiver.ack_timer(deadline)
+        # a segment above the cumulative point (64) after a lost one
+        late = emulator.SegmentPlan(0, 300, 50, Marker.NONE, None, False)
+        _, ack, deadline = arrive(receiver, 10_000.0, late)
+        assert (ack, deadline) == ((64, None) if ack_out_of_order else (None, 15_000.0))
