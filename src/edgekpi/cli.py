@@ -14,7 +14,6 @@ import csv
 import dataclasses
 import gc
 import json
-import math
 import shutil
 import sys
 from pathlib import Path
@@ -43,8 +42,8 @@ from .kpis import (
     write_report_ndjson,
 )
 from .model import (
-    CaptureFormatError,
     Encoder,
+    InputError,
     RangeBand,
     Resolution,
     Scenario,
@@ -52,8 +51,9 @@ from .model import (
     Tap,
     Tech,
     VideoConfig,
-    not_utf8,
+    finite_number,
     read_capture_file,
+    read_ndjson,
     read_ntp_file,
     validate,
     write_capture_file,
@@ -279,14 +279,6 @@ def _scenario_meta_from_manifest(indir: Path) -> dict[str, str]:
     return {"scenario_label": label, "tech": s.tech.value, "range_band": s.range.value}
 
 
-def _read_named(reader, path: Path):
-    """``reader(path)``, with a decode error's message prefixed by the path."""
-    try:
-        return reader(path)
-    except CaptureFormatError as exc:
-        raise CliError(f"{path}: {exc}") from exc
-
-
 def cmd_analyze(args) -> int:
     cfg, opts = _analysis_options(args)
     indir = Path(args.indir)
@@ -299,9 +291,9 @@ def cmd_analyze(args) -> int:
         path = indir / name
         if not path.exists():
             raise CliError(f"missing capture file: {path}")
-        records[tap] = _read_named(read_capture_file, path)
+        records[tap] = read_capture_file(path)
     ntp_path = indir / NTP_FILE
-    ntp = _read_named(read_ntp_file, ntp_path) if ntp_path.exists() else None
+    ntp = read_ntp_file(ntp_path) if ntp_path.exists() else None
     opts = dataclasses.replace(opts, **meta)
     report, _ = _analyze_and_write(indir, records, ntp, cfg, opts)
     for name in report.absent:
@@ -415,39 +407,22 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _read_ndjson(path: Path, kind: str, parse) -> list:
-    """``parse(record)`` of each non-blank line of ``path``. A line that does
-    not decode, or that ``parse`` rejects, ends in a CliError naming it."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rows.append(parse(json.loads(line)))
-                except (ValueError, KeyError, TypeError, AttributeError, RecursionError,
-                        OverflowError) as exc:
-                    why = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-                    raise CliError(f"{path} line {lineno}: bad {kind} record: {why}")
-        except UnicodeDecodeError as exc:  # raised by the read, outside every line
-            raise CliError(f"{path}: {not_utf8(exc)}") from exc
-    return rows
-
-
-def _number(d: dict, key: str) -> float:
-    """``d[key]``, which must be a finite JSON number and not a bool."""
-    value = d[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValueError(f"could not convert {key} {value!r} to a finite number")
-    return float(value)
-
-
-def _sample(d: dict) -> tuple[str, float]:
+def _sample(line: str) -> tuple[str, float]:
+    d = json.loads(line.strip())
     if not isinstance(d["class"], str):
         raise ValueError(f"class {d['class']!r} is not a string")
-    return d["class"], _number(d, "value_ms")
+    return d["class"], finite_number(d, "value_ms")
+
+
+def _demand_bar(line: str) -> tuple[str, float] | None:
+    """A report line's demanded-throughput bar, None for any other metric."""
+    d = json.loads(line.strip())
+    if d.get("metric") != "demanded_throughput":
+        return None
+    scenario = d.get("scenario", "")
+    if not isinstance(scenario, str):
+        raise ValueError(f"scenario {scenario!r} is not a string")
+    return scenario or "demand", finite_number(d, "value")
 
 
 def _load_samples(path: Path) -> dict[str, list[float]]:
@@ -455,7 +430,7 @@ def _load_samples(path: Path) -> dict[str, list[float]]:
     if not path.exists():
         raise CliError(f"samples file not found: {path}")
     by_class: dict[str, list[float]] = {}
-    for cls, value in _read_ndjson(path, "sample", _sample):
+    for cls, value in read_ndjson(path, _sample, "sample record"):
         by_class.setdefault(cls, []).append(value)
     return by_class
 
@@ -496,13 +471,7 @@ def cmd_plot(args) -> int:
         else:
             if not args.infile:
                 raise CliError("--in (a report.ndjson) or --defaults is required for throughput plots")
-
-            def demand_bar(d):
-                if d.get("metric") != "demanded_throughput":
-                    return None
-                return (d.get("scenario") or "demand", _number(d, "value"))
-
-            bars = [bar for bar in _read_ndjson(Path(args.infile), "report", demand_bar) if bar]
+            bars = [bar for bar in read_ndjson(args.infile, _demand_bar, "report record") if bar]
             if not bars:
                 raise CliError("report contains no demanded_throughput rows")
         text = render_throughput_ascii(bars) if args.ascii else render_throughput_svg(bars)
@@ -535,7 +504,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (CliError, ConfigError, CaptureFormatError, InsufficientDataError, OSError) as exc:
+    except (CliError, InputError, InsufficientDataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -21,6 +21,7 @@ from .emulator import DEFAULT_MSS, EmulationRun, Workload
 from .model import (
     ClockModel,
     Encoder,
+    InputError,
     ProcessingModel,
     RangeBand,
     Resolution,
@@ -31,15 +32,8 @@ from .model import (
 )
 
 
-class ConfigError(ValueError):
-    """A configuration file could not be parsed or validated; ``path`` is
-    set, and leads the message, when the message names the file."""
-
-    def __init__(self, message: str, path: str | Path | None = None):
-        self.path = path
-        if path is not None:
-            message = f"{path}: {message}"
-        super().__init__(message)
+class ConfigError(InputError):
+    """A configuration file could not be parsed or validated."""
 
 
 def _syntax_error(path: str | Path, exc: configparser.Error) -> ConfigError:
@@ -53,7 +47,7 @@ def _syntax_error(path: str | Path, exc: configparser.Error) -> ConfigError:
         lineno, what = exc.lineno, f"duplicate section [{exc.section}]"
     else:  # a ParsingError, which lists each such line; name the first
         lineno, what = exc.errors[0][0], "neither a [section] header nor a key = value line"
-    return ConfigError(f"line {lineno}: {what}", path)
+    return ConfigError(what, path, lineno)
 
 
 #: The parser of ``bandwidth_cap``: a float where ``inf``, ``none`` and
@@ -169,6 +163,7 @@ def parse_config(path: str | Path) -> ParsedConfig:
     duration = video.pop("duration_s", 0.0)  # > 0 turns the stream on
     if duration < 0:
         raise ConfigError("[video] duration_s must be >= 0")
+    video_cfg = _build("video", VideoConfig, video)  # checked even when the stream is off
 
     return ParsedConfig(
         scenario=_build("scenario", Scenario,
@@ -176,7 +171,7 @@ def parse_config(path: str | Path) -> ParsedConfig:
         clocks=_build("clocks", ClockModel, clocks),
         workload=_build("workload", Workload, {
             **workload, "video_duration_s": duration,
-            "video": _build("video", VideoConfig, video) if duration > 0 else None}),
+            "video": video_cfg if duration > 0 else None}),
         processing=_build("processing", ProcessingModel, processing),
         seed=run.get("seed"), mss=mss, raw_scenario=scenario)
 

@@ -111,7 +111,7 @@ class Workload:
         for name in ("video_duration_s", "bulk_duration_s"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.ping_count > 0 and self.ping_interval_ms <= 0:
+        if self.ping_interval_ms <= 0:
             raise ValueError("ping_interval_ms must be > 0")
         if self.bulk_offered_mbps is not None and self.bulk_offered_mbps <= 0:
             raise ValueError("bulk_offered_mbps must be > 0")

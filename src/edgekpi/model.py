@@ -16,7 +16,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 from enum import Enum
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 
 class Tap(Enum):
@@ -141,20 +141,62 @@ def acyclic():
         gc.enable()
 
 
-class CaptureFormatError(ValueError):
-    """A capture file line could not be decoded."""
+class InputError(ValueError):
+    """An input file could not be read; ``path`` and ``lineno`` are set, and
+    lead the message as ``FILE: line N:``, when the error lies in that file
+    and line."""
 
-    def __init__(self, message: str, lineno: int | None = None):
-        self.lineno = lineno
+    def __init__(self, message: str, path: str | Path | None = None, lineno: int | None = None):
+        self.path, self.lineno = path, lineno
         if lineno is not None:
             message = f"line {lineno}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
+
+
+class CaptureFormatError(InputError):
+    """A line of an NDJSON input could not be decoded."""
 
 
 def not_utf8(exc: UnicodeDecodeError) -> str:
     """A file's failed UTF-8 decode, in one line. The codec counts its
     position from the chunk it was decoding, not the file, so none is given."""
     return f"not UTF-8 text: byte 0x{exc.object[exc.start]:02x} ({exc.reason})"
+
+
+def read_ndjson(path: str | Path, decode: Callable[[str], object], kind: str) -> list:
+    """``decode(line)`` of each non-blank line of the NDJSON file ``path``,
+    the line as read, its newline included. Every failure is a
+    CaptureFormatError that names the file and, but for a file that is not
+    UTF-8, the line, numbered from 1. A line ``decode`` rejects with a
+    CaptureFormatError keeps its message; one it rejects with another error
+    reads ``bad {kind}: …``."""
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.isspace():
+                    rows.append(decode(line))
+        except UnicodeDecodeError as exc:  # raised by the read, outside every line
+            raise CaptureFormatError(not_utf8(exc), path) from exc
+        except CaptureFormatError as exc:
+            raise CaptureFormatError(str(exc), path, lineno) from exc
+        except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
+            why = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+            raise CaptureFormatError(f"bad {kind}: {why}", path, lineno) from exc
+    return rows
+
+
+def finite_number(d: dict, key: str) -> float:
+    """``d[key]`` as a float: a JSON number, not a bool, finite as a float."""
+    value = d[key]
+    try:
+        if type(value) in (int, float) and math.isfinite(number := float(value)):
+            return number
+    except OverflowError:  # an integer past the float range
+        pass
+    raise ValueError(f"{key} must be a finite number, got {value!r}")
 
 
 class CaptureRecord(NamedTuple):
@@ -202,7 +244,7 @@ _WIRE_KEYS = ("tap", "t_us", "flow", "dir", "proto", "seq", "ack", "len", "marke
 
 def _record_error(d: dict) -> str | None:
     """Name the first field of a decoded object that cannot form a record,
-    or None if it forms one: an integer field must hold a JSON integer."""
+    or None if it forms one: an integer field must hold a 64-bit JSON integer."""
     for key in _WIRE_KEYS:
         if key not in d:
             return f"bad capture record: missing field {key!r}"
@@ -214,17 +256,21 @@ def _record_error(d: dict) -> str | None:
                 return f"bad capture record: {key}: unknown value {value!r}"
         elif type(value) is not int:  # not a float, string or bool
             return f"bad capture record: {key}: not an integer: {value!r}"
+        elif not -2**63 <= value < 2**63:
+            return f"bad capture record: {key}: not a 64-bit integer: {value!r}"
     return None
 
 
 def _wire_field(key: str) -> str:
     """The pattern of one ``"key":value`` pair as record_to_json writes it:
     an enum value from the field's value map, or a JSON integer (ASCII
-    digits, no leading zero), captured as one group."""
+    digits, no leading zero) of at most 18 digits, so within 64 bits,
+    captured as one group. A longer one takes the ``json.loads`` path,
+    which checks its range."""
     values = _ENUM_FIELDS.get(key)
     if values is not None:
         return f'"{key}":"({"|".join(map(re.escape, values))})"'
-    return f'"{key}":(-?(?:0|[1-9][0-9]*))'
+    return f'"{key}":(-?(?:0|[1-9][0-9]{{0,17}}))'
 
 
 #: Match a line in the exact form record_to_json writes, with or without
@@ -244,37 +290,35 @@ class _IntTable(dict):
         return value
 
 
-def _record_from_match(match: re.Match, lineno: int | None, num=int) -> CaptureRecord:
+def _record_from_match(match: re.Match, num=int) -> CaptureRecord:
     """The record of a wire-form line; ``num`` turns the digits of each
     integer field but ``pid`` (unique per tap) into an int."""
     tap, t_us, flow, direction, proto, seq, ack, payload_len, marker, pid = match.groups()
-    try:  # tuple.__new__ skips the NamedTuple's generated __new__
-        return tuple.__new__(CaptureRecord, (
-            _TAPS[tap], num(t_us), num(flow), _DIRS[direction], _PROTOS[proto],
-            num(seq), num(ack), num(payload_len), _MARKERS[marker], int(pid)))
-    except ValueError as exc:  # an integer past int()'s digit limit
-        raise CaptureFormatError(f"bad capture record: {exc}", lineno) from exc
+    # tuple.__new__ skips the NamedTuple's generated __new__
+    return tuple.__new__(CaptureRecord, (
+        _TAPS[tap], num(t_us), num(flow), _DIRS[direction], _PROTOS[proto],
+        num(seq), num(ack), num(payload_len), _MARKERS[marker], int(pid)))
 
 
-def record_from_json(line: str, lineno: int | None = None) -> CaptureRecord:
+def record_from_json(line: str) -> CaptureRecord:
     """Decode one capture line: a line in record_to_json's exact form
     through one pattern, any other line through ``json.loads``. The pattern
     only takes lines that ``json.loads`` decodes to the same record, so
     which path runs never changes the result or the error."""
     match = _match_wire_line(line)
     if match is not None:
-        return _record_from_match(match, lineno)
+        return _record_from_match(match)
     try:
         d = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise CaptureFormatError(f"invalid JSON: {exc.msg}", lineno) from exc
+        raise CaptureFormatError(f"invalid JSON: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # past int()'s digit limit or the nesting limit
-        raise CaptureFormatError(f"bad capture record: {exc}", lineno) from exc
+        raise CaptureFormatError(f"bad capture record: {exc}") from exc
     if not isinstance(d, dict):
-        raise CaptureFormatError("record is not an object", lineno)
+        raise CaptureFormatError("record is not an object")
     error = _record_error(d)
     if error is not None:
-        raise CaptureFormatError(error, lineno)
+        raise CaptureFormatError(error)
     return CaptureRecord(_TAPS[d["tap"]], d["t_us"], d["flow"], _DIRS[d["dir"]], _PROTOS[d["proto"]],
                          d["seq"], d["ack"], d["len"], _MARKERS[d["marker"]], d["pid"])
 
@@ -286,23 +330,19 @@ def write_capture_file(path: str | Path, records: Iterable[CaptureRecord]) -> No
 
 @acyclic()
 def read_capture_file(path: str | Path) -> list[CaptureRecord]:
-    """Decode a capture file one line at a time, skipping blank lines; a
-    line in record_to_json's form is matched as read, any other is decoded
-    with its surrounding whitespace stripped. Equal integers of wire-form
-    lines are one object: timestamps, seq, ack and len repeat many times."""
-    records = []
+    """Decode a capture file through read_ndjson: a line in record_to_json's
+    form is matched as read, any other is decoded with its surrounding
+    whitespace stripped. Equal integers of wire-form lines are one object:
+    timestamps, seq, ack and len repeat many times."""
     num = _IntTable().__getitem__
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                match = _match_wire_line(line)
-                if match is not None:
-                    records.append(_record_from_match(match, lineno, num))
-                elif line := line.strip():
-                    records.append(record_from_json(line, lineno))
-        except UnicodeDecodeError as exc:  # raised by the read, outside every line
-            raise CaptureFormatError(not_utf8(exc)) from exc
-    return records
+
+    def decode(line: str) -> CaptureRecord:
+        match = _match_wire_line(line)
+        if match is not None:
+            return _record_from_match(match, num)
+        return record_from_json(line.strip())
+
+    return read_ndjson(path, decode, "capture record")
 
 
 @dataclass(frozen=True)
@@ -505,22 +545,11 @@ def write_ntp_file(path: str | Path, samples: Iterable[NtpSample]) -> None:
             fh.write("\n")
 
 
+def _ntp_sample(line: str) -> NtpSample:
+    d = json.loads(line.strip())
+    t_s, offset_ms = finite_number(d, "t_s"), finite_number(d, "offset_ms")
+    return NtpSample(t_s, Tap(d["node"]), offset_ms)
+
+
 def read_ntp_file(path: str | Path) -> list[NtpSample]:
-    samples = []
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    d = json.loads(line)
-                    for key in ("t_s", "offset_ms"):
-                        if type(d[key]) not in (int, float):  # not a string or bool
-                            raise ValueError(f"{key} must be a finite number, got {d[key]!r}")
-                    samples.append(NtpSample(float(d["t_s"]), Tap(d["node"]), float(d["offset_ms"])))
-                except (json.JSONDecodeError, KeyError, ValueError, TypeError, RecursionError) as exc:
-                    raise CaptureFormatError(f"bad ntp sample: {exc}", lineno) from exc
-        except UnicodeDecodeError as exc:  # raised by the read, outside every line
-            raise CaptureFormatError(not_utf8(exc)) from exc
-    return samples
+    return read_ndjson(path, _ntp_sample, "ntp sample")

@@ -25,12 +25,17 @@ def _y_scale(lo: float, hi: float):
     return lambda v: _H - _MARGIN - (v - lo) / span * (_H - 2 * _MARGIN)
 
 
+def _text(label: str) -> str:
+    """``label`` as SVG text content: ``&``, ``<`` and ``>`` escaped."""
+    return label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _svg_header(title: str) -> list[str]:
     return [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}">',
         f'<rect x="0" y="0" width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W // 2}" y="24" text-anchor="middle" font-size="16">{title}</text>',
+        f'<text x="{_W // 2}" y="24" text-anchor="middle" font-size="16">{_text(title)}</text>',
     ]
 
 
@@ -38,9 +43,9 @@ def _axes(x_label: str, y_label: str) -> list[str]:
     return [
         f'<line x1="{_MARGIN}" y1="{_H - _MARGIN}" x2="{_W - _MARGIN}" y2="{_H - _MARGIN}" stroke="black"/>',
         f'<line x1="{_MARGIN}" y1="{_MARGIN}" x2="{_MARGIN}" y2="{_H - _MARGIN}" stroke="black"/>',
-        f'<text x="{_W // 2}" y="{_H - 16}" text-anchor="middle" font-size="12">{x_label}</text>',
+        f'<text x="{_W // 2}" y="{_H - 16}" text-anchor="middle" font-size="12">{_text(x_label)}</text>',
         f'<text x="16" y="{_H // 2}" text-anchor="middle" font-size="12" '
-        f'transform="rotate(-90 16 {_H // 2})">{y_label}</text>',
+        f'transform="rotate(-90 16 {_H // 2})">{_text(y_label)}</text>',
     ]
 
 
@@ -97,7 +102,7 @@ def render_box_svg(groups: Sequence[tuple[str, BoxplotStats]], title: str = "Lat
         for v in s.outliers:
             parts.append(f'<circle cx="{cx:.1f}" cy="{sy(v):.1f}" r="2.5" fill="none" stroke="black"/>')
         parts.append(f'<text x="{cx:.1f}" y="{_H - _MARGIN + 16}" text-anchor="middle" '
-                     f'font-size="10">{label}</text>')
+                     f'font-size="10">{_text(label)}</text>')
     parts.append("</svg>")
     return "\n".join(parts)
 
@@ -121,7 +126,7 @@ def render_throughput_svg(bars: Sequence[tuple[str, float]],
         parts.append(f'<text x="{cx:.1f}" y="{top - 4:.1f}" text-anchor="middle" '
                      f'font-size="10">{v:.1f}</text>')
         parts.append(f'<text x="{cx:.1f}" y="{_H - _MARGIN + 16}" text-anchor="middle" '
-                     f'font-size="10">{label}</text>')
+                     f'font-size="10">{_text(label)}</text>')
     for cap in thresholds:
         y = sy(cap)
         parts.append(f'<line x1="{_MARGIN}" y1="{y:.2f}" x2="{_W - _MARGIN}" y2="{y:.2f}" '

@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import re
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -166,10 +167,13 @@ class TestBadConfig:
         (PING_ONLY + "\n[processing]\nstage_blob = 0.25\n", "[processing] unknown key 'stage_blob'"),
         (BULK + "bulk_offered_mbps = inf\n",
          "[workload] bulk_offered_mbps must be a finite number, got inf"),
+        (PING_ONLY + "\n[video]\nfps = -5\n", "[video] fps must be > 0"),
+        (BULK + "ping_interval_ms = -5\n", "[workload] ping_interval_ms must be > 0"),
     ], ids=["mss-zero", "mss-negative", "bulk-rate-negative", "bad-boolean", "bad-integer",
             "video-duration-negative", "bulk-duration-negative", "default-section",
             "empty-default-section", "no-section-header", "indented-stray-line",
-            "duplicate-key", "added-owd", "stage-fraction", "bulk-rate-inf"])
+            "duplicate-key", "added-owd", "stage-fraction", "bulk-rate-inf",
+            "unused-video-fps-negative", "unused-ping-interval-negative"])
     def test_exits_1_with_one_line_and_writes_nothing(self, tmp_path, capsys, command,
                                                       config, message):
         cfg = tmp_path / "bad.ini"
@@ -301,17 +305,20 @@ class TestAnalyze:
         del empty["ntp.ndjson"]
         assert missing == empty
 
-    @pytest.mark.parametrize("value", ["NaN", "Infinity", '"nan"', '"5"', "true"])
-    def test_non_finite_ntp_offset_is_an_error(self, capture_dir, capsys, value):
+    @pytest.mark.parametrize("key", ["offset_ms", "t_s"])
+    @pytest.mark.parametrize("value", [
+        "NaN", "Infinity", '"nan"', '"5"', "true", pytest.param("1" + "0" * 400, id="400-digit"),
+        "1e999", "-Infinity"])
+    def test_non_finite_ntp_offset_is_an_error(self, capture_dir, capsys, key, value):
         ntp_path = capture_dir / "ntp.ndjson"
         lines = ntp_path.read_text().splitlines()
-        lines[1] = re.sub(r'"offset_ms":[^,}]+', f'"offset_ms":{value}', lines[1])
+        lines[1] = re.sub(rf'"{key}":[^,}}]+', f'"{key}":{value}', lines[1])
         ntp_path.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert main(["analyze", "--in", str(capture_dir)]) == 1
         err = one_line_error(capsys)
         assert err.startswith(f"error: {ntp_path}: line 2: bad ntp sample: "
-                              "offset_ms must be a finite number"), err
+                              f"{key} must be a finite number"), err
         for name in ("samples.ndjson", "report.csv", "report.ndjson"):
             assert not (capture_dir / name).exists()
 
@@ -357,7 +364,8 @@ class TestAnalyze:
         assert not (capture_dir / "report.csv").exists()
 
     @pytest.mark.parametrize("field, value", [
-        ("t_us", "-277.5"), ("t_us", "1e3"), ("pid", '"5"'), ("seq", "true")])
+        ("t_us", "-277.5"), ("t_us", "1e3"), ("pid", '"5"'), ("seq", "true"),
+        ("t_us", str(2**63)), pytest.param("t_us", "1" + "0" * 400, id="t_us-400-digit")])
     def test_integer_field_must_be_a_json_integer(self, capture_dir, capsys, field, value):
         ue = capture_dir / "ue.ndjson"
         lines = ue.read_text().splitlines()
@@ -365,9 +373,10 @@ class TestAnalyze:
         ue.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert main(["analyze", "--in", str(capture_dir)]) == 1
-        shown = repr(json.loads(value))
+        shown = json.loads(value)
+        why = "not a 64-bit integer" if type(shown) is int else "not an integer"
         assert one_line_error(capsys) == (
-            f"error: {ue}: line 3: bad capture record: {field}: not an integer: {shown}\n")
+            f"error: {ue}: line 3: bad capture record: {field}: {why}: {shown!r}\n")
 
     def test_second_stream_flow_is_an_error(self, capture_dir, capsys):
         # every tap gains flow 3: a copy of stream flow 1, 7 s later, with
@@ -816,14 +825,18 @@ class TestPlot:
     @pytest.mark.parametrize("line, why", [
         ("not json", "Expecting value"),
         ('{"metric":"demanded_throughput","scenario":"x"}', "missing field 'value'"),
-        ('{"metric":"demanded_throughput","value":"fast"}', "could not convert"),
+        ('{"metric":"demanded_throughput","value":"fast"}', "value must be a finite number, got 'fast'"),
         ("[1, 2]", "has no attribute"),
-        ('{"metric":"demanded_throughput","value":NaN}', "value nan to a finite number"),
-        ('{"metric":"demanded_throughput","value":-Infinity}', "value -inf to a finite number"),
-        ('{"metric":"demanded_throughput","value":1e999}', "value inf to a finite number"),
-        ('{"metric":"demanded_throughput","value":true}', "value True to a finite number"),
-        pytest.param('{"metric":"demanded_throughput","value":1' + "0" * 400 + "}", "too large",
+        ('{"metric":"demanded_throughput","value":NaN}', "value must be a finite number, got nan"),
+        ('{"metric":"demanded_throughput","value":-Infinity}',
+         "value must be a finite number, got -inf"),
+        ('{"metric":"demanded_throughput","value":1e999}', "value must be a finite number, got inf"),
+        ('{"metric":"demanded_throughput","value":true}', "value must be a finite number, got True"),
+        pytest.param('{"metric":"demanded_throughput","value":1' + "0" * 400 + "}",
+                     "value must be a finite number, got 1" + "0" * 400,
                      id="400-digit value-too large"),
+        ('{"metric":"demanded_throughput","scenario":[1,2],"value":1.0}',
+         "scenario [1, 2] is not a string"),
     ])
     def test_throughput_bad_report_line(self, analyzed_dir, tmp_path, capsys, line, why):
         report = analyzed_dir / "report.ndjson"
@@ -833,16 +846,19 @@ class TestPlot:
         assert main(["plot", "--kind", "throughput", "--in", str(report),
                      "--out", str(tmp_path / "tp.svg")]) == 1
         err = one_line_error(capsys)
-        assert f"{report} line 3: bad report record: " in err and why in err
+        assert f"{report}: line 3: bad report record: " in err and why in err
 
     @pytest.mark.parametrize("kind", ["cdf", "box"])
     @pytest.mark.parametrize("line, why", [
         ('{"class":5,"idx":0,"value_ms":1.0}', "class 5 is not a string"),
         ('{"class":null,"idx":0,"value_ms":1.0}', "class None is not a string"),
-        ('{"class":"OWD-frame","idx":0,"value_ms":NaN}', "value_ms nan to a finite number"),
-        ('{"class":"OWD-frame","idx":0,"value_ms":Infinity}', "value_ms inf to a finite number"),
-        ('{"class":"OWD-frame","idx":0,"value_ms":true}', "value_ms True to a finite number"),
-        ('{"class":"OWD-frame","idx":0,"value_ms":"5"}', "value_ms '5' to a finite number"),
+        ('{"class":"OWD-frame","idx":0,"value_ms":NaN}', "value_ms must be a finite number, got nan"),
+        ('{"class":"OWD-frame","idx":0,"value_ms":Infinity}',
+         "value_ms must be a finite number, got inf"),
+        ('{"class":"OWD-frame","idx":0,"value_ms":true}',
+         "value_ms must be a finite number, got True"),
+        ('{"class":"OWD-frame","idx":0,"value_ms":"5"}',
+         "value_ms must be a finite number, got '5'"),
         ('{"class":"OWD-frame","idx":0}', "missing field 'value_ms'"),
     ])
     def test_bad_sample_line(self, analyzed_dir, tmp_path, capsys, kind, line, why):
@@ -853,7 +869,7 @@ class TestPlot:
         out = tmp_path / f"{kind}.svg"
         assert main(["plot", "--kind", kind, "--in", str(samples), "--out", str(out)]) == 1
         err = one_line_error(capsys)
-        assert f"{samples} line 3: bad sample record: " in err and why in err
+        assert f"{samples}: line 3: bad sample record: " in err and why in err
         assert not out.exists()
 
     def test_deeply_nested_sample_line(self, analyzed_dir, tmp_path, capsys):
@@ -864,7 +880,22 @@ class TestPlot:
         assert main(["plot", "--kind", "cdf", "--in", str(samples),
                      "--out", str(tmp_path / "cdf.svg")]) == 1
         assert one_line_error(capsys).startswith(
-            f"error: {samples} line 2: bad sample record: maximum recursion depth exceeded")
+            f"error: {samples}: line 2: bad sample record: maximum recursion depth exceeded")
+
+    def test_svg_of_markup_labels_parses(self, tmp_path):
+        label = "<b>x&y</b>"
+        samples, report = tmp_path / "samples.ndjson", tmp_path / "report.ndjson"
+        samples.write_text("".join(json.dumps({"class": label, "idx": i, "value_ms": v}) + "\n"
+                                   for i, v in enumerate([1.0, 2.0, 4.0])))
+        report.write_text(json.dumps({"scenario": label, "metric": "demanded_throughput",
+                                      "value": 19.2}) + "\n")
+        for kind, path in (("cdf", samples), ("box", samples), ("throughput", report)):
+            out = tmp_path / f"{kind}.svg"
+            assert main(["plot", "--kind", kind, "--in", str(path), "--sample-class", label,
+                         "--out", str(out)]) == 0
+            svg_texts = ET.parse(out).iter("{http://www.w3.org/2000/svg}text")
+            texts = [el.text or "" for el in svg_texts]
+            assert any(label in text for text in texts), (kind, texts)
 
     def test_unknown_kind_usage_error(self, analyzed_dir, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -3,10 +3,11 @@
 Lines start in the exact form record_to_json writes and are then mutated:
 whitespace, key order, duplicate, missing or extra keys, number forms JSON
 rejects or Python reads differently, non-ASCII digits, JSON escapes, unknown
-enum values, oversized integers and a missing ``}``. ``record_from_json``
-must give the same record, or fail with the same message, as a reference
-that only calls ``json.loads`` and takes an integer field only as a JSON
-integer. Skipped when Hypothesis is not installed.
+enum values, integers past 64 bits or past ``int()``'s digit limit and a
+missing ``}``. ``record_from_json`` must give the same record, or fail with
+the same message, as a reference that only calls ``json.loads`` and takes
+an integer field only as a 64-bit JSON integer. Skipped when Hypothesis is
+not installed.
 """
 
 from __future__ import annotations
@@ -57,17 +58,19 @@ def reference_decode(line: str) -> CaptureRecord | str:
             if not isinstance(value, str) or value not in members:
                 return f"bad capture record: {key}: unknown value {value!r}"
             values.append(members[value])
-        elif type(value) is int:
-            values.append(value)
-        else:
+        elif type(value) is not int:
             return f"bad capture record: {key}: not an integer: {value!r}"
+        elif not -2**63 <= value < 2**63:
+            return f"bad capture record: {key}: not a 64-bit integer: {value!r}"
+        else:
+            values.append(value)
     return CaptureRecord(*values)
 
 
-BIG = 10**30
+BIG = 2**63 - 1
 records = st.builds(
     CaptureRecord,
-    st.sampled_from(Tap), st.integers(-BIG, BIG), st.integers(-5, BIG),
+    st.sampled_from(Tap), st.integers(-BIG - 1, BIG), st.integers(-5, BIG),
     st.sampled_from(Direction), st.sampled_from(Proto), st.integers(0, BIG),
     st.integers(0, BIG), st.integers(-1, 65_536), st.sampled_from(Marker),
     st.integers(0, BIG))
@@ -83,7 +86,8 @@ def number_forms(value: str) -> st.SearchStrategy[str]:
     return st.sampled_from([
         "0" + digits, "+" + digits, "-0", value + ".0", value + "e0", "1e3", "1.5",
         value.replace("1", "\u0661"), value.replace("2", "\uff12"), "9" * 5000,
-        "-" + "1" * 4301, f'"{value}"', "true", "null", "-", "NaN", "[1]"])
+        "-" + "1" * 4301, "1" + "0" * 400, str(2**63), str(-2**63 - 1), str(-2**63),
+        f'"{value}"', "true", "null", "-", "NaN", "[1]"])
 
 
 def enum_forms(value: str) -> st.SearchStrategy[str]:
@@ -153,6 +157,10 @@ NEAR_MISSES = {
     "non-ascii-digit": WRITER_LINE.replace('"t_us":12', '"t_us":1\u0662'),
     "minus-zero": WRITER_LINE.replace('"t_us":12', '"t_us":-0'),
     "oversized": WRITER_LINE.replace('"t_us":12', f'"t_us":{"9" * 5000}'),
+    "int64-max": WRITER_LINE.replace('"t_us":12', f'"t_us":{2**63 - 1}'),
+    "int64-min": WRITER_LINE.replace('"t_us":12', f'"t_us":{-2**63}'),
+    "past-int64": WRITER_LINE.replace('"t_us":12', f'"t_us":{2**63}'),
+    "400-digit": WRITER_LINE.replace('"t_us":12', f'"t_us":1{"0" * 400}'),
     "escaped-enum": WRITER_LINE.replace('"UE"', '"\\u0055E"'),
     "crlf": WRITER_LINE + "\r\n",
     "trailing-space": WRITER_LINE + " ",
@@ -162,11 +170,9 @@ NEAR_MISSES = {
 
 def check_record_from_json(line: str) -> None:
     expected = reference_decode(line)
-    got = decoded(record_from_json, line, 7)
-    if isinstance(expected, str):
-        assert got == f"line 7: {expected}"
-    else:
-        assert got == expected
+    got = decoded(record_from_json, line)
+    assert got == expected
+    if not isinstance(expected, str):
         assert [type(v) for v in got] == [type(v) for v in expected]
 
 
@@ -202,7 +208,7 @@ def test_read_capture_file_matches_json_loads_of_stripped_line(line):
     finally:
         os.unlink(path)
     if isinstance(expected, str):
-        assert got == f"line 2: {expected}"
+        assert got == f"{path}: line 2: {expected}"
     else:  # a blank line is skipped
         assert got == [FIRST] + ([] if expected is None else [expected])
 
@@ -210,10 +216,10 @@ def test_read_capture_file_matches_json_loads_of_stripped_line(line):
 @st.composite
 def capture_files(draw) -> list[str]:
     """The lines of one capture file: writer-form lines, mutated ones, near
-    misses and blank lines, their integer fields drawn from a few values so
-    that each value repeats across lines."""
+    misses and blank lines, their integer fields drawn from a few 64-bit
+    values so that each value repeats across lines."""
     value = st.sampled_from(draw(st.lists(
-        st.integers(-BIG, BIG) | st.integers(0, 300), min_size=1, max_size=4)))
+        st.integers(-BIG - 1, BIG) | st.integers(0, 300), min_size=1, max_size=4)))
     repeating = st.builds(
         CaptureRecord, st.sampled_from(Tap), value, value, st.sampled_from(Direction),
         st.sampled_from(Proto), value, value, value, st.sampled_from(Marker), st.integers(0, BIG))
@@ -226,15 +232,26 @@ def capture_files(draw) -> list[str]:
             for text in draw(st.lists(line, min_size=1, max_size=12))]
 
 
+def matched_as_read(r: CaptureRecord) -> bool:
+    """Whether the pattern takes ``record_to_json(r)``: it takes integers
+    of at most 18 digits."""
+    return all(abs(v) < 10**18 for v in (r.t_us, r.flow, r.seq, r.ack, r.payload_len, r.pid))
+
+
 def read_lines(lines: list[str]) -> list[CaptureRecord] | str:
-    """``read_capture_file`` of a file holding ``lines``, or its error."""
+    """``read_capture_file`` of a file holding ``lines``, or its error
+    without the file name that leads it."""
     fd, path = tempfile.mkstemp(suffix=".ndjson")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write("".join(f"{line}\n" for line in lines))
-        return decoded(read_capture_file, path)
+        got = decoded(read_capture_file, path)
     finally:
         os.unlink(path)
+    if isinstance(got, str):
+        assert got.startswith(f"{path}: ")
+        return got[len(path) + 2:]
+    return got
 
 
 @settings(max_examples=150, deadline=None)
@@ -253,18 +270,19 @@ def test_read_capture_file_matches_json_loads_line_by_line(lines):
     assert got == expected
     if isinstance(got, list):  # True == 1, so compare the types too
         assert [list(map(type, r)) for r in got] == [list(map(type, r)) for r in expected]
-        # within one file, writer-form lines share each repeated integer
-        ints = [v for r, line in zip(got, filter(str.strip, lines)) if record_to_json(r) == line
+        # within one file, the writer-form lines the pattern takes share
+        # each repeated integer
+        ints = [v for r, line in zip(got, filter(str.strip, lines))
+                if record_to_json(r) == line and matched_as_read(r)
                 for v in (r.t_us, r.flow, r.seq, r.ack, r.payload_len)]
         assert len({id(v) for v in ints}) == len(set(ints))
 
 
 def test_oversized_integer_fails_at_its_line_after_lines_sharing_its_prefix():
-    def line(t_us: str) -> str:
+    def line(t_us: int) -> str:
         return WRITER_LINE.replace('"t_us":12', f'"t_us":{t_us}')
 
-    limit = 4300  # int()'s default digit limit
-    lines = [line("9" * limit), line("9" * limit), line("9" * (limit + 1)), line("12")]
+    lines = [line(2**63 - 1), line(2**63 - 1), line(2**63), line(12)]
     message = reference_decode(lines[2])
-    assert message.startswith("bad capture record: ")
+    assert message == f"bad capture record: t_us: not a 64-bit integer: {2**63}"
     assert read_lines(lines) == f"line 3: {message}"

@@ -95,18 +95,20 @@ class TestNdjsonRoundTrip:
         path.write_text(record_to_json(rec()) + "\n" + bad + "\n")
         with pytest.raises(CaptureFormatError) as err:
             read_capture_file(path)
-        assert str(err.value) == "line 2: bad capture record: dir: unknown value 'SIDEWAYS'"
-        assert err.value.lineno == 2
+        assert str(err.value) == (
+            f"{path}: line 2: bad capture record: dir: unknown value 'SIDEWAYS'")
+        assert (err.value.path, err.value.lineno) == (path, 2)
 
     def test_unhashable_enum_value_rejected(self):
         line = record_to_json(rec()).replace('"UE"', '["UE"]')
         with pytest.raises(CaptureFormatError, match=r"tap: unknown value \['UE'\]"):
-            record_from_json(line, 7)
+            record_from_json(line)
 
     def test_non_integer_field_names_it(self):
         line = record_to_json(rec(seq=5)).replace('"seq":5', '"seq":"five"')
-        with pytest.raises(CaptureFormatError, match="line 4: .*seq: not an integer: 'five'"):
-            record_from_json(line, 4)
+        with pytest.raises(CaptureFormatError) as err:
+            record_from_json(line)
+        assert str(err.value) == "bad capture record: seq: not an integer: 'five'"
 
     def test_whitespace_padded_line_accepted(self):
         r = rec(pid=3, t_us=-5)
@@ -138,8 +140,8 @@ class TestDecodeRejects:
         path.write_text(f"{record_to_json(rec(pid=1))}\n{second}\n", encoding="utf-8")
         with pytest.raises(CaptureFormatError) as err:
             read_capture_file(path)
-        assert str(err.value) == f"line 2: {message}"
-        assert err.value.lineno == 2
+        assert str(err.value) == f"{path}: line 2: {message}"
+        assert (err.value.path, err.value.lineno) == (path, 2)
 
 
 def old_record_json(r: CaptureRecord) -> str:
@@ -183,12 +185,22 @@ class TestCodecBytes:
             assert record_to_json(r) == old_record_json(r)
 
     def test_encoder_matches_json_dumps_on_edge_ints(self):
-        edge = [rec(t_us=-1, pid=2**53 + 1), rec(t_us=-(2**40), seq=2**63, ack=2**64 + 3, pid=0),
-                rec(t_us=0, flow=-7, payload_len=0, pid=10**30)]
+        edge = [rec(t_us=-1, pid=2**53 + 1), rec(t_us=-(2**40), seq=2**63 - 1, ack=-(2**63), pid=0),
+                rec(t_us=0, flow=-7, payload_len=0, pid=10**18 - 1)]
         for r in edge:
             line = record_to_json(r)
             assert line == old_record_json(r)
             assert record_from_json(line) == r
+
+    @pytest.mark.parametrize("field, value", [
+        ("seq", 2**63), ("ack", 2**64 + 3), ("pid", 10**30), ("t_us", -(2**63) - 1)])
+    def test_decoder_rejects_integers_past_64_bits(self, field, value):
+        r = rec(pid=1)._replace(**{field: value})
+        line = record_to_json(r)
+        assert line == old_record_json(r)
+        with pytest.raises(CaptureFormatError) as err:
+            record_from_json(line)
+        assert str(err.value) == f"bad capture record: {field}: not a 64-bit integer: {value}"
 
     @pytest.mark.parametrize("case, seed", [("default", 42), ("retransmit", 3)])
     def test_writer_lines_decode_without_json_loads(self, tmp_path, monkeypatch, case, seed):
