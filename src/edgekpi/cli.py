@@ -80,15 +80,16 @@ MANIFEST_FILE = "manifest.ini"
 RUN_FILES = (*TAP_FILES.values(), TRUTH_FILE, NTP_FILE, MANIFEST_FILE)
 ANALYSIS_FILES = (SAMPLES_FILE, REPORT_CSV, REPORT_NDJSON)
 
-#: The five-scenario comparison. Every scenario runs with the same seed so
-#: the generated workload (frame sizes, noise draws) is identical across
-#: scenarios and median shifts isolate the path-delay differences exactly.
+#: The five-scenario comparison, named by :func:`_scenario_meta`. Every
+#: scenario runs with the same seed so the generated workload (frame sizes,
+#: noise draws) is identical across scenarios and median shifts isolate the
+#: path-delay differences exactly.
 SWEEP_SCENARIOS = (
-    ("5g_edge", Tech.FIVE_G, RangeBand.EDGE),
-    ("5g_regional", Tech.FIVE_G, RangeBand.REGIONAL),
-    ("5g_national", Tech.FIVE_G, RangeBand.NATIONAL),
-    ("4g_regional", Tech.FOUR_G, RangeBand.REGIONAL),
-    ("4g_national", Tech.FOUR_G, RangeBand.NATIONAL),
+    (Tech.FIVE_G, RangeBand.EDGE),
+    (Tech.FIVE_G, RangeBand.REGIONAL),
+    (Tech.FIVE_G, RangeBand.NATIONAL),
+    (Tech.FOUR_G, RangeBand.REGIONAL),
+    (Tech.FOUR_G, RangeBand.NATIONAL),
 )
 
 COMPARISON_FILE = "comparison.csv"
@@ -230,12 +231,13 @@ def _analysis_options(args) -> tuple[AnalyzerConfig, ReportOptions]:
 
 def _analyze_and_write(outdir: Path, records: dict[Tap, list], ntp, cfg: AnalyzerConfig,
                        opts: ReportOptions) -> tuple[KpiReport, list[dict]]:
-    """Validate each tap's capture, check that the taps agree on the stream
-    flow, analyze them, write the samples and report files into ``outdir``
-    and return the report and its rows; an error names its input file."""
+    """Validate each tap's capture, all of that tap's records, check that the
+    taps agree on the stream flow, analyze them, write the samples and report
+    files into ``outdir`` and return the report and its rows; an error names
+    its input file."""
     stream_tap = stream_flow = None  # the first tap with a STREAM record, and its flow
     for tap, name in TAP_FILES.items():
-        check = validate(records[tap])
+        check = validate(records[tap], tap)
         if not check.ok:
             raise CliError(f"{outdir / name}: invalid capture at record {check.index}: {check.error}")
         # validate pins one stream flow per tap, so its first STREAM record
@@ -262,6 +264,12 @@ def _analyze_and_write(outdir: Path, records: dict[Tap, list], ntp, cfg: Analyze
     return report, rows
 
 
+def _scenario_meta(s: Scenario) -> dict[str, str]:
+    """The ReportOptions scenario fields of ``s``: label (``5g_edge``, ...), tech, range."""
+    label = f"{'5g' if s.tech is Tech.FIVE_G else '4g'}_{s.range.value.lower()}"
+    return {"scenario_label": label, "tech": s.tech.value, "range_band": s.range.value}
+
+
 def _scenario_meta_from_manifest(indir: Path) -> dict[str, str]:
     """The ReportOptions scenario fields the run's manifest gives; none
     without a manifest, an error for one that does not parse."""
@@ -274,9 +282,7 @@ def _scenario_meta_from_manifest(indir: Path) -> dict[str, str]:
         if exc.path is not None:  # the message names the file already
             raise
         raise ConfigError(str(exc), manifest) from exc
-    s = parsed.scenario
-    label = f"{'5g' if s.tech is Tech.FIVE_G else '4g'}_{s.range.value.lower()}"
-    return {"scenario_label": label, "tech": s.tech.value, "range_band": s.range.value}
+    return _scenario_meta(parsed.scenario)
 
 
 def cmd_analyze(args) -> int:
@@ -304,7 +310,7 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _sweep_scenario(label: str, run_cfg: EmulationRun, outdir: Path, cfg: AnalyzerConfig,
+def _sweep_scenario(run_cfg: EmulationRun, outdir: Path, cfg: AnalyzerConfig,
                     opts: ReportOptions, force: bool) -> dict:
     """Emulate one sweep scenario, write its outputs into ``outdir`` and
     return its ``comparison.csv`` row, keys in column order, each value its
@@ -313,13 +319,12 @@ def _sweep_scenario(label: str, run_cfg: EmulationRun, outdir: Path, cfg: Analyz
     reference cycles, so the worker runs it with the cyclic collector off."""
     result = run_emulation(run_cfg)
     _write_run_outputs(result, run_cfg, outdir, force)
-    tech, range_band = run_cfg.scenario.tech.value, run_cfg.scenario.range.value
-    opts = dataclasses.replace(opts, scenario_label=label, tech=tech, range_band=range_band)
+    opts = dataclasses.replace(opts, **_scenario_meta(run_cfg.scenario))
     _, rows = _analyze_and_write(outdir, result.records, result.ntp, cfg, opts)
     value = {(row["class"], row["metric"]): row["value"] for row in rows}
     p_label = percent_label(opts.reliability_percentile)
     return {
-        "scenario": label, "tech": tech, "range": range_band,
+        "scenario": opts.scenario_label, "tech": opts.tech, "range": opts.range_band,
         "ctrl_median_ms": value.get(("CTRL", "median"), ""),
         "stream_packet_median_ms": value.get(("STREAM-packet", "median"), ""),
         "stream_frame_median_ms": value.get(("STREAM-frame", "median"), ""),
@@ -360,15 +365,15 @@ def cmd_sweep(args) -> int:
     # sets; the rest take each technology's and range's defaults.
     pinned = {key: value for key, value in parsed.raw_scenario.items()
               if key not in ("tech", "range")}
-    runs = []
-    for label, tech, range_band in SWEEP_SCENARIOS:
-        scenario = Scenario(tech=tech, range=range_band, **pinned)
-        runs.append((label, dataclasses.replace(base, scenario=scenario), outdir / label))
+    runs = {}  # scenario directory, named by the scenario's label -> its run
+    for tech, range_band in SWEEP_SCENARIOS:
+        run_cfg = dataclasses.replace(base, scenario=Scenario(tech=tech, range=range_band, **pinned))
+        runs[outdir / _scenario_meta(run_cfg.scenario)["scenario_label"]] = run_cfg
     # Refuse before any scenario starts, so a refused sweep writes nothing.
     names = (*RUN_FILES, *ANALYSIS_FILES)
-    _require_new([scen_dir / name for _, _, scen_dir in runs for name in names]
+    _require_new([scen_dir / name for scen_dir in runs for name in names]
                  + [outdir / COMPARISON_FILE], args.force)
-    created = _paths_to_create(outdir, [scen_dir for _, _, scen_dir in runs], names)
+    created = _paths_to_create(outdir, list(runs), names)
     outdir.mkdir(parents=True, exist_ok=True)
     if args.force:
         # A sweep that fails writes no comparison, so an earlier one must not
@@ -381,14 +386,15 @@ def cmd_sweep(args) -> int:
     comparison = []
     try:
         with ProcessPoolExecutor(max_workers=len(runs), initializer=gc.disable) as pool:
-            futures = [pool.submit(_sweep_scenario, *run, cfg, opts, args.force) for run in runs]
-            for index, ((label, _, _), future) in enumerate(zip(runs, futures)):
+            futures = [pool.submit(_sweep_scenario, run_cfg, scen_dir, cfg, opts, args.force)
+                       for scen_dir, run_cfg in runs.items()]
+            for index, (scen_dir, future) in enumerate(zip(runs, futures)):
                 try:
                     comparison.append(future.result())
                 except BrokenProcessPool:
-                    raise CliError(f"sweep scenario {label} did not finish: a worker process "
-                                   "ended abruptly (killed, or out of memory?)") from None
-                print(f"[{index + 1}/{len(runs)}] {label}: done")
+                    raise CliError(f"sweep scenario {scen_dir.name} did not finish: a worker "
+                                   "process ended abruptly (killed, or out of memory?)") from None
+                print(f"[{index + 1}/{len(runs)}] {scen_dir.name}: done")
         with open(outdir / COMPARISON_FILE, "w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(comparison[0]))
             writer.writeheader()
@@ -437,6 +443,8 @@ def _load_samples(path: Path) -> dict[str, list[float]]:
 
 def cmd_plot(args) -> int:
     out = Path(args.out)
+    if not 0.0 < args.reliability <= 1.0:
+        raise CliError(f"--reliability must be in (0, 1], got {args.reliability!r}")
     if args.kind != "throughput" and not args.infile:
         raise CliError(f"--in is required for {args.kind} plots")
     if args.kind == "cdf":

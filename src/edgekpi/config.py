@@ -2,8 +2,8 @@
 
 A config file has sections [scenario], [clocks], [video], [workload],
 [processing] and optionally [run]. :data:`KEYS` names every key once, with
-the parser of its value; most keys are a field of the dataclass their
-section builds, and a key the file leaves out takes that field's default.
+the parser of its value; every key is a field of the object its section
+builds, and a key the file leaves out takes that field's default.
 The manifest written next to simulation output is itself a valid config
 with every applied default made explicit, so a run can be reproduced from
 it alone.
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from .emulator import DEFAULT_MSS, EmulationRun, Workload
+from .emulator import EmulationRun, Workload
 from .model import (
     ClockModel,
     Encoder,
@@ -114,7 +114,6 @@ class ParsedConfig:
     clocks: ClockModel
     processing: ProcessingModel
     seed: int | None
-    mss: int
     #: the [scenario] values the file set, by key; lets a sweep re-derive
     #: the per-technology defaults the user did not pin.
     raw_scenario: dict = field(default_factory=dict)
@@ -125,7 +124,7 @@ class ParsedConfig:
             resolved = 0
         return EmulationRun(scenario=self.scenario, workload=self.workload,
                             clocks=self.clocks, processing=self.processing,
-                            seed=resolved, mss=self.mss)
+                            seed=resolved)
 
 
 def parse_config(path: str | Path) -> ParsedConfig:
@@ -155,14 +154,6 @@ def parse_config(path: str | Path) -> ParsedConfig:
     if not parser.has_section("scenario"):
         raise ConfigError("missing required section [scenario]")
     scenario, clocks, video, workload, processing, run = values.values()
-
-    # The keys that are not a plain field of their section's dataclass.
-    mss = workload.pop("mss", DEFAULT_MSS)
-    if mss <= 0:
-        raise ConfigError("[workload] mss must be > 0")
-    duration = video.pop("duration_s", 0.0)  # > 0 turns the stream on
-    if duration < 0:
-        raise ConfigError("[video] duration_s must be >= 0")
     video_cfg = _build("video", VideoConfig, video)  # checked even when the stream is off
 
     return ParsedConfig(
@@ -170,10 +161,9 @@ def parse_config(path: str | Path) -> ParsedConfig:
                         {"tech": Tech.FIVE_G, "range": RangeBand.EDGE, **scenario}),
         clocks=_build("clocks", ClockModel, clocks),
         workload=_build("workload", Workload, {
-            **workload, "video_duration_s": duration,
-            "video": video_cfg if duration > 0 else None}),
+            **workload, "video": video_cfg if video_cfg.duration_s > 0 else None}),
         processing=_build("processing", ProcessingModel, processing),
-        seed=run.get("seed"), mss=mss, raw_scenario=scenario)
+        seed=run.get("seed"), raw_scenario=scenario)
 
 
 def _fmt(value) -> str:
@@ -191,7 +181,6 @@ def manifest_text(run: EmulationRun) -> str:
     w = run.workload
     sources = {"scenario": run.scenario, "clocks": run.clocks, "video": w.video,
                "workload": w, "processing": run.processing, "run": run}
-    not_fields = {"duration_s": w.video_duration_s, "mss": run.mss}
     lines = []
     for section, keys in KEYS.items():
         source = sources[section]
@@ -199,7 +188,7 @@ def manifest_text(run: EmulationRun) -> str:
             continue
         lines.append(f"[{section}]")
         for key in keys:
-            value = not_fields[key] if key in not_fields else getattr(source, key)
+            value = getattr(source, key)
             if value is not None:  # bulk_offered_mbps: None is the default rate
                 lines.append(f"{key} = {_fmt(value)}")
         lines.append("")

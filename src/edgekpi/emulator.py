@@ -99,8 +99,8 @@ class Workload:
 
     ping_interval_ms: float = 100.0
     ping_count: int = 0
+    mss: int = DEFAULT_MSS
     video: VideoConfig | None = None
-    video_duration_s: float = 0.0
     bulk_duration_s: float = 0.0
     bulk_offered_mbps: float | None = None  # None -> 2x the scenario cap
 
@@ -108,20 +108,20 @@ class Workload:
         check_finite(self)
         if self.ping_count < 0:
             raise ValueError("ping_count must be >= 0")
-        for name in ("video_duration_s", "bulk_duration_s"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        if self.mss <= 0:
+            raise ValueError("mss must be > 0")
+        if self.bulk_duration_s < 0:
+            raise ValueError("bulk_duration_s must be >= 0")
         if self.ping_interval_ms <= 0:
             raise ValueError("ping_interval_ms must be > 0")
         if self.bulk_offered_mbps is not None and self.bulk_offered_mbps <= 0:
             raise ValueError("bulk_offered_mbps must be > 0")
-        has_video = self.video is not None and self.video_duration_s > 0
         has_bulk = self.bulk_duration_s > 0
-        if self.video is not None and self.video_duration_s <= 0:
-            raise ValueError("video_duration_s must be > 0 when video is configured")
-        if has_video and has_bulk:
+        if self.video is not None and self.video.duration_s <= 0:
+            raise ValueError("video.duration_s must be > 0 when video is configured")
+        if self.video is not None and has_bulk:
             raise ValueError("video and bulk probe are mutually exclusive")
-        if not (self.ping_count > 0 or has_video or has_bulk):
+        if not (self.ping_count > 0 or self.video is not None or has_bulk):
             raise ValueError("workload enables no traffic generator")
 
     def horizon_s(self) -> float:
@@ -129,8 +129,8 @@ class Workload:
         t = 0.0
         if self.ping_count > 0:
             t = max(t, (self.ping_count - 1) * self.ping_interval_ms / 1000.0)
-        if self.video is not None and self.video_duration_s > 0:
-            t = max(t, self.video_duration_s)
+        if self.video is not None:
+            t = max(t, self.video.duration_s)
         if self.bulk_duration_s > 0:
             t = max(t, self.bulk_duration_s)
         return t
@@ -145,11 +145,6 @@ class EmulationRun:
     clocks: ClockModel = ClockModel()
     processing: ProcessingModel = ProcessingModel()
     seed: int = 0
-    mss: int = DEFAULT_MSS
-
-    def __post_init__(self):
-        if self.mss <= 0:
-            raise ValueError("mss must be > 0")
 
 
 @dataclass(frozen=True)
@@ -182,21 +177,19 @@ def _draw_frame_bytes(cfg: VideoConfig, rng: random.Random) -> int:
     return max(1, int(round(rng.lognormvariate(mu, sigma))))
 
 
-def gen_video_stream(cfg: VideoConfig, duration_s: float, mss: int = DEFAULT_MSS,
+def gen_video_stream(cfg: VideoConfig, mss: int = DEFAULT_MSS,
                      rng: random.Random | None = None) -> list[SegmentPlan]:
     """Segment schedule for a boundary-delimited video stream.
 
     Each frame is one FRAME_BOUNDARY delimiter segment followed by
     ceil(bytes/mss) data segments, all sharing the frame's capture instant;
-    a final delimiter at ``duration_s`` terminates the last frame.
+    a final delimiter at ``cfg.duration_s`` terminates the last frame.
     """
-    if duration_s <= 0:
+    if cfg.duration_s <= 0:
         raise ValueError("duration_s must be > 0")
-    if mss <= 0:
-        raise ValueError("mss must be > 0")
     rng = rng if rng is not None else random.Random(0)
     plans: list[SegmentPlan] = []
-    n_frames = int(math.floor(duration_s * cfg.fps + 1e-9))
+    n_frames = int(math.floor(cfg.duration_s * cfg.fps + 1e-9))
     seq = 0
     for k in range(n_frames):
         t = round(k / cfg.fps * 1e6)
@@ -210,7 +203,7 @@ def gen_video_stream(cfg: VideoConfig, duration_s: float, mss: int = DEFAULT_MSS
             plans.append(SegmentPlan(t, seq, ln, NO_MARKER, k, i == n_seg - 1))
             seq += ln
             remaining -= ln
-    plans.append(SegmentPlan(round(duration_s * 1e6), seq, BOUNDARY_SEGMENT_BYTES,
+    plans.append(SegmentPlan(round(cfg.duration_s * 1e6), seq, BOUNDARY_SEGMENT_BYTES,
                              FRAME_BOUNDARY, None, False))
     return plans
 
@@ -762,16 +755,14 @@ class _Simulation:
                 pkt = TruthPacket(pid=next(self._pids), flow=CONTROL_FLOW, dir=UPLINK,
                                   proto=CTRL, seq=0, payload_len=CTRL_PAYLOAD_BYTES)
                 self._schedule(t, self._send_up, pkt)
-        if w.video is not None and w.video_duration_s > 0:
-            self._plan_uplink_stream(VIDEO_FLOW, gen_video_stream(
-                w.video, w.video_duration_s, self.run.mss, self.rng_sizes))
+        if w.video is not None:
+            self._plan_uplink_stream(VIDEO_FLOW, gen_video_stream(w.video, w.mss, self.rng_sizes))
         if w.bulk_duration_s > 0:
             offered = w.bulk_offered_mbps
             if offered is None:
                 cap = self.run.scenario.bandwidth_cap
                 offered = 2.0 * cap if not math.isinf(cap) else 100.0
-            self._plan_uplink_stream(BULK_FLOW, gen_bulk_probe(
-                w.bulk_duration_s, self.run.mss, offered))
+            self._plan_uplink_stream(BULK_FLOW, gen_bulk_probe(w.bulk_duration_s, w.mss, offered))
 
         q, pop = self._q, heapq.heappop
         while q:

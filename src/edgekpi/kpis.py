@@ -8,7 +8,7 @@ import csv
 import json
 import math
 import statistics
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
@@ -48,6 +48,11 @@ class Ecdf:
             raise ValueError("p must be in (0, 1]")
         k = max(1, math.ceil(p * self.n - 1e-9))
         return self.values[bisect_left(self.cum_counts, k)]
+
+    def prob_at(self, x: float) -> float:
+        """P(X <= x), the share of samples at or below ``x``."""
+        k = bisect_right(self.values, x)
+        return self.cum_counts[k - 1] / self.n if k else 0.0
 
 
 def ecdf(samples: Sequence[float]) -> Ecdf:

@@ -361,7 +361,7 @@ class ValidationResult:
 _ORIGIN_TAP = (Tap.APP, Tap.UE)
 
 
-def validate(records: Sequence[CaptureRecord]) -> ValidationResult:
+def validate(records: Sequence[CaptureRecord], capture_tap: Tap | None = None) -> ValidationResult:
     """Check capture invariants, reporting the first violation with its index.
 
     Checked per tap: unique pid, non-negative payload, boundary markers carry
@@ -369,7 +369,8 @@ def validate(records: Sequence[CaptureRecord]) -> ValidationResult:
     records may carry any flow), and non-decreasing stream seq per direction
     at the origin tap. A seq below the highest seen so far is accepted only
     as a retransmission: the same (seq, payload_len) range was already
-    emitted in that direction.
+    emitted in that direction. With ``capture_tap``, every record must be of
+    that tap.
     """
     seen_pids: dict[Tap, set[int]] = {}
     stream_flows: dict[Tap, int] = {}
@@ -384,6 +385,9 @@ def validate(records: Sequence[CaptureRecord]) -> ValidationResult:
         if rec.marker is FRAME_BOUNDARY and rec.payload_len <= 0:
             return ValidationResult(False, f"frame boundary with empty payload (pid {rec.pid})", i)
         if rec.tap is not tap:  # one lookup per run of same-tap records
+            if capture_tap is not None and rec.tap is not capture_tap:
+                return ValidationResult(
+                    False, f"record of tap {rec.tap.value} in the {capture_tap.value} capture", i)
             tap = rec.tap
             pids = seen_pids.setdefault(tap, set())
             flow = stream_flows.get(tap)
@@ -489,13 +493,14 @@ class Scenario:
 
 @dataclass(frozen=True)
 class VideoConfig:
-    """Video source model: frame cadence and a lognormal frame-size law."""
+    """Video source model: frame cadence, lognormal frame sizes, stream length."""
 
     encoder: Encoder = Encoder.MJPEG
     resolution: Resolution = Resolution.VGA
     fps: float = 20.0
     mean_frame_bytes: int | None = None
     frame_size_cv: float = 0.1
+    duration_s: float = 0.0
 
     def __post_init__(self):
         check_finite(self)
@@ -507,6 +512,8 @@ class VideoConfig:
             raise ValueError("mean_frame_bytes must be > 0")
         if self.frame_size_cv < 0:
             raise ValueError("frame_size_cv must be >= 0")
+        if self.duration_s < 0:
+            raise ValueError("duration_s must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -13,16 +13,18 @@ _CAPS_MBPS = tuple(sorted(DEFAULT_BANDWIDTH_CAP_MBPS.values()))
 
 _W, _H = 640, 400
 _MARGIN = 60
+#: The plot area's x and y axes as :func:`_scale`'s (start, length); y points up.
+_X_AXIS = (_MARGIN, _W - 2 * _MARGIN)
+_Y_AXIS = (_H - _MARGIN, 2 * _MARGIN - _H)
 
 
-def _x_scale(lo: float, hi: float):
-    span = (hi - lo) or 1.0
-    return lambda v: _MARGIN + (v - lo) / span * (_W - 2 * _MARGIN)
-
-
-def _y_scale(lo: float, hi: float):
-    span = (hi - lo) or 1.0
-    return lambda v: _H - _MARGIN - (v - lo) / span * (_H - 2 * _MARGIN)
+def _scale(lo: float, hi: float, start: float, length: float):
+    """``v -> start + (v - lo) / (hi - lo) * length``, a zero span read as 1.
+    Both ends are halved first, which is exact for normal floats, so values
+    that span more than the float range do not overflow it."""
+    half_lo = lo / 2
+    half_span = (hi / 2 - half_lo) or 0.5
+    return lambda v: start + (v / 2 - half_lo) / half_span * length
 
 
 def _text(label: str) -> str:
@@ -52,8 +54,8 @@ def _axes(x_label: str, y_label: str) -> list[str]:
 def render_cdf_svg(dist: Ecdf, reliability: float = 0.95, title: str = "Latency CDF") -> str:
     """Step CDF with a horizontal marker at the reliability level."""
     lo, hi = dist.values[0], dist.values[-1]
-    sx = _x_scale(lo, hi)
-    sy = _y_scale(0.0, 1.0)
+    sx = _scale(lo, hi, *_X_AXIS)
+    sy = _scale(0.0, 1.0, *_Y_AXIS)
     pts = [(sx(lo), sy(0.0))]
     probs = dist.probs
     for v, p_prev, p in zip(dist.values, (0.0,) + probs[:-1], probs):
@@ -68,7 +70,7 @@ def render_cdf_svg(dist: Ecdf, reliability: float = 0.95, title: str = "Latency 
                  f'stroke="crimson" stroke-dasharray="6,4"/>')
     parts.append(f'<text x="{_W - _MARGIN}" y="{y_rel - 6:.2f}" text-anchor="end" '
                  f'font-size="11" fill="crimson">reliability {reliability:.0%}</text>')
-    for frac, value in ((0.0, lo), (0.5, (lo + hi) / 2), (1.0, hi)):
+    for frac, value in ((0.0, lo), (0.5, lo / 2 + hi / 2), (1.0, hi)):
         x = _MARGIN + frac * (_W - 2 * _MARGIN)
         parts.append(f'<text x="{x:.1f}" y="{_H - _MARGIN + 16}" text-anchor="middle" '
                      f'font-size="10">{value:.2f}</text>')
@@ -82,7 +84,7 @@ def render_box_svg(groups: Sequence[tuple[str, BoxplotStats]], title: str = "Lat
         raise ValueError("no groups to plot")
     lo = min(min(s.minimum, s.whisker_lo) for _, s in groups)
     hi = max(max(s.maximum, s.whisker_hi) for _, s in groups)
-    sy = _y_scale(lo, hi)
+    sy = _scale(lo, hi, *_Y_AXIS)
     slot = (_W - 2 * _MARGIN) / len(groups)
     box_w = min(60.0, slot * 0.5)
     parts = _svg_header(title) + _axes("", "latency (ms)")
@@ -114,7 +116,7 @@ def render_throughput_svg(bars: Sequence[tuple[str, float]],
     if not bars:
         raise ValueError("no bars to plot")
     hi = max([v for _, v in bars] + list(thresholds)) * 1.15
-    sy = _y_scale(0.0, hi)
+    sy = _scale(0.0, hi, *_Y_AXIS)
     slot = (_W - 2 * _MARGIN) / len(bars)
     bar_w = min(80.0, slot * 0.6)
     parts = _svg_header(title) + _axes("", "Mbit/s")
@@ -145,20 +147,14 @@ _ASCII_H = 16
 
 def render_cdf_ascii(dist: Ecdf, reliability: float = 0.95) -> str:
     lo, hi = dist.values[0], dist.values[-1]
-    span = (hi - lo) or 1.0
+    half_lo = lo / 2  # halved, as in _scale, so the span cannot overflow
+    half_span = (hi / 2 - half_lo) or 0.5
     grid = [[" "] * _ASCII_W for _ in range(_ASCII_H)]
     rel_row = _ASCII_H - 1 - int(round(reliability * (_ASCII_H - 1)))
     for col in range(_ASCII_W):
         grid[rel_row][col] = "-"
-    probs = dist.probs
     for col in range(_ASCII_W):
-        x = lo + span * col / (_ASCII_W - 1)
-        p = 0.0
-        for v, q in zip(dist.values, probs):
-            if v <= x:
-                p = q
-            else:
-                break
+        p = dist.prob_at(2 * (half_lo + half_span * col / (_ASCII_W - 1)))
         row = _ASCII_H - 1 - int(round(p * (_ASCII_H - 1)))
         grid[row][col] = "*"
     lines = ["".join(row) for row in grid]
@@ -170,11 +166,11 @@ def render_cdf_ascii(dist: Ecdf, reliability: float = 0.95) -> str:
 def render_box_ascii(groups: Sequence[tuple[str, BoxplotStats]]) -> str:
     lo = min(min(s.minimum, s.whisker_lo) for _, s in groups)
     hi = max(max(s.maximum, s.whisker_hi) for _, s in groups)
-    span = (hi - lo) or 1.0
     width = _ASCII_W
+    scale = _scale(lo, hi, 0, width - 1)
 
     def col(v: float) -> int:
-        return int(round((v - lo) / span * (width - 1)))
+        return int(round(scale(v)))
 
     lines = []
     for label, s in groups:

@@ -52,10 +52,11 @@ def video_run(duration_s=1.0, fps=20.0, mean_frame_bytes=14_000, cv=0.0,
                         base_owd_up=base_up, base_owd_down=base_down,
                         jitter_std=scenario_kwargs.pop("jitter_std", 0.0),
                         **scenario_kwargs)
-    video = VideoConfig(fps=fps, mean_frame_bytes=mean_frame_bytes, frame_size_cv=cv)
+    video = VideoConfig(fps=fps, mean_frame_bytes=mean_frame_bytes, frame_size_cv=cv,
+                        duration_s=duration_s)
     return EmulationRun(
         scenario=scenario,
-        workload=Workload(ping_count=pings, video=video, video_duration_s=duration_s),
+        workload=Workload(ping_count=pings, video=video),
         clocks=clocks if clocks is not None else ClockModel.perfect(),
         seed=seed,
     )

@@ -129,7 +129,7 @@ class TestNonFiniteConfig:
     @pytest.mark.parametrize("old, new, field", [
         ("fps = 20", "fps = nan", "fps"),
         ("jitter_std = 0", "jitter_std = nan", "jitter_std"),
-        ("duration_s = 1", "duration_s = inf", "video_duration_s"),
+        ("duration_s = 1", "duration_s = inf", "[video] duration_s"),
     ])
     def test_simulate_exits_1_with_one_line_error(self, tmp_path, capsys, old, new, field):
         cfg = tmp_path / "bad.ini"
@@ -413,6 +413,20 @@ class TestAnalyze:
         for name in ("samples.ndjson", "report.csv", "report.ndjson"):
             assert not (out / name).exists()
 
+    @pytest.mark.parametrize("target, source", [
+        ("ue.ndjson", "app.ndjson"), ("core.ndjson", "app.ndjson"), ("app.ndjson", "ue.ndjson"),
+    ])
+    def test_capture_of_another_tap_is_an_error(self, capture_dir, capsys, target, source):
+        (capture_dir / target).write_bytes((capture_dir / source).read_bytes())
+        capsys.readouterr()
+        assert main(["analyze", "--in", str(capture_dir)]) == 1
+        tap_of = {"ue.ndjson": "UE", "core.ndjson": "CORE", "app.ndjson": "APP"}
+        assert one_line_error(capsys) == (
+            f"error: {capture_dir / target}: invalid capture at record 0: "
+            f"record of tap {tap_of[source]} in the {tap_of[target]} capture\n")
+        for name in ("samples.ndjson", "report.csv", "report.ndjson"):
+            assert not (capture_dir / name).exists()
+
     def test_conflicting_segment_lengths_name_their_file(self, capture_dir, capsys):
         # app.ndjson gains a second copy of an uplink data segment, one byte
         # shorter, with a fresh pid
@@ -618,11 +632,11 @@ class TestSweep:
         assert not (out / "comparison.csv").exists()
 
 
-def _dies_on_5g_regional(label, *args):
+def _dies_on_5g_regional(run_cfg, outdir, *args):
     """``_sweep_scenario``, but the worker running 5g_regional dies at once."""
-    if label == "5g_regional":
+    if outdir.name == "5g_regional":
         os._exit(1)
-    return _sweep_scenario(label, *args)
+    return _sweep_scenario(run_cfg, outdir, *args)
 
 
 class TestFailedSweep:
@@ -699,7 +713,7 @@ class TestSweepCollector:
         gc.disable()
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:
-            _sweep_scenario(case, run_cfg, tmp_path / case, cfg, opts, False)
+            _sweep_scenario(run_cfg, tmp_path / case, cfg, opts, False)
             unreachable = gc.collect()
             garbage = list(gc.garbage)
         finally:
@@ -761,6 +775,13 @@ class TestBadAnalysisFlags:
         assert not out.exists()
 
 
+def write_wide_samples(path: Path) -> Path:
+    """OWD-frame samples whose span, 3.4e308, is past the float range."""
+    path.write_text("".join(json.dumps({"class": "OWD-frame", "idx": i, "value_ms": v}) + "\n"
+                            for i, v in enumerate([-1.7e308, 0.0, 1.7e308])))
+    return path
+
+
 class TestPlot:
     @pytest.fixture
     def analyzed_dir(self, tmp_path, config_path):
@@ -769,33 +790,64 @@ class TestPlot:
         main(["analyze", "--in", str(out)])
         return out
 
-    def test_cdf_polyline_monotone_and_complete(self, analyzed_dir, tmp_path):
+    @pytest.fixture(params=["emulated", "wide"])
+    def samples(self, request, tmp_path):
+        """An emulated run's samples.ndjson, or the wide samples."""
+        if request.param == "emulated":
+            return request.getfixturevalue("analyzed_dir") / "samples.ndjson"
+        return write_wide_samples(tmp_path / "wide.ndjson")
+
+    def test_cdf_polyline_monotone_and_complete(self, samples, tmp_path):
         out = tmp_path / "cdf.svg"
-        assert main(["plot", "--kind", "cdf", "--in", str(analyzed_dir / "samples.ndjson"),
-                     "--out", str(out)]) == 0
+        assert main(["plot", "--kind", "cdf", "--in", str(samples), "--out", str(out)]) == 0
         svg = out.read_text()
         match = re.search(r'<polyline points="([^"]+)"', svg)
         assert match
         points = [tuple(map(float, p.split(","))) for p in match.group(1).split()]
         xs = [p[0] for p in points]
         ys = [p[1] for p in points]
+        assert all(60 <= x <= 580 for x in xs) and all(60 <= y <= 340 for y in ys), points
         assert xs == sorted(xs)                  # monotone in x
         assert all(b <= a + 1e-6 for a, b in zip(ys, ys[1:]))  # non-decreasing probability
         assert "reliability 95%" in svg
 
-    def test_cdf_ascii(self, analyzed_dir, tmp_path):
+    def test_cdf_ascii(self, samples, tmp_path):
         out = tmp_path / "cdf.txt"
-        assert main(["plot", "--kind", "cdf", "--in", str(analyzed_dir / "samples.ndjson"),
-                     "--out", str(out), "--ascii"]) == 0
+        assert main(["plot", "--kind", "cdf", "--in", str(samples), "--out", str(out),
+                     "--ascii"]) == 0
         text = out.read_text()
         assert "*" in text and "reliability" in text
+        # the first column is at the lowest sample: the curve starts at its ECDF
+        values = [json.loads(line)["value_ms"] for line in samples.read_text().splitlines()
+                  if json.loads(line)["class"] == "OWD-frame"]
+        first = values.count(min(values)) / len(values)
+        assert [row[0] for row in text.splitlines()[:16]].index("*") == 15 - round(first * 15)
 
-    def test_box_single_scenario(self, analyzed_dir, tmp_path):
+    def test_box_single_scenario(self, samples, tmp_path):
         out = tmp_path / "box.svg"
-        assert main(["plot", "--kind", "box", "--in", str(analyzed_dir / "samples.ndjson"),
-                     "--out", str(out)]) == 0
+        assert main(["plot", "--kind", "box", "--in", str(samples), "--out", str(out)]) == 0
         svg = out.read_text()
         assert svg.count("<rect") >= 2  # background + at least one box
+        coords = [float(value) for el in ET.parse(out).iter() for name, value in el.attrib.items()
+                  if name in ("x", "y", "x1", "y1", "x2", "y2", "cx", "cy", "height")]
+        assert all(0 <= v <= 640 for v in coords), coords
+
+    def test_box_ascii(self, samples, tmp_path):
+        out = tmp_path / "box.txt"
+        assert main(["plot", "--kind", "box", "--in", str(samples), "--out", str(out),
+                     "--ascii"]) == 0
+        rows = out.read_text().splitlines()[:-1]
+        assert rows and all(row.count("|") == 1 for row in rows)  # one median per class
+
+    @pytest.mark.parametrize("ascii_flag", [[], ["--ascii"]], ids=["svg", "ascii"])
+    @pytest.mark.parametrize("level", ["nan", "-1", "inf", "2", "0"])
+    def test_reliability_outside_the_unit_interval(self, tmp_path, capsys, level, ascii_flag):
+        samples = write_wide_samples(tmp_path / "wide.ndjson")
+        out = tmp_path / "cdf.out"
+        assert main(["plot", "--kind", "cdf", "--in", str(samples), "--reliability", level,
+                     "--out", str(out), *ascii_flag]) == 1
+        assert one_line_error(capsys).startswith("error: --reliability must be in (0, 1], got ")
+        assert not out.exists()
 
     def test_throughput_threshold_lines(self, tmp_path):
         out = tmp_path / "tp.svg"

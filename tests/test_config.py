@@ -101,7 +101,7 @@ class TestParse:
         assert parsed.clocks.sigmas_ms() == (0.387, 0.317, 0.117)
         assert parsed.processing.total_ms == 20.3
         assert parsed.workload.ping_count == 3
-        assert parsed.mss == 1400
+        assert parsed.workload.mss == 1400
         assert parsed.seed is None
 
     def test_full_config(self, tmp_path):
@@ -112,8 +112,8 @@ class TestParse:
         assert parsed.workload.video.encoder is Encoder.H264
         assert parsed.workload.video.resolution is Resolution.HD
         assert parsed.workload.video.mean_frame_bytes == 85_000  # H264 HD default
-        assert parsed.workload.video_duration_s == 4.0
-        assert parsed.mss == 1200
+        assert parsed.workload.video.duration_s == 4.0
+        assert parsed.workload.mss == 1200
         assert parsed.processing.total_ms == 18.0
         assert parsed.seed == 77
         assert parsed.raw_scenario["base_owd_up"] == 25.0

@@ -77,8 +77,8 @@ def to_run(p: dict) -> EmulationRun:
     traffic = p["traffic"]
     workload = Workload(
         ping_count=10 if traffic == "ping" else p["pings"],
-        video=VideoConfig(resolution=Resolution[p["resolution"]]) if traffic == "video" else None,
-        video_duration_s=1.0 if traffic == "video" else 0.0,
+        video=(VideoConfig(resolution=Resolution[p["resolution"]], duration_s=1.0)
+               if traffic == "video" else None),
         bulk_duration_s=1.0 if traffic == "bulk" else 0.0)
     offsets = p["clock_offsets_ms"]
     clocks = ClockModel.perfect() if offsets is None else ClockModel(*offsets)

@@ -52,6 +52,7 @@ class TestEcdf:
         probs = dist.probs
         assert all(b > a for a, b in zip(probs, probs[1:]))
         assert probs[-1] == 1.0
+        assert [dist.prob_at(x) for x in (0.5, 1.0, 1.5, 2.0, 3.0)] == [0.0, 2 / 3, 2 / 3, 1.0, 1.0]
 
     def test_percentile_monotone_in_p(self):
         rng = random.Random(12)

@@ -170,7 +170,7 @@ def codec_run(retransmit: bool) -> EmulationRun:
                         loss_prob=0.02 if retransmit else 0.0, retransmit=retransmit)
     return EmulationRun(
         scenario=scenario,
-        workload=Workload(ping_count=20, video=VideoConfig(), video_duration_s=2.0),
+        workload=Workload(ping_count=20, video=VideoConfig(duration_s=2.0)),
         clocks=ClockModel(offset_ue_ms=-3.5, offset_app_ms=2.25),
         seed=1)
 
@@ -284,12 +284,12 @@ class TestFiniteConfig:
         (Scenario, {"tech": Tech.FIVE_G, "range": RangeBand.EDGE}, name) for name in (
             "base_owd_up", "base_owd_down", "jitter_std", "loss_prob")
     ] + [
-        (VideoConfig, {}, name) for name in ("fps", "frame_size_cv")
+        (VideoConfig, {}, name) for name in ("fps", "frame_size_cv", "duration_s")
     ] + [
         (ProcessingModel, {}, "total_ms"),
     ] + [
         (Workload, {"ping_count": 1}, name) for name in (
-            "ping_interval_ms", "video_duration_s", "bulk_duration_s", "bulk_offered_mbps")
+            "ping_interval_ms", "bulk_duration_s", "bulk_offered_mbps")
     ] + [
         (NtpSample, {"node": Tap.UE, "offset_ms": 0.0}, "t_s"),
         (NtpSample, {"t_s": 0.0, "node": Tap.UE}, "offset_ms"),
