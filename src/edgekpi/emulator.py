@@ -1,9 +1,10 @@
 """Deterministic discrete-event emulation of a UE -> core -> app-server path.
 
 The emulated testbed has three capture taps (UE, CORE, APP). Uplink traffic
-crosses an access link with a FIFO rate limiter (the bandwidth cap), then a
-core link carrying the range-dependent added delay; downlink traffic takes
-the reverse path without a rate cap (ACKs and small commands only). Every
+crosses an access hop (:class:`_Access`) with a FIFO rate limiter (the
+bandwidth cap), then a core link carrying the range-dependent added delay;
+downlink traffic takes the reverse path over an access hop without a rate
+cap (ACKs and small commands only). Every
 packet is stamped at each tap with that node's local clock: true time plus
 the node's offset plus piecewise-constant resync noise.
 
@@ -522,18 +523,51 @@ class _Receiver:
         return self.cumulative()
 
 
+class _Access:
+    """One direction of the access hop, the radio link between the UE and
+    the core. A packet handed to it passes, in this order, the rate limiter
+    (STREAM packets only; an infinite ``cap`` is no limiter), the loss draw,
+    the base delay plus Gaussian jitter, and per-flow FIFO order."""
+
+    def __init__(self, base_ms: float, loss_prob: float, jitter_std_ms: float,
+                 rng_loss: random.Random, rng_jitter: random.Random, cap: float = math.inf):
+        self._base_us = base_ms * 1000.0
+        self._p_loss = loss_prob
+        self._jitter_ms = jitter_std_ms
+        self._rng_loss = rng_loss
+        self._rng_jitter = rng_jitter
+        self._cap_mbps = cap  # Mbit/s == bit/us
+        self._free_us = 0.0  # when the limiter has sent all it holds
+        # Jitter lets a packet overtake its flow's previous one, so the hop
+        # keeps flow -> latest arrival time.
+        self._last: dict[int, float] = {}
+
+    def carry(self, t_us: float, pkt: TruthPacket) -> float | None:
+        """When ``pkt``, handed to the hop at ``t_us``, reaches its far end,
+        or None if the hop loses it."""
+        if pkt.proto is STREAM and self._cap_mbps != math.inf:
+            t_us = max(t_us, self._free_us) + pkt.payload_len * 8.0 / self._cap_mbps
+            self._free_us = t_us
+        p = self._p_loss
+        if p > 0.0 and self._rng_loss.random() < p:
+            return None
+        arrival = t_us + self._base_us
+        if self._jitter_ms > 0:
+            # floored, so that no packet arrives before it left
+            arrival = max(t_us, arrival + self._rng_jitter.gauss(0.0, self._jitter_ms) * 1000.0)
+        arrival = max(arrival, self._last.get(pkt.flow, 0.0))
+        self._last[pkt.flow] = arrival
+        return arrival
+
+
 class _Simulation:
     def __init__(self, run: EmulationRun):
         self.run = run
         master = random.Random(run.seed)
-        # Independent sub-streams so that e.g. frame sizes do not change when
-        # only the scenario's delays change.
-        self.rng_sizes = random.Random(master.getrandbits(64))
-        self.rng_jitter_up = random.Random(master.getrandbits(64))
-        self.rng_jitter_down = random.Random(master.getrandbits(64))
-        self.rng_loss_up = random.Random(master.getrandbits(64))
-        self.rng_loss_down = random.Random(master.getrandbits(64))
-        self.rng_clock = random.Random(master.getrandbits(64))
+        # Independent sub-streams, drawn in this order, so that e.g. frame
+        # sizes do not change when only the scenario's delays change.
+        self.rng_sizes, jitter_up, jitter_down, loss_up, loss_down, rng_clock = (
+            random.Random(master.getrandbits(64)) for _ in range(6))
 
         self._records: list[list[CaptureRecord]] = [[] for _ in NODES]
         self.truth = TruthLog()
@@ -542,7 +576,7 @@ class _Simulation:
         # more samples per node, enough for offset estimation.
         horizon_s = max(run.workload.horizon_s() + CLOCK_TRACE_SLACK_S,
                         run.clocks.resync_interval_s)
-        self.ntp = sample_ntp_trace(run.clocks, horizon_s, self.rng_clock)
+        self.ntp = sample_ntp_trace(run.clocks, horizon_s, rng_clock)
         self._resync_us = run.clocks.resync_interval_s * 1e6
         # Clock error (us) each node applies from each resync on, indexed
         # like NODES; the trace holds at least one sample per node.
@@ -561,28 +595,22 @@ class _Simulation:
         self._counter = itertools.count()
         self._pids = itertools.count()
 
-        # Link state. On the jittered access hops a packet can overtake its
-        # flow's previous one, so each keeps flow -> latest arrival time. The
-        # core hop adds a constant delay, so it keeps the order packets reach
-        # it in.
-        self._uplink_free_us = 0.0
-        self._fifo_up_core: dict[int, float] = {}
-        self._fifo_down_ue: dict[int, float] = {}
+        # The path: the access hop, one per direction with the rate limiter on
+        # the uplink only, and the core hop. The core hop adds a constant
+        # delay, so it keeps the order packets reach it in.
+        base = run.scenario
+        self._up = _Access(base.base_owd_up, base.loss_prob, base.jitter_std,
+                           loss_up, jitter_up, base.bandwidth_cap)
+        self._down = _Access(base.base_owd_down, base.loss_prob, base.jitter_std,
+                             loss_down, jitter_down)
+        self._added_us = ADDED_OWD_MS[base.range] * 1000.0
 
         # The stream (Workload allows at most one): its two ends, the receiver
         # made when the stream is planned, and the app's processing state.
-        base = run.scenario
         self._sender = _Sender() if base.retransmit else None
         self._receiver: _Receiver | None = None
         self._proc_free_us = 0.0
         self._dl_seq = 0
-
-        self._base_up_us = base.base_owd_up * 1000.0
-        self._base_down_us = base.base_owd_down * 1000.0
-        self._added_us = ADDED_OWD_MS[base.range] * 1000.0
-        self._cap = base.bandwidth_cap  # Mbit/s == bit/us
-        self._loss_prob = base.loss_prob
-        self._jitter_std = base.jitter_std
 
     # -- plumbing ---------------------------------------------------------
 
@@ -608,27 +636,6 @@ class _Simulation:
             pkt.seq, pkt.ack, pkt.payload_len, pkt.marker, pkt.pid)))
         return true_us
 
-    @staticmethod
-    def _fifo(last: dict[int, float], flow: int, t_us: float) -> float:
-        """No overtaking on a hop: ``flow`` arrives no earlier than its
-        previous packet on the hop whose arrival times ``last`` holds."""
-        t = max(t_us, last.get(flow, 0.0))
-        last[flow] = t
-        return t
-
-    def _lost(self, rng: random.Random) -> bool:
-        p = self._loss_prob
-        return p > 0.0 and rng.random() < p
-
-    def _access_arrival(self, t_us: float, base_us: float, rng: random.Random) -> float:
-        """When a packet that leaves an access hop's sender at ``t_us``
-        arrives: the base delay plus Gaussian jitter, floored at 0, so that
-        no packet arrives before it left."""
-        std = self._jitter_std
-        if std <= 0:
-            return t_us + base_us
-        return max(t_us, t_us + base_us + rng.gauss(0.0, std) * 1000.0)
-
     # -- uplink path ------------------------------------------------------
 
     def _send_original(self, t_us: float, pkt: TruthPacket) -> None:
@@ -650,22 +657,13 @@ class _Simulation:
         self._send_up(t_us, clone)
 
     def _send_up(self, t_us: float, pkt: TruthPacket) -> None:
-        """Log and stamp ``pkt`` at the UE, pass stream packets through the
-        rate limiter, then lose it or schedule its core arrival."""
+        """Log and stamp ``pkt`` at the UE, then schedule its core arrival
+        unless the uplink access hop loses it."""
         self.truth.packets.append(pkt)
         pkt.t_ue_us = self._stamp(_UE, t_us, pkt)
-        if pkt.proto is STREAM:
-            start = max(t_us, self._uplink_free_us)
-            tx = 0.0 if math.isinf(self._cap) else pkt.payload_len * 8.0 / self._cap
-            depart = start + tx
-            self._uplink_free_us = depart
-        else:
-            depart = t_us
-        if self._lost(self.rng_loss_up):
-            return
-        t_core = self._fifo(self._fifo_up_core, pkt.flow,
-                            self._access_arrival(depart, self._base_up_us, self.rng_jitter_up))
-        self._schedule(t_core, self._arrive_core_up, pkt)
+        t_core = self._up.carry(t_us, pkt)
+        if t_core is not None:
+            self._schedule(t_core, self._arrive_core_up, pkt)
 
     def _arrive_core_up(self, t_us: float, pkt: TruthPacket) -> None:
         pkt.t_core_us = self._stamp(_CORE, t_us, pkt)
@@ -722,11 +720,9 @@ class _Simulation:
 
     def _arrive_core_down(self, t_us: float, pkt: TruthPacket) -> None:
         pkt.t_core_us = self._stamp(_CORE, t_us, pkt)
-        if self._lost(self.rng_loss_down):
-            return
-        t_ue = self._fifo(self._fifo_down_ue, pkt.flow,
-                          self._access_arrival(t_us, self._base_down_us, self.rng_jitter_down))
-        self._schedule(t_ue, self._arrive_ue, pkt)
+        t_ue = self._down.carry(t_us, pkt)
+        if t_ue is not None:
+            self._schedule(t_ue, self._arrive_ue, pkt)
 
     def _arrive_ue(self, t_us: float, pkt: TruthPacket) -> None:
         pkt.t_ue_us = self._stamp(_UE, t_us, pkt)

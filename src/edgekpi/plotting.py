@@ -115,8 +115,8 @@ def render_throughput_svg(bars: Sequence[tuple[str, float]],
     """Demand bars against horizontal cap threshold lines."""
     if not bars:
         raise ValueError("no bars to plot")
-    hi = max([v for _, v in bars] + list(thresholds)) * 1.15
-    sy = _scale(0.0, hi, *_Y_AXIS)
+    # 15 % headroom as a shorter axis: the tallest bar times 1.15 can overflow
+    sy = _scale(0.0, max([v for _, v in bars] + list(thresholds)), _Y_AXIS[0], _Y_AXIS[1] / 1.15)
     slot = (_W - 2 * _MARGIN) / len(bars)
     bar_w = min(80.0, slot * 0.6)
     parts = _svg_header(title) + _axes("", "Mbit/s")
@@ -151,10 +151,11 @@ def render_cdf_ascii(dist: Ecdf, reliability: float = 0.95) -> str:
     half_span = (hi / 2 - half_lo) or 0.5
     grid = [[" "] * _ASCII_W for _ in range(_ASCII_H)]
     rel_row = _ASCII_H - 1 - int(round(reliability * (_ASCII_H - 1)))
+    grid[rel_row] = ["-"] * _ASCII_W
     for col in range(_ASCII_W):
-        grid[rel_row][col] = "-"
-    for col in range(_ASCII_W):
-        p = dist.prob_at(2 * (half_lo + half_span * col / (_ASCII_W - 1)))
+        # the last column reads hi itself, which the step there can round below
+        x = hi if col == _ASCII_W - 1 else 2 * (half_lo + half_span * col / (_ASCII_W - 1))
+        p = dist.prob_at(x)
         row = _ASCII_H - 1 - int(round(p * (_ASCII_H - 1)))
         grid[row][col] = "*"
     lines = ["".join(row) for row in grid]
@@ -189,13 +190,13 @@ def render_box_ascii(groups: Sequence[tuple[str, BoxplotStats]]) -> str:
 
 def render_throughput_ascii(bars: Sequence[tuple[str, float]],
                             thresholds: Sequence[float] = _CAPS_MBPS) -> str:
-    hi = max([v for _, v in bars] + list(thresholds)) * 1.1
-    width = _ASCII_W
+    # 10 % headroom, scaled as in render_throughput_svg
+    scale = _scale(0.0, max([v for _, v in bars] + list(thresholds)), 0, _ASCII_W / 1.1)
     lines = []
     for label, v in bars:
-        n = int(round(v / hi * width))
+        n = int(round(scale(v)))
         lines.append(f"{label:>14} {'#' * n} {v:.1f}")
     for cap in thresholds:
-        n = int(round(cap / hi * width))
+        n = int(round(scale(cap)))
         lines.append(f"{'cap':>14} {' ' * n}^ {cap} Mbit/s")
     return "\n".join(lines)

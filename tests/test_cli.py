@@ -863,6 +863,21 @@ class TestPlot:
                      "--in", str(analyzed_dir / "report.ndjson"), "--out", str(out)]) == 0
         assert "32.2 Mbit/s" in out.read_text()
 
+    @pytest.mark.parametrize("ascii_flag", [[], ["--ascii"]], ids=["svg", "ascii"])
+    def test_throughput_near_the_float_limit(self, tmp_path, ascii_flag):
+        report, out = tmp_path / "report.ndjson", tmp_path / "tp.out"
+        report.write_text("".join(json.dumps({"scenario": name, "metric": "demanded_throughput",
+                                              "value": value}) + "\n"
+                                  for name, value in (("huge", 1.7e308), ("VGA", 19.2))))
+        assert main(["plot", "--kind", "throughput", "--in", str(report), "--out", str(out),
+                     *ascii_flag]) == 0
+        if ascii_flag:
+            assert "#" in out.read_text()
+        else:
+            heights = [float(el.get("height")) for el in ET.parse(out).iter()
+                       if el.get("fill") == "darkseagreen"]
+            assert len(heights) == 2 and max(heights) > 0
+
     def test_throughput_missing_report(self, tmp_path, capsys):
         missing = tmp_path / "missing.ndjson"
         assert main(["plot", "--kind", "throughput", "--in", str(missing),

@@ -390,6 +390,63 @@ class TestBandwidthCap:
         assert all(b > a for a, b in zip(owds, owds[1:]))
 
 
+def access(base_ms=0.0, jitter_std=0.0, cap=math.inf):
+    """A lossless access hop with a seeded jitter RNG."""
+    return emulator._Access(base_ms, 0.0, jitter_std, random.Random(1), random.Random(2), cap)
+
+
+def packet(flow=VIDEO_FLOW, proto=Proto.STREAM, length=1000):
+    return emulator.TruthPacket(0, flow, Direction.UPLINK, proto, 0, length)
+
+
+class TestAccess:
+    def test_lost_packet_draws_no_jitter(self):
+        jitter = random.Random(2)
+        hop = emulator._Access(5.0, 0.5, 2.0, random.Random(1), jitter)
+        lost = 0
+        for i in range(200):
+            before = jitter.getstate()
+            arrival = hop.carry(i * 1000.0, packet(flow=i))
+            drew = jitter.getstate() != before
+            assert drew is (arrival is not None)
+            lost += arrival is None
+        assert 60 < lost < 140
+
+    def test_never_arrives_before_it_left(self):
+        # no base delay: half the jitter draws are negative
+        hop = access(jitter_std=2.0)
+        arrivals = [(t, hop.carry(t, packet(flow=i, proto=Proto.CTRL)))
+                    for i, t in enumerate(range(0, 200_000, 1000))]
+        assert all(arrival >= t for t, arrival in arrivals)
+        assert sum(arrival == t for t, arrival in arrivals) > 50  # the floor was used
+
+    def test_flow_keeps_its_order_and_flows_pass_each_other(self):
+        hop = access(base_ms=10.0, jitter_std=3.0)
+        arrivals = {0: [], 1: []}
+        for i in range(400):
+            flow = i % 2
+            arrivals[flow].append((i, hop.carry(i * 100.0, packet(flow=flow, proto=Proto.CTRL))))
+        for flow_arrivals in arrivals.values():
+            times = [t for _, t in flow_arrivals]
+            assert times == sorted(times)
+        merged = [t for _, t in sorted(arrivals[0] + arrivals[1])]
+        # a flow-1 packet may still reach the far end before flow 0's previous one
+        assert merged != sorted(merged)
+
+    def test_limiter_spaces_stream_packets(self):
+        hop = access(base_ms=2.0, cap=8.0)  # 8 Mbit/s: 1000 bytes take 1 ms
+        stream = [hop.carry(0.0, packet(length=1000)) for _ in range(5)]
+        assert stream == [2000.0 + 1000.0 * k for k in range(1, 6)]
+        # a CTRL packet skips the queue the stream built up
+        assert hop.carry(100.0, packet(flow=CONTROL_FLOW, proto=Proto.CTRL)) == 2100.0
+        # the limiter has drained by 10 ms: the next segment waits only for itself
+        assert hop.carry(10_000.0, packet(length=500)) == 12_500.0
+
+    def test_infinite_cap_is_no_limiter(self):
+        hop = access(base_ms=2.0)
+        assert [hop.carry(0.0, packet(length=1400)) for _ in range(3)] == [2000.0] * 3
+
+
 class TestClocks:
     def test_constant_offset_shifts_stamps(self):
         clocks = ClockModel(offset_app_ms=5.0, sigma_ue_ms=0, sigma_core_ms=0, sigma_app_ms=0)

@@ -1,5 +1,6 @@
 """Plot renderers: element presence and basic geometry."""
 
+import random
 import re
 
 from edgekpi.kpis import boxplot_stats, ecdf
@@ -26,6 +27,14 @@ def test_cdf_svg_ends_at_probability_one():
 def test_cdf_svg_single_sample():
     svg = render_cdf_svg(ecdf([5.0]))
     assert "<polyline" in svg
+
+
+def test_cdf_ascii_last_column_reaches_the_top():
+    rng = random.Random(11)
+    for _ in range(200):
+        values = [rng.uniform(0.0, 100.0) for _ in range(rng.randint(1, 30))]
+        top_row = render_cdf_ascii(ecdf(values)).splitlines()[0]
+        assert top_row[-1] == "*", values
 
 
 def test_box_svg_one_rect_per_group():
