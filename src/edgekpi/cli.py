@@ -57,6 +57,7 @@ from .model import (
     read_ntp_file,
     validate,
     write_capture_file,
+    write_ndjson,
     write_ntp_file,
 )
 from .plotting import (
@@ -195,10 +196,9 @@ def _write_samples(path: Path, analysis) -> None:
     """One line per sample, class by class in ``analysis.samples`` order."""
     # The bytes json.dumps(..., separators=(",", ":")) gives: a sample is a
     # finite float, which it prints with float.__repr__.
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(f'{{"class":"{name}","idx":{idx},"value_ms":{value!r}}}\n'
-                      for name, sample_set in analysis.samples.items()
-                      for idx, value in enumerate(sample_set.values_ms))
+    write_ndjson(path, (f'{{"class":"{name}","idx":{idx},"value_ms":{value!r}}}'
+                        for name, sample_set in analysis.samples.items()
+                        for idx, value in enumerate(sample_set.values_ms)))
 
 
 def _analysis_options(args) -> tuple[AnalyzerConfig, ReportOptions]:

@@ -22,8 +22,9 @@ import json
 import math
 import random
 from bisect import bisect_left, bisect_right
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -48,6 +49,7 @@ from .model import (
     VideoConfig,
     acyclic,
     check_finite,
+    write_ndjson,
 )
 
 # Well-known flow ids used by the built-in generators.
@@ -91,6 +93,11 @@ CLOCK_TRACE_SLACK_S = 5.0
 #: Indices into NODES of the per-node lists the simulation keeps; lists
 #: indexed by int hash no enum member per capture stamp.
 _UE, _CORE, _APP = range(len(NODES))
+
+#: A scheduled event: (true time us, insertion counter, method, args).
+_Event = tuple[float, int, Callable[..., None], tuple]
+#: Later than every event, for a source with none left.
+_END = (math.inf, math.inf)
 
 
 @dataclass(frozen=True)
@@ -351,27 +358,25 @@ def _json_int(value: int | None) -> str | int:
 
 
 def write_truth_file(path: str | Path, truth: TruthLog) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        # Packet lines are formatted directly, in the bytes json.dumps gives
-        # for their int / None / bool fields (enum members by their plain
-        # ``_value_``, as in record_to_json); frame lines carry floats.
-        fh.writelines(
-            f'{{"kind":"packet","pid":{p.pid},"flow":{p.flow},"dir":"{p.dir._value_}",'
-            f'"proto":"{p.proto._value_}","seq":{p.seq},"len":{p.payload_len},'
-            f'"t_ue_us":{_json_int(p.t_ue_us)},"t_core_us":{_json_int(p.t_core_us)},'
-            f'"t_app_us":{_json_int(p.t_app_us)},"delivered":{"true" if p.delivered else "false"}}}\n'
-            for p in truth.packets)
-        for f in truth.frames:
-            fh.write(json.dumps({
-                "kind": "frame", "frame_idx": f.frame_idx, "byte_len": f.byte_len,
-                "t_first_emit_us": f.t_first_emit_us, "t_last_emit_us": f.t_last_emit_us,
-                "t_first_app_us": f.t_first_app_us, "t_last_app_us": f.t_last_app_us,
-                "t_cmd_emit_us": f.t_cmd_emit_us, "t_cmd_ue_us": f.t_cmd_ue_us,
-                "delivered": f.delivered,
-                "owd_first_last_ms": f.owd_first_last_ms(),
-                "owd_first_first_ms": f.owd_first_first_ms(),
-            }, separators=(",", ":")))
-            fh.write("\n")
+    # Packet lines are formatted directly, in the bytes json.dumps gives for
+    # their int / None / bool fields (enum members by their plain
+    # ``_value_``, as in record_to_json); frame lines carry floats.
+    packets = (
+        f'{{"kind":"packet","pid":{p.pid},"flow":{p.flow},"dir":"{p.dir._value_}",'
+        f'"proto":"{p.proto._value_}","seq":{p.seq},"len":{p.payload_len},'
+        f'"t_ue_us":{_json_int(p.t_ue_us)},"t_core_us":{_json_int(p.t_core_us)},'
+        f'"t_app_us":{_json_int(p.t_app_us)},"delivered":{"true" if p.delivered else "false"}}}'
+        for p in truth.packets)
+    frames = (json.dumps({
+        "kind": "frame", "frame_idx": f.frame_idx, "byte_len": f.byte_len,
+        "t_first_emit_us": f.t_first_emit_us, "t_last_emit_us": f.t_last_emit_us,
+        "t_first_app_us": f.t_first_app_us, "t_last_app_us": f.t_last_app_us,
+        "t_cmd_emit_us": f.t_cmd_emit_us, "t_cmd_ue_us": f.t_cmd_ue_us,
+        "delivered": f.delivered,
+        "owd_first_last_ms": f.owd_first_last_ms(),
+        "owd_first_first_ms": f.owd_first_first_ms(),
+    }, separators=(",", ":")) for f in truth.frames)
+    write_ndjson(path, itertools.chain(packets, frames))
 
 
 @dataclass
@@ -588,10 +593,16 @@ class _Simulation:
         # instant come back to back and share the two ints.
         self._last_stamp: list[tuple[float, int, int]] = [(math.nan, 0, 0)] * len(NODES)
 
-        # Event queue: (true time us, insertion counter, method, args); the
-        # counter is unique, so heap order never compares two methods, and
-        # events at one time run in the order they were scheduled.
-        self._q: list[tuple[float, int, Callable[..., None], tuple]] = []
+        # Events are (true time us, insertion counter, method, args) and run
+        # in (time, counter) order: the counter is unique, so no two methods
+        # are compared, and events at one time run in the order they were
+        # scheduled. They come from three sources, each already in that
+        # order: the planned sends, sorted once before the run; the core
+        # hop's events, due a constant delay after they are scheduled and
+        # so appended in order; and a heap for the rest.
+        self._planned: list[_Event] = []
+        self._core: deque[_Event] = deque()
+        self._q: list[_Event] = []
         self._counter = itertools.count()
         self._pids = itertools.count()
 
@@ -617,6 +628,16 @@ class _Simulation:
     def _schedule(self, t_us: float, fn: Callable[..., None], *args) -> None:
         """Run ``fn(t_us, *args)`` at true time ``t_us``."""
         heapq.heappush(self._q, (t_us, next(self._counter), fn, args))
+
+    def _plan(self, t_us: float, fn: Callable[..., None], *args) -> None:
+        """Before the run: run ``fn(t_us, *args)`` at true time ``t_us``."""
+        self._planned.append((t_us, next(self._counter), fn, args))
+
+    def _after_core(self, t_us: float, fn: Callable[..., None], *args) -> None:
+        """Run ``fn`` when a packet that enters the core hop now, at
+        ``t_us``, leaves it. Simulated time never goes back, so these events
+        are due in the order they are scheduled."""
+        self._core.append((t_us + self._added_us, next(self._counter), fn, args))
 
     def _stamp(self, node: int, t_us: float, pkt: TruthPacket) -> int:
         """Capture ``pkt`` at ``NODES[node]`` on that node's clock; return
@@ -667,7 +688,7 @@ class _Simulation:
 
     def _arrive_core_up(self, t_us: float, pkt: TruthPacket) -> None:
         pkt.t_core_us = self._stamp(_CORE, t_us, pkt)
-        self._schedule(t_us + self._added_us, self._arrive_app, pkt)
+        self._after_core(t_us, self._arrive_app, pkt)
 
     def _arrive_app(self, t_us: float, pkt: TruthPacket) -> None:
         pkt.t_app_us = self._stamp(_APP, t_us, pkt)
@@ -716,7 +737,7 @@ class _Simulation:
     def _emit_downlink(self, t_us: float, pkt: TruthPacket) -> None:
         self.truth.packets.append(pkt)
         pkt.t_app_us = self._stamp(_APP, t_us, pkt)
-        self._schedule(t_us + self._added_us, self._arrive_core_down, pkt)
+        self._after_core(t_us, self._arrive_core_down, pkt)
 
     def _arrive_core_down(self, t_us: float, pkt: TruthPacket) -> None:
         pkt.t_core_us = self._stamp(_CORE, t_us, pkt)
@@ -741,8 +762,29 @@ class _Simulation:
                               proto=STREAM, seq=plan.seq, payload_len=plan.payload_len,
                               marker=plan.marker, frame_idx=plan.frame_idx,
                               end_of_frame=plan.end_of_frame)
-            self._schedule(plan.t_us, send, pkt)
+            self._plan(plan.t_us, send, pkt)
         self._receiver = _Receiver(flow, plans, self._sender is not None)
+
+    def _run_queue(self) -> None:
+        """Run every event, the next of the three sources' heads each time."""
+        # latest first, so that pop() takes the next send and frees it
+        planned = self._planned
+        planned.sort(reverse=True)
+        core, q = self._core, self._q
+        take_planned, take_core, take_q = planned.pop, core.popleft, partial(heapq.heappop, q)
+        while True:
+            ev, take = _END, None
+            if planned:
+                ev, take = planned[-1], take_planned
+            if q and q[0] < ev:
+                ev, take = q[0], take_q
+            if core and core[0] < ev:
+                ev, take = core[0], take_core
+            if take is None:
+                return
+            take()
+            t, _, fn, args = ev
+            fn(t, *args)
 
     def run_events(self) -> RunResult:
         w = self.run.workload
@@ -750,7 +792,7 @@ class _Simulation:
             for t in gen_control_pings(w.ping_interval_ms, w.ping_count):
                 pkt = TruthPacket(pid=next(self._pids), flow=CONTROL_FLOW, dir=UPLINK,
                                   proto=CTRL, seq=0, payload_len=CTRL_PAYLOAD_BYTES)
-                self._schedule(t, self._send_up, pkt)
+                self._plan(t, self._send_up, pkt)
         if w.video is not None:
             self._plan_uplink_stream(VIDEO_FLOW, gen_video_stream(w.video, w.mss, self.rng_sizes))
         if w.bulk_duration_s > 0:
@@ -760,11 +802,7 @@ class _Simulation:
                 offered = 2.0 * cap if not math.isinf(cap) else 100.0
             self._plan_uplink_stream(BULK_FLOW, gen_bulk_probe(w.bulk_duration_s, w.mss, offered))
 
-        q, pop = self._q, heapq.heappop
-        while q:
-            t, _, fn, args = pop(q)
-            fn(t, *args)
-
+        self._run_queue()
         self.truth.frames = frame_truth(self.truth.packets)
         return RunResult(records=dict(zip(NODES, self._records)), truth=self.truth, ntp=self.ntp)
 

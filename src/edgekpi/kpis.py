@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .analyzer import AnalysisResult, InsufficientDataError, LATENCY_CLASSES, SampleSet, srtt
-from .model import DEFAULT_BANDWIDTH_CAP_MBPS, NODES, ProcessingModel, check_finite
+from .model import DEFAULT_BANDWIDTH_CAP_MBPS, NODES, ProcessingModel, check_finite, write_ndjson
 
 
 #: Default bandwidth caps (Mbit/s) a demand figure is judged against: each
@@ -437,7 +437,4 @@ def write_report_csv(path: str | Path, rows: Iterable[dict]) -> None:
 
 
 def write_report_ndjson(path: str | Path, rows: Iterable[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, separators=(",", ":")))
-            fh.write("\n")
+    write_ndjson(path, (json.dumps(row, separators=(",", ":")) for row in rows))

@@ -14,6 +14,7 @@ import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from itertools import islice
 from pathlib import Path
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -188,6 +189,22 @@ def read_ndjson(path: str | Path, decode: Callable[[str], object], kind: str) ->
     return rows
 
 
+#: Lines per write call of write_ndjson: few enough that a block's string
+#: stays small beside the records it was made from.
+NDJSON_BLOCK_LINES = 256
+
+
+def write_ndjson(path: str | Path, lines: Iterable[str]) -> None:
+    """Write each of ``lines`` to ``path``, followed by a newline, in
+    blocks of NDJSON_BLOCK_LINES lines per write call: the counterpart of
+    read_ndjson, and the one way edgekpi writes an NDJSON file."""
+    lines = iter(lines)
+    with open(path, "w", encoding="utf-8") as fh:
+        while block := list(islice(lines, NDJSON_BLOCK_LINES)):
+            block.append("")
+            fh.write("\n".join(block))
+
+
 def finite_number(d: dict, key: str) -> float:
     """``d[key]`` as a float: a JSON number, not a bool, finite as a float."""
     value = d[key]
@@ -324,8 +341,7 @@ def record_from_json(line: str) -> CaptureRecord:
 
 
 def write_capture_file(path: str | Path, records: Iterable[CaptureRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(f"{record_to_json(rec)}\n" for rec in records)
+    write_ndjson(path, map(record_to_json, records))
 
 
 @acyclic()
@@ -545,11 +561,8 @@ class NtpSample:
 
 
 def write_ntp_file(path: str | Path, samples: Iterable[NtpSample]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in samples:
-            fh.write(json.dumps({"t_s": s.t_s, "node": s.node.value, "offset_ms": s.offset_ms},
-                                separators=(",", ":")))
-            fh.write("\n")
+    write_ndjson(path, (json.dumps({"t_s": s.t_s, "node": s.node.value, "offset_ms": s.offset_ms},
+                                   separators=(",", ":")) for s in samples))
 
 
 def _ntp_sample(line: str) -> NtpSample:

@@ -1,6 +1,7 @@
 """Emulator behaviour: generators, delay bookkeeping, loss, clocks, queues."""
 
 import dataclasses
+import heapq
 import math
 import random
 import statistics
@@ -24,6 +25,7 @@ from edgekpi.emulator import (
     gen_video_stream,
     run,
     sample_ntp_trace,
+    write_truth_file,
 )
 from edgekpi.model import (
     ClockModel,
@@ -38,6 +40,7 @@ from edgekpi.model import (
     Tech,
     VideoConfig,
     record_to_json,
+    write_ntp_file,
 )
 
 
@@ -308,28 +311,35 @@ class TestOrdering:
     @pytest.mark.parametrize("seed", range(12))
     def test_no_event_scheduled_in_the_past(self, monkeypatch, seed):
         # random paths with small base delays and large jitter, where
-        # unfloored access delays would draw negative
+        # unfloored access delays would draw negative, at every range, so
+        # that the core hop's delay is 0 on some and not on others
         rng = random.Random(seed)
         cfg = video_run(duration_s=0.5, cv=0.3, seed=seed, pings=10,
                         base_up=rng.choice([0.0, 1.0, 8.0]), base_down=rng.choice([0.0, 1.0, 4.0]),
                         jitter_std=rng.choice([1.0, 3.0]), loss_prob=rng.choice([0.0, 0.05]),
                         retransmit=rng.random() < 0.5,
-                        bandwidth_cap=rng.choice([54.6, math.inf]))
+                        bandwidth_cap=rng.choice([54.6, math.inf]),
+                        range_band=list(RangeBand)[seed % 3])
         cfg = dataclasses.replace(cfg, processing=ProcessingModel(total_ms=rng.choice([0.0, 1.0])))
         now = [0.0]
         late = []
-        schedule = emulator._Simulation._schedule
 
-        def spy(self, t_us, fn, *args):
-            if t_us < now[0]:
-                late.append((now[0], t_us))
+        def spying(method):
+            def spy(self, t_us, fn, *args):
+                if t_us < now[0]:
+                    late.append((method.__name__, now[0], t_us))
 
-            def timed(t, *a):
-                now[0] = t
-                fn(t, *a)
-            schedule(self, t_us, timed, *args)
+                def timed(t, *a):
+                    if t < now[0]:  # the run went back in time
+                        late.append((fn.__name__, now[0], t))
+                    now[0] = t
+                    fn(t, *a)
+                method(self, t_us, timed, *args)
+            return spy
 
-        monkeypatch.setattr(emulator._Simulation, "_schedule", spy)
+        # every way an event is scheduled, so that now follows every event
+        for name in ("_plan", "_schedule", "_after_core"):
+            monkeypatch.setattr(emulator._Simulation, name, spying(getattr(emulator._Simulation, name)))
         run(cfg)
         assert late == []
 
@@ -388,6 +398,97 @@ class TestBandwidthCap:
         owds = [f.owd_first_last_ms() for f in result.truth.frames if f.delivered]
         assert len(owds) >= 30
         assert all(b > a for a, b in zip(owds, owds[1:]))
+
+
+class _OneHeap(emulator._Simulation):
+    """The reference event queue: every event, the planned sends and the
+    core hop's included, goes through the one heap, which runs until empty."""
+
+    def _plan(self, t_us, fn, *args):
+        self._schedule(t_us, fn, *args)
+
+    def _after_core(self, t_us, fn, *args):
+        self._schedule(t_us + self._added_us, fn, *args)
+
+    def _run_queue(self):
+        assert not self._planned and not self._core
+        q = self._q
+        while q:
+            t, _, fn, args = heapq.heappop(q)
+            fn(t, *args)
+
+
+def random_run(i: int) -> EmulationRun:
+    """The ``i``-th seeded random config of the event-order oracle: every
+    second one at 5G EDGE, where the core hop adds no delay; every fifth
+    with zero base delays, alternately with 2 ms of jitter and with none,
+    so that access and core events fall due at one time; video, bulk and
+    ping-only traffic, each with retransmission on and off, in turn."""
+    rng = random.Random(i)
+    if i % 2 == 0:
+        tech, band = Tech.FIVE_G, RangeBand.EDGE
+    else:
+        tech, band = rng.choice(list(Tech)), rng.choice([RangeBand.REGIONAL, RangeBand.NATIONAL])
+    if i % 5 == 0:
+        base_up = base_down = 0.0
+        jitter = 2.0 if i % 10 == 0 else 0.0
+    else:
+        base_up, base_down = (rng.choice([None, 0.0, round(rng.uniform(0, 12), 2)]) for _ in "ud")
+        jitter = rng.choice([0.0, round(rng.uniform(0, 3), 3)])
+    scenario = Scenario(tech=tech, range=band, base_owd_up=base_up, base_owd_down=base_down,
+                        jitter_std=jitter, loss_prob=rng.choice([0.0, round(rng.uniform(0, 0.1), 3)]),
+                        bandwidth_cap=rng.choice([None, math.inf, round(rng.uniform(2, 60), 1)]),
+                        retransmit=i // 3 % 2 == 0)
+    traffic = ("video", "bulk", "ping")[i % 3]
+    workload = Workload(
+        ping_interval_ms=rng.choice([10.0, 50.0]),
+        # the bulk probe's segments and the pings fall due at one time now and then
+        ping_count={"ping": 10, "bulk": 8}.get(traffic) or rng.choice([0, 8]),
+        video=VideoConfig(mean_frame_bytes=rng.choice([3000, 20_000]), frame_size_cv=0.3,
+                          duration_s=0.4) if traffic == "video" else None,
+        bulk_duration_s=0.2 if traffic == "bulk" else 0.0)
+    return EmulationRun(scenario=scenario, workload=workload,
+                        processing=ProcessingModel(total_ms=rng.choice([0.0, round(rng.uniform(0, 20), 2)])),
+                        seed=rng.randrange(10_000))
+
+
+def output_bytes(result, tmp_path: Path) -> tuple[str, bytes, bytes]:
+    """A run's records, truth file and NTP trace file, as written."""
+    write_truth_file(tmp_path / "truth.ndjson", result.truth)
+    write_ntp_file(tmp_path / "ntp.ndjson", result.ntp)
+    records = "".join(f"{record_to_json(r)}\n" for tap in NODES for r in result.records[tap])
+    return (records, (tmp_path / "truth.ndjson").read_bytes(),
+            (tmp_path / "ntp.ndjson").read_bytes())
+
+
+class TestEventOrder:
+    """The event queue's three sources (planned sends, the core hop's FIFO
+    and the heap) run events in the order one heap of them all would."""
+
+    @pytest.mark.parametrize("i", range(60))
+    def test_same_bytes_as_one_heap(self, i, tmp_path):
+        cfg = random_run(i)
+        assert output_bytes(run(cfg), tmp_path) == output_bytes(_OneHeap(cfg).run_events(), tmp_path)
+
+    def test_ties_run_in_counter_order(self):
+        # At EDGE the core hop adds no delay, so all six events fall due at
+        # 5 ms, interleaved across the sources: any order by source differs.
+        sim = emulator._Simulation(ping_run(count=1))
+        assert sim._added_us == 0.0
+        order = []
+
+        def note(t_us, tag):
+            order.append((t_us, tag))
+        sim._after_core(5000.0, note, "core 0")
+        sim._schedule(5000.0, note, "heap 1")
+        sim._plan(5000.0, note, "planned 2")
+        sim._schedule(5000.0, note, "heap 3")
+        sim._plan(5000.0, note, "planned 4")
+        sim._after_core(5000.0, note, "core 5")
+        sim._plan(1000.0, note, "planned early")
+        sim._run_queue()
+        assert order == [(1000.0, "planned early")] + [
+            (5000.0, tag) for tag in ("core 0", "heap 1", "planned 2", "heap 3", "planned 4", "core 5")]
 
 
 def access(base_ms=0.0, jitter_std=0.0, cap=math.inf):

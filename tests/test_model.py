@@ -8,12 +8,13 @@ from pathlib import Path
 import pytest
 
 from conftest import rec
-from edgekpi import emulator
+from edgekpi import emulator, model
 from edgekpi.config import parse_config
 from edgekpi.emulator import EmulationRun, Workload
 from edgekpi.kpis import ReportOptions
 from edgekpi.model import (
     ADDED_OWD_MS,
+    NDJSON_BLOCK_LINES,
     CaptureFormatError,
     CaptureRecord,
     ClockModel,
@@ -36,6 +37,7 @@ from edgekpi.model import (
     record_to_json,
     validate,
     write_capture_file,
+    write_ndjson,
     write_ntp_file,
 )
 
@@ -119,6 +121,47 @@ class TestNdjsonRoundTrip:
         path = tmp_path / "ntp.ndjson"
         write_ntp_file(path, samples)
         assert read_ntp_file(path) == samples
+
+
+class TestWriteNdjson:
+    def test_no_lines_give_an_empty_file(self, tmp_path):
+        path = tmp_path / "empty.ndjson"
+        write_ndjson(path, iter(()))
+        assert path.read_bytes() == b""
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 513])
+    def test_same_bytes_as_one_write_per_line(self, tmp_path, n):
+        rng = random.Random(n)
+        lines = [record_to_json(random_record(rng)) for _ in range(n)]
+        lines[0] = '{"node":"UE","note":"\u00e9\u4e2d"}'  # not ASCII: written as UTF-8
+        blocks, one_by_one = tmp_path / "blocks.ndjson", tmp_path / "lines.ndjson"
+        write_ndjson(blocks, iter(lines))
+        with open(one_by_one, "w", encoding="utf-8") as fh:
+            for line in lines:
+                fh.write(line + "\n")
+        assert blocks.read_bytes() == one_by_one.read_bytes()
+
+    def test_writes_whole_blocks(self, tmp_path, monkeypatch):
+        writes = []
+        real_open = open
+
+        class Counting:
+            def __init__(self, *args, **kwargs):
+                self._fh = real_open(*args, **kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._fh.close()
+
+            def write(self, text):
+                writes.append(text.count("\n"))
+                return self._fh.write(text)
+
+        monkeypatch.setattr(model, "open", Counting, raising=False)
+        write_ndjson(tmp_path / "x.ndjson", map(str, range(2 * NDJSON_BLOCK_LINES + 1)))
+        assert writes == [NDJSON_BLOCK_LINES, NDJSON_BLOCK_LINES, 1]
 
 
 #: A capture line, split where a field ends.
