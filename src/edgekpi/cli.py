@@ -428,7 +428,10 @@ def _demand_bar(line: str) -> tuple[str, float] | None:
     scenario = d.get("scenario", "")
     if not isinstance(scenario, str):
         raise ValueError(f"scenario {scenario!r} is not a string")
-    return scenario or "demand", finite_number(d, "value")
+    value = finite_number(d, "value")
+    if value < 0:
+        raise ValueError(f"value must be >= 0, got {value!r}")
+    return scenario or "demand", value
 
 
 def _load_samples(path: Path) -> dict[str, list[float]]:
@@ -471,11 +474,8 @@ def cmd_plot(args) -> int:
         text = render_box_ascii(groups) if args.ascii else render_box_svg(groups)
     else:  # throughput
         if args.defaults:
-            bars = []
-            for enc in Encoder:
-                for res in Resolution:
-                    demand = demanded_throughput(VideoConfig(encoder=enc, resolution=res))
-                    bars.append((f"{res.name}-{enc.value}", demand.mbps))
+            bars = [(f"{res.name}-{enc.value}", demanded_throughput(VideoConfig(encoder=enc, resolution=res)))
+                    for enc in Encoder for res in Resolution]
         else:
             if not args.infile:
                 raise CliError("--in (a report.ndjson) or --defaults is required for throughput plots")

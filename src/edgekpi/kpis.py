@@ -1,6 +1,6 @@
 """KPI computations: distributions, availability, reliability, clock-error
 propagation, end-to-end service response time, velocity bounds and
-throughput-demand verdicts, plus assembly of the full report."""
+throughput demand, plus assembly of the full report."""
 
 from __future__ import annotations
 
@@ -8,20 +8,19 @@ import csv
 import json
 import math
 import statistics
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal
-from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .analyzer import AnalysisResult, InsufficientDataError, LATENCY_CLASSES, SampleSet, srtt
 from .model import DEFAULT_BANDWIDTH_CAP_MBPS, NODES, ProcessingModel, check_finite, write_ndjson
 
 
-#: Default bandwidth caps (Mbit/s) a demand figure is judged against: each
-#: technology's default cap.
-DEFAULT_CAPS_MBPS = tuple(DEFAULT_BANDWIDTH_CAP_MBPS.values())
+#: The bandwidth caps (Mbit/s) a demand figure is judged against, lowest
+#: first: each technology's default cap.
+CAPS_MBPS = tuple(sorted(DEFAULT_BANDWIDTH_CAP_MBPS.values()))
 
 
 @dataclass(frozen=True)
@@ -29,8 +28,7 @@ class Ecdf:
     """Empirical CDF over latency samples.
 
     ``values`` are the sorted distinct sample values and ``cum_counts`` the
-    number of samples at or below each, so percentiles resolve exactly as
-    order statistics with no float comparisons.
+    number of samples at or below each.
     """
 
     values: tuple[float, ...]
@@ -40,14 +38,6 @@ class Ecdf:
     @property
     def probs(self) -> tuple[float, ...]:
         return tuple(c / self.n for c in self.cum_counts)
-
-    def percentile(self, p: float) -> float:
-        """Smallest sample value whose cumulative probability reaches ``p``,
-        i.e. the ceil(p*n)-th order statistic."""
-        if not 0.0 < p <= 1.0:
-            raise ValueError("p must be in (0, 1]")
-        k = max(1, math.ceil(p * self.n - 1e-9))
-        return self.values[bisect_left(self.cum_counts, k)]
 
     def prob_at(self, x: float) -> float:
         """P(X <= x), the share of samples at or below ``x``."""
@@ -130,8 +120,13 @@ def reliability(samples: Sequence[float], bound_ms: float) -> float:
 
 
 def latency_at(samples: Sequence[float], p: float) -> float:
-    """Latency at percentile ``p`` of the empirical CDF."""
-    return ecdf(samples).percentile(p)
+    """Latency at percentile ``p``: the smallest sample whose cumulative
+    probability reaches ``p``, i.e. the ceil(p*n)-th order statistic."""
+    if not samples:
+        raise ValueError("latency_at requires at least one sample")
+    if not 0.0 < p <= 1.0:
+        raise ValueError("p must be in (0, 1]")
+    return sorted(samples)[max(1, math.ceil(p * len(samples) - 1e-9)) - 1]
 
 
 @dataclass(frozen=True)
@@ -173,29 +168,9 @@ def velocity(distance_m: float, e2e_srt_ms: float) -> float:
     return distance_m / (e2e_srt_ms / 1000.0) * 3.6
 
 
-class CapVerdict(Enum):
-    FITS = "FITS"
-    EXCEEDS = "EXCEEDS"
-
-
-@dataclass(frozen=True)
-class ThroughputDemand:
-    mbps: float
-    verdicts: Mapping[float, CapVerdict]
-
-    def fits(self, cap_mbps: float) -> bool:
-        return self.verdicts[cap_mbps] is CapVerdict.FITS
-
-
-def demanded_throughput(video_cfg, caps_mbps: Sequence[float] = DEFAULT_CAPS_MBPS) -> ThroughputDemand:
-    """Bitrate a video configuration demands, judged against each cap."""
-    mbps = video_cfg.mean_frame_bytes * 8.0 * video_cfg.fps / 1e6
-    return throughput_verdicts(mbps, caps_mbps)
-
-
-def throughput_verdicts(mbps: float, caps_mbps: Sequence[float] = DEFAULT_CAPS_MBPS) -> ThroughputDemand:
-    verdicts = {cap: (CapVerdict.FITS if mbps <= cap else CapVerdict.EXCEEDS) for cap in caps_mbps}
-    return ThroughputDemand(mbps=mbps, verdicts=verdicts)
+def demanded_throughput(video_cfg) -> float:
+    """Bitrate (Mbit/s) a video configuration demands."""
+    return video_cfg.mean_frame_bytes * 8.0 * video_cfg.fps / 1e6
 
 
 def improvement_pct(baseline_ms: float, value_ms: float) -> float:
@@ -271,7 +246,8 @@ class KpiReport:
     #: service response time from ``owd_frame_at_percentile_ms``
     e2e_srt_at_percentile_ms: float | None
     velocity_kmh: dict[float, float] | None
-    demand: ThroughputDemand | None
+    #: offered uplink stream rate (Mbit/s), judged against each of ``CAPS_MBPS``
+    demand_mbps: float | None
     goodput_mbps: float | None
     absent: tuple[str, ...] = ()
 
@@ -338,10 +314,6 @@ def build_report(analysis: AnalysisResult, options: ReportOptions | None = None)
                                         "follows; frame OWD, processing and downlink OWD are all 0")
         vel = {d: velocity(d, srt_p) for d in opts.distances_m}
 
-    demand = None
-    if analysis.offered_mbps is not None:
-        demand = throughput_verdicts(analysis.offered_mbps)
-
     return KpiReport(
         options=opts,
         classes=classes,
@@ -353,7 +325,7 @@ def build_report(analysis: AnalysisResult, options: ReportOptions | None = None)
         e2e_srt_mean_ms=srt_mean,
         e2e_srt_at_percentile_ms=srt_p,
         velocity_kmh=vel,
-        demand=demand,
+        demand_mbps=analysis.offered_mbps,
         goodput_mbps=analysis.goodput_mbps,
         absent=absent,
     )
@@ -419,10 +391,10 @@ def report_rows(report: KpiReport) -> list[dict]:
     if report.velocity_kmh:
         for d, v in sorted(report.velocity_kmh.items()):
             add("overall", f"velocity_ds_{d}m", round(v, 4), "km/h")
-    if report.demand is not None:
-        add("overall", "demanded_throughput", round(report.demand.mbps, 4), "Mbit/s")
-        for cap, verdict in sorted(report.demand.verdicts.items()):
-            add("overall", f"cap_{cap}", verdict.value, "verdict")
+    if report.demand_mbps is not None:
+        add("overall", "demanded_throughput", round(report.demand_mbps, 4), "Mbit/s")
+        for cap in CAPS_MBPS:
+            add("overall", f"cap_{cap}", "FITS" if report.demand_mbps <= cap else "EXCEEDS", "verdict")
     if report.goodput_mbps is not None:
         add("overall", "goodput", round(report.goodput_mbps, 4), "Mbit/s")
     return rows

@@ -5,11 +5,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .kpis import BoxplotStats, Ecdf
-from .model import DEFAULT_BANDWIDTH_CAP_MBPS
-
-#: The cap lines a demand chart draws, lowest first.
-_CAPS_MBPS = tuple(sorted(DEFAULT_BANDWIDTH_CAP_MBPS.values()))
+from .kpis import CAPS_MBPS, BoxplotStats, Ecdf
 
 _W, _H = 640, 400
 _MARGIN = 60
@@ -110,13 +106,12 @@ def render_box_svg(groups: Sequence[tuple[str, BoxplotStats]], title: str = "Lat
 
 
 def render_throughput_svg(bars: Sequence[tuple[str, float]],
-                          thresholds: Sequence[float] = _CAPS_MBPS,
                           title: str = "Demanded throughput") -> str:
-    """Demand bars against horizontal cap threshold lines."""
+    """Demand bars against a horizontal line at each of ``CAPS_MBPS``."""
     if not bars:
         raise ValueError("no bars to plot")
     # 15 % headroom as a shorter axis: the tallest bar times 1.15 can overflow
-    sy = _scale(0.0, max([v for _, v in bars] + list(thresholds)), _Y_AXIS[0], _Y_AXIS[1] / 1.15)
+    sy = _scale(0.0, max([v for _, v in bars] + list(CAPS_MBPS)), _Y_AXIS[0], _Y_AXIS[1] / 1.15)
     slot = (_W - 2 * _MARGIN) / len(bars)
     bar_w = min(80.0, slot * 0.6)
     parts = _svg_header(title) + _axes("", "Mbit/s")
@@ -129,7 +124,7 @@ def render_throughput_svg(bars: Sequence[tuple[str, float]],
                      f'font-size="10">{v:.1f}</text>')
         parts.append(f'<text x="{cx:.1f}" y="{_H - _MARGIN + 16}" text-anchor="middle" '
                      f'font-size="10">{_text(label)}</text>')
-    for cap in thresholds:
+    for cap in CAPS_MBPS:
         y = sy(cap)
         parts.append(f'<line x1="{_MARGIN}" y1="{y:.2f}" x2="{_W - _MARGIN}" y2="{y:.2f}" '
                      f'stroke="crimson" stroke-dasharray="6,4"/>')
@@ -188,15 +183,14 @@ def render_box_ascii(groups: Sequence[tuple[str, BoxplotStats]]) -> str:
     return "\n".join(lines)
 
 
-def render_throughput_ascii(bars: Sequence[tuple[str, float]],
-                            thresholds: Sequence[float] = _CAPS_MBPS) -> str:
+def render_throughput_ascii(bars: Sequence[tuple[str, float]]) -> str:
     # 10 % headroom, scaled as in render_throughput_svg
-    scale = _scale(0.0, max([v for _, v in bars] + list(thresholds)), 0, _ASCII_W / 1.1)
+    scale = _scale(0.0, max([v for _, v in bars] + list(CAPS_MBPS)), 0, _ASCII_W / 1.1)
     lines = []
     for label, v in bars:
         n = int(round(scale(v)))
         lines.append(f"{label:>14} {'#' * n} {v:.1f}")
-    for cap in thresholds:
+    for cap in CAPS_MBPS:
         n = int(round(scale(cap)))
         lines.append(f"{'cap':>14} {' ' * n}^ {cap} Mbit/s")
     return "\n".join(lines)

@@ -77,9 +77,10 @@ def brute_force_percentile(samples, p: float) -> float:
     return ordered[-1]
 
 
-def check_percentiles(seed: int = 2024, sets: int = 50) -> CheckResult:
-    """ECDF percentiles must equal brute-force sorted order statistics."""
-    rng = random.Random(seed)
+def check_percentiles() -> CheckResult:
+    """Percentiles must equal brute-force sorted order statistics."""
+    rng = random.Random(2024)
+    sets = 50
     failures = 0
     for _ in range(sets):
         n = rng.randint(1, 400)
@@ -106,12 +107,11 @@ def check_velocity_roundtrip() -> CheckResult:
                        f"worst deviation {worst:.4f} km/h over {len(VELOCITY_TABLE)} scenarios")
 
 
-def run_selftest(srtt_alpha: float = 0.125) -> list[CheckResult]:
-    """Run the full battery; ``srtt_alpha`` exists so a misconfigured gain is
-    detectable as a negative control."""
+def run_selftest() -> list[CheckResult]:
+    """Run the full battery."""
     return [
         check_delay_recovery(),
-        check_srtt_recurrence(srtt_alpha),
+        check_srtt_recurrence(),
         check_percentiles(),
         check_error_propagation(),
         check_velocity_roundtrip(),

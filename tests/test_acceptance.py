@@ -183,9 +183,9 @@ def test_criterion_09_throughput_verdicts_and_queue_growth():
     vga = kpis.demanded_throughput(VideoConfig(encoder=Encoder.MJPEG, resolution=Resolution.VGA))
     d1 = kpis.demanded_throughput(VideoConfig(encoder=Encoder.MJPEG, resolution=Resolution.D1))
     hd = kpis.demanded_throughput(VideoConfig(encoder=Encoder.MJPEG, resolution=Resolution.HD))
-    assert vga.mbps < 32.2
-    assert d1.mbps > 32.2 and d1.fits(54.6)
-    assert hd.mbps > 32.2
+    assert vga < 32.2
+    assert 32.2 < d1 <= 54.6
+    assert hd > 32.2
 
     # HD-MJPEG pushed through the 4G cap: unbounded queue, per-frame OWD grows
     overload = emulator.run(video_run(
@@ -197,7 +197,7 @@ def test_criterion_09_throughput_verdicts_and_queue_growth():
     assert all(b > a for a, b in zip(owd.values_ms, owd.values_ms[1:]))
     elapsed = time.monotonic() - started
     assert elapsed < 10.0
-    _pass(9, f"demand VGA {vga.mbps:.1f} < 32.2 < D1 {d1.mbps:.1f}, HD {hd.mbps:.1f}; "
+    _pass(9, f"demand VGA {vga:.1f} < 32.2 < D1 {d1:.1f}, HD {hd:.1f}; "
              f"overloaded frame OWD grew {owd.values_ms[0]:.0f} -> {owd.values_ms[-1]:.0f} ms "
              f"({elapsed:.1f} s)")
 

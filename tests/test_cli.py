@@ -904,6 +904,7 @@ class TestPlot:
                      id="400-digit value-too large"),
         ('{"metric":"demanded_throughput","scenario":[1,2],"value":1.0}',
          "scenario [1, 2] is not a string"),
+        ('{"metric":"demanded_throughput","value":-5.0}', "value must be >= 0, got -5.0"),
     ])
     def test_throughput_bad_report_line(self, analyzed_dir, tmp_path, capsys, line, why):
         report = analyzed_dir / "report.ndjson"

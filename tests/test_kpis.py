@@ -1,6 +1,7 @@
 """KPI math: distributions, availability/reliability, error propagation,
 service response time, velocity, throughput demand and report assembly."""
 
+import dataclasses
 import math
 import random
 
@@ -10,7 +11,6 @@ from conftest import ping_run, video_run
 from edgekpi import emulator
 from edgekpi.analyzer import LATENCY_CLASSES, InsufficientDataError, analyze_captures
 from edgekpi.kpis import (
-    CapVerdict,
     ReportOptions,
     availability,
     boxplot_stats,
@@ -23,7 +23,6 @@ from edgekpi.kpis import (
     propagate_error,
     reliability,
     report_rows,
-    throughput_verdicts,
     velocity,
     write_report_csv,
     write_report_ndjson,
@@ -37,13 +36,6 @@ class TestEcdf:
         dist = ecdf([5.0])
         assert dist.values == (5.0,)
         assert dist.probs == (1.0,)
-        assert dist.percentile(0.95) == 5.0
-
-    def test_order_statistic_on_1_to_100(self):
-        dist = ecdf(list(range(1, 101)))
-        assert dist.percentile(0.95) == 95
-        assert dist.percentile(1.0) == 100
-        assert dist.percentile(0.01) == 1
 
     def test_duplicates_merge(self):
         dist = ecdf([1.0, 1.0, 2.0])
@@ -54,33 +46,45 @@ class TestEcdf:
         assert probs[-1] == 1.0
         assert [dist.prob_at(x) for x in (0.5, 1.0, 1.5, 2.0, 3.0)] == [0.0, 2 / 3, 2 / 3, 1.0, 1.0]
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            ecdf([])
+
+
+class TestLatencyAt:
+    def test_single_sample(self):
+        assert latency_at([5.0], 0.95) == 5.0
+
+    def test_order_statistic_on_1_to_100(self):
+        samples = list(range(1, 101))
+        assert latency_at(samples, 0.95) == 95
+        assert latency_at(samples, 1.0) == 100
+        assert latency_at(samples, 0.01) == 1
+
     def test_percentile_monotone_in_p(self):
         rng = random.Random(12)
         for _ in range(20):
             samples = [rng.uniform(0, 50) for _ in range(rng.randint(1, 200))]
-            dist = ecdf(samples)
             grid = [i / 100 for i in range(1, 101)]
-            values = [dist.percentile(p) for p in grid]
+            values = [latency_at(samples, p) for p in grid]
             assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_matches_brute_force_everywhere(self):
         rng = random.Random(13)
         for _ in range(50):
             samples = [rng.uniform(0, 100) for _ in range(rng.randint(1, 300))]
-            dist = ecdf(samples)
             for p in (0.05, 0.33, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0):
-                assert dist.percentile(p) == brute_force_percentile(samples, p)
+                assert latency_at(samples, p) == brute_force_percentile(samples, p)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            ecdf([])
+            latency_at([], 0.95)
 
     def test_p_range(self):
-        dist = ecdf([1.0])
         with pytest.raises(ValueError):
-            dist.percentile(0.0)
+            latency_at([1.0], 0.0)
         with pytest.raises(ValueError):
-            dist.percentile(1.1)
+            latency_at([1.0], 1.1)
 
 
 class TestBoxplot:
@@ -228,24 +232,18 @@ class TestVelocity:
 class TestDemandedThroughput:
     def test_small_stream_fits_both(self):
         demand = demanded_throughput(VideoConfig(fps=20, mean_frame_bytes=14_000))
-        assert demand.mbps == pytest.approx(2.24)
-        assert demand.fits(54.6) and demand.fits(32.2)
+        assert demand == pytest.approx(2.24)
+        assert demand <= 32.2
 
     def test_d1_mjpeg_exceeds_4g(self):
         demand = demanded_throughput(VideoConfig(encoder=Encoder.MJPEG, resolution=Resolution.D1))
-        assert demand.mbps == pytest.approx(35.2)
-        assert demand.verdicts[32.2] is CapVerdict.EXCEEDS
-        assert demand.verdicts[54.6] is CapVerdict.FITS
+        assert demand == pytest.approx(35.2)
+        assert 32.2 < demand <= 54.6
 
     def test_hd_mjpeg_exceeds_4g_fits_5g(self):
         demand = demanded_throughput(VideoConfig(encoder=Encoder.MJPEG, resolution=Resolution.HD))
-        assert demand.mbps == pytest.approx(54.4)
-        assert demand.verdicts[32.2] is CapVerdict.EXCEEDS
-        assert demand.verdicts[54.6] is CapVerdict.FITS
-
-    def test_raw_rate_verdicts(self):
-        demand = throughput_verdicts(60.0)
-        assert demand.verdicts[54.6] is CapVerdict.EXCEEDS
+        assert demand == pytest.approx(54.4)
+        assert 32.2 < demand <= 54.6
 
 
 class TestImprovementPct:
@@ -286,7 +284,7 @@ class TestBuildReport:
         assert report.classes["OWD-frame"] is not None
         assert report.e2e_srt_at_percentile_ms is not None
         assert report.velocity_kmh and 1.0 in report.velocity_kmh
-        assert report.demand is not None
+        assert report.demand_mbps == analysis.offered_mbps is not None
 
     def test_report_fields_equal_direct_operations(self):
         analysis, report = self._report(video_run(duration_s=1.0, cv=0.1, seed=42))
@@ -337,6 +335,18 @@ class TestBuildReport:
                        if r["metric"].startswith(("latency_at_p", "e2e_srt_p"))]
         assert labels == [f"{name}_p{label}" for label in ("29", "57", "99.5", "99.9", "95")
                           for name in ("latency_at", "e2e_srt")]
+
+    def test_cap_verdict_rows(self):
+        # an offered rate equal to a cap fits it; one just above exceeds it
+        analysis, _ = self._report(video_run(duration_s=0.5, cv=0.1, seed=49))
+        for offered, verdicts in ((32.2, ("FITS", "FITS")),
+                                  (math.nextafter(32.2, math.inf), ("EXCEEDS", "FITS")),
+                                  (54.6, ("EXCEEDS", "FITS")),
+                                  (60.0, ("EXCEEDS", "EXCEEDS"))):
+            report = build_report(dataclasses.replace(analysis, offered_mbps=offered))
+            rows = [(r["metric"], r["value"]) for r in report_rows(report)
+                    if r["metric"].startswith("cap_")]
+            assert rows == [("cap_32.2", verdicts[0]), ("cap_54.6", verdicts[1])]
 
     def test_final_srtt_for_latency_classes_only(self):
         _, report = self._report(video_run(duration_s=0.5, cv=0.1, seed=48, pings=5))
