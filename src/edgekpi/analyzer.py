@@ -13,7 +13,6 @@ import statistics
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
 from typing import Mapping, Sequence
 
 from .model import (
@@ -40,11 +39,6 @@ LATENCY_CLASSES = ("CTRL", "STREAM-packet", "STREAM-frame")
 SAMPLE_CLASSES = (*LATENCY_CLASSES, "OWD-packet", "OWD-frame", "OWD-command")
 
 
-class MatchMode(Enum):
-    BY_PID = "BY_PID"
-    BY_SEQ = "BY_SEQ"
-
-
 class FrameEndpoints(Enum):
     """Which segment timestamps delimit a frame's one-way delay."""
 
@@ -53,8 +47,9 @@ class FrameEndpoints(Enum):
 
 
 class MalformedCaptureError(ValueError):
-    """Capture contains conflicting stream segments; ``tap`` is the tap of
-    the records that conflict."""
+    """Capture contains conflicting stream segments, or a pid that names
+    another packet than at the other tap; ``tap`` is the tap of the records
+    that conflict."""
 
     def __init__(self, message: str, tap: Tap):
         self.tap = tap
@@ -67,7 +62,6 @@ class InsufficientDataError(ValueError):
 
 @dataclass(frozen=True)
 class AnalyzerConfig:
-    match_mode: MatchMode = MatchMode.BY_PID
     owd_frame_endpoints: FrameEndpoints = FrameEndpoints.FIRST_TO_LAST
 
 
@@ -264,26 +258,14 @@ def _offset_us(offsets: Mapping[Tap, float] | None, node: Tap) -> float:
 
 def owd_packet(ue_records: Sequence[CaptureRecord], app_records: Sequence[CaptureRecord],
                offsets: Mapping[Tap, float] | None = None,
-               match_mode: MatchMode = MatchMode.BY_PID,
                direction: Direction = Direction.UPLINK) -> SampleSet:
-    """Clock-corrected one-way delay per payload packet seen at both taps.
-
-    ``offsets`` maps node to its estimated clock offset in ms. BY_SEQ matching
-    (the fallback for captures without shared packet ids) keys on
-    (seq, payload_len) and therefore only considers stream segments; a
-    capture carries one stream flow, so the flow would separate nothing.
-    """
-    by_seq = match_mode is MatchMode.BY_SEQ
-
+    """Clock-corrected one-way delay per payload packet of ``direction``,
+    matched across the taps by pid; a packet whose pid misses the far tap is
+    excluded. ``offsets`` maps node to its estimated clock offset in ms. A
+    pid at both taps must name one packet, its records equal but for tap and
+    stamp, or MalformedCaptureError names the far tap."""
     def pool(records: Sequence[CaptureRecord]) -> list[CaptureRecord]:
-        out = []
-        for r in records:
-            if r.dir is not direction or r.payload_len <= 0:
-                continue
-            if by_seq and r.proto is not STREAM:
-                continue
-            out.append(r)
-        return out
+        return [r for r in records if r.dir is direction and r.payload_len > 0]
 
     # the packet leaves the origin tap and reaches the far one
     if direction is UPLINK:
@@ -293,26 +275,21 @@ def owd_packet(ue_records: Sequence[CaptureRecord], app_records: Sequence[Captur
         origin_pool, far_pool = pool(app_records), pool(ue_records)
         off_origin, off_far = _offset_us(offsets, Tap.APP), _offset_us(offsets, Tap.UE)
 
-    key = attrgetter("seq", "payload_len") if by_seq else attrgetter("pid")
-
-    far_by_key: dict = {}
+    far_by_pid: dict[int, CaptureRecord] = {}
     for r in far_pool:
-        far_by_key.setdefault(key(r), r)
+        far_by_pid.setdefault(r.pid, r)
 
     samples = []
-    excluded = 0
-    seen_keys: set = set()
     for r in origin_pool:
-        k = key(r)
-        if k in seen_keys:
-            continue
-        seen_keys.add(k)
-        far = far_by_key.get(k)
+        far = far_by_pid.get(r.pid)
         if far is None:
-            excluded += 1
             continue
+        if r[2:] != far[2:]:
+            raise MalformedCaptureError(
+                f"pid {r.pid} names another packet at tap {far.tap.value} "
+                f"than at tap {r.tap.value}", far.tap)
         samples.append(((far.t_us - off_far) - (r.t_us - off_origin)) / 1000.0)
-    return SampleSet(tuple(samples), excluded)
+    return SampleSet(tuple(samples), len(origin_pool) - len(samples))
 
 
 def frame_samples(ue_records: Sequence[CaptureRecord], app_records: Sequence[CaptureRecord],
@@ -402,8 +379,6 @@ class AnalysisResult:
 
     samples: dict[str, SampleSet]
     offsets: dict[Tap, OffsetEstimate] | None
-    sent_uplink: int
-    delivered_uplink: int
     goodput_mbps: float | None
     offered_mbps: float | None
 
@@ -434,23 +409,16 @@ def analyze_captures(ue_records: Sequence[CaptureRecord],
         flat = fowd = SampleSet((), 0)
         goodput = measured_goodput_mbps(app_records)
 
-    powd = owd_packet(ue_records, app_records, offsets_ms, cfg.match_mode, UPLINK)
+    powd = owd_packet(ue_records, app_records, offsets_ms, UPLINK)
     # Downlink OWD restricted to stream packets so it reads the app's command
     # replies rather than ping echoes.
     ue_stream = [r for r in ue_records if r.proto is STREAM]
     app_stream = [r for r in app_records if r.proto is STREAM]
-    cmd_owd = owd_packet(ue_stream, app_stream, offsets_ms, cfg.match_mode, DOWNLINK)
-
-    sent = sum(1 for r in ue_records if r.dir is UPLINK and r.payload_len > 0)
-    delivered_pids = {r.pid for r in app_records if r.dir is UPLINK}
-    delivered = sum(1 for r in ue_records
-                    if r.dir is UPLINK and r.payload_len > 0 and r.pid in delivered_pids)
+    cmd_owd = owd_packet(ue_stream, app_stream, offsets_ms, DOWNLINK)
 
     return AnalysisResult(
         samples=dict(zip(SAMPLE_CLASSES, (ctrl, stream, flat, powd, fowd, cmd_owd), strict=True)),
         offsets=offsets_est,
-        sent_uplink=sent,
-        delivered_uplink=delivered,
         goodput_mbps=goodput,
         offered_mbps=offered_rate_mbps(ue_records),
     )

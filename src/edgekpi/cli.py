@@ -24,7 +24,6 @@ from .analyzer import (
     FrameEndpoints,
     InsufficientDataError,
     MalformedCaptureError,
-    MatchMode,
     analyze_captures,
 )
 from .config import ConfigError, parse_config, write_manifest
@@ -120,8 +119,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_analysis_flags(p):
         p.add_argument("--alpha", type=float, default=ReportOptions.alpha, help="SRTT gain (0,1)")
-        p.add_argument("--match", choices=("pid", "seq"), default="pid",
-                       help="packet matching mode for OWD")
         p.add_argument("--frame-owd", choices=("first-last", "first-first"), default="first-last",
                        help="frame OWD endpoint convention")
         p.add_argument("--processing-ms", type=float, default=ReportOptions.processing_ms,
@@ -206,7 +203,6 @@ def _analysis_options(args) -> tuple[AnalyzerConfig, ReportOptions]:
     a bad flag value ends in a CliError before any work starts."""
     try:
         cfg = AnalyzerConfig(
-            match_mode=MatchMode.BY_PID if args.match == "pid" else MatchMode.BY_SEQ,
             owd_frame_endpoints=(FrameEndpoints.FIRST_TO_LAST if args.frame_owd == "first-last"
                                  else FrameEndpoints.FIRST_TO_FIRST),
         )
@@ -431,7 +427,7 @@ def _demand_bar(line: str) -> tuple[str, float] | None:
     value = finite_number(d, "value")
     if value < 0:
         raise ValueError(f"value must be >= 0, got {value!r}")
-    return scenario or "demand", value
+    return scenario or "demand", abs(value)  # -0.0 reads 0.0
 
 
 def _load_samples(path: Path) -> dict[str, list[float]]:

@@ -289,9 +289,11 @@ def build_report(analysis: AnalysisResult, options: ReportOptions | None = None)
     cmd_vals = analysis.samples["OWD-command"].values_ms
     cmd_owd = statistics.fmean(cmd_vals) if cmd_vals else None
 
-    avail = None
-    if analysis.sent_uplink > 0:
-        avail = availability(analysis.sent_uplink, analysis.delivered_uplink)
+    # Each uplink payload packet sent at the UE is one OWD-packet sample if
+    # its pid reaches the APP tap, else one exclusion.
+    owd_pkt = analysis.samples["OWD-packet"]
+    sent = len(owd_pkt) + owd_pkt.excluded
+    avail = availability(sent, len(owd_pkt)) if sent > 0 else None
 
     lat_p = None
     frac = None
@@ -392,9 +394,11 @@ def report_rows(report: KpiReport) -> list[dict]:
         for d, v in sorted(report.velocity_kmh.items()):
             add("overall", f"velocity_ds_{d}m", round(v, 4), "km/h")
     if report.demand_mbps is not None:
-        add("overall", "demanded_throughput", round(report.demand_mbps, 4), "Mbit/s")
+        # each cap judges the rate as written, so no row contradicts another
+        demand = round(report.demand_mbps, 4)
+        add("overall", "demanded_throughput", demand, "Mbit/s")
         for cap in CAPS_MBPS:
-            add("overall", f"cap_{cap}", "FITS" if report.demand_mbps <= cap else "EXCEEDS", "verdict")
+            add("overall", f"cap_{cap}", "FITS" if demand <= cap else "EXCEEDS", "verdict")
     if report.goodput_mbps is not None:
         add("overall", "goodput", round(report.goodput_mbps, 4), "Mbit/s")
     return rows

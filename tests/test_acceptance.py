@@ -147,7 +147,8 @@ def test_criterion_07_frame_accounting_and_availability():
     # zero loss -> availability 100.0
     a0 = analyzer.analyze_captures(result.records[Tap.UE], result.records[Tap.CORE],
                                    result.records[Tap.APP])
-    assert kpis.availability(a0.sent_uplink, a0.delivered_uplink) == 100.0
+    p0 = a0.samples["OWD-packet"]
+    assert kpis.availability(len(p0) + p0.excluded, len(p0)) == 100.0
 
     # 1% Bernoulli loss over ~10k packets -> availability 99.0 +- 0.5
     scenario = Scenario(tech=Tech.FIVE_G, range=RangeBand.EDGE, loss_prob=0.01)
@@ -157,13 +158,15 @@ def test_criterion_07_frame_accounting_and_availability():
     lossy = emulator.run(lossy_cfg)
     al = analyzer.analyze_captures(lossy.records[Tap.UE], lossy.records[Tap.CORE],
                                    lossy.records[Tap.APP])
-    assert al.sent_uplink >= 10_000
-    avail = kpis.availability(al.sent_uplink, al.delivered_uplink)
+    pl = al.samples["OWD-packet"]
+    sent = len(pl) + pl.excluded
+    assert sent >= 10_000
+    avail = kpis.availability(sent, len(pl))
     assert avail == pytest.approx(99.0, abs=0.5)
     elapsed = time.monotonic() - started
     assert elapsed < 10.0
     _pass(7, f"20 frames exactly; availability 100.0 at zero loss, "
-             f"{avail:.2f}% over {al.sent_uplink} packets at 1% loss ({elapsed:.1f} s)")
+             f"{avail:.2f}% over {sent} packets at 1% loss ({elapsed:.1f} s)")
 
 
 def test_criterion_08_reliability_percentile():

@@ -162,6 +162,8 @@ class TestBadConfig:
         (PING_ONLY.replace("[scenario]\n", "[scenario]\n  stray\n"),
          "{cfg}: line 3: neither a [section] header nor a key = value line"),
         (PING_ONLY + "ping_count = 6\n", "{cfg}: line 8: [workload] duplicate key 'ping_count'"),
+        (PING_ONLY + "\n[scenario]\nrange = REGIONAL\n",
+         "{cfg}: line 9: duplicate section [scenario]"),
         (PING_ONLY.replace("range = EDGE", "range = REGIONAL\nadded_owd = 2.0"),
          "[scenario] unknown key 'added_owd'"),
         (PING_ONLY + "\n[processing]\nstage_blob = 0.25\n", "[processing] unknown key 'stage_blob'"),
@@ -172,7 +174,7 @@ class TestBadConfig:
     ], ids=["mss-zero", "mss-negative", "bulk-rate-negative", "bad-boolean", "bad-integer",
             "video-duration-negative", "bulk-duration-negative", "default-section",
             "empty-default-section", "no-section-header", "indented-stray-line",
-            "duplicate-key", "added-owd", "stage-fraction", "bulk-rate-inf",
+            "duplicate-key", "duplicate-section", "added-owd", "stage-fraction", "bulk-rate-inf",
             "unused-video-fps-negative", "unused-ping-interval-negative"])
     def test_exits_1_with_one_line_and_writes_nothing(self, tmp_path, capsys, command,
                                                       config, message):
@@ -399,19 +401,39 @@ class TestAnalyze:
         for name in ("samples.ndjson", "report.csv", "report.ndjson"):
             assert not (capture_dir / name).exists()
 
-    @pytest.mark.parametrize("match", ["pid", "seq"])
-    def test_taps_disagreeing_on_the_stream_flow_is_an_error(self, tmp_path, capsys, match):
+    def test_taps_disagreeing_on_the_stream_flow_is_an_error(self, tmp_path, capsys):
         # each tap alone is valid: app.ndjson carries the stream as flow 2
         out = tmp_path / "run"
         assert main(["simulate", "--config", str(GOLDEN / "default.ini"), "--out", str(out)]) == 0
         app = out / "app.ndjson"
         app.write_text(app.read_text().replace('"flow":1,', '"flow":2,'))
         capsys.readouterr()
-        assert main(["analyze", "--in", str(out), "--match", match]) == 1
+        assert main(["analyze", "--in", str(out)]) == 1
         assert one_line_error(capsys) == (
             f"error: {app}: stream flow 2 at tap APP (flow 1 at tap UE)\n")
         for name in ("samples.ndjson", "report.csv", "report.ndjson"):
             assert not (out / name).exists()
+
+    def test_captures_of_two_runs_are_an_error(self, tmp_path, capsys):
+        # app.ndjson of another seed: each tap alone is valid, and the taps
+        # agree on the stream flow, but their pids name other packets
+        out, other = tmp_path / "run", tmp_path / "other"
+        for seed, path in (("1", out), ("2", other)):
+            assert main(["simulate", "--config", str(GOLDEN / "default.ini"), "--seed", seed,
+                         "--out", str(path)]) == 0
+        app = out / "app.ndjson"
+        app.write_bytes((other / "app.ndjson").read_bytes())
+        capsys.readouterr()
+        assert main(["analyze", "--in", str(out)]) == 1
+        assert one_line_error(capsys) == (
+            f"error: {app}: pid 180 names another packet at tap APP than at tap UE\n")
+        for name in ("samples.ndjson", "report.csv", "report.ndjson"):
+            assert not (out / name).exists()
+
+    def test_missing_capture_directory(self, tmp_path, capsys):
+        missing = tmp_path / "absent"
+        assert main(["analyze", "--in", str(missing)]) == 1
+        assert one_line_error(capsys) == f"error: capture directory not found: {missing}\n"
 
     @pytest.mark.parametrize("target, source", [
         ("ue.ndjson", "app.ndjson"), ("core.ndjson", "app.ndjson"), ("app.ndjson", "ue.ndjson"),
@@ -533,6 +555,16 @@ class TestSweep:
         assert main(["sweep", "--config", str(config_path), "--seed", "5",
                      "--out", str(out)]) == 0
         return out
+
+    def test_box_plot_of_a_sweep_dir(self, sweep_dir, tmp_path):
+        # one box per scenario directory, labelled by it, in name order
+        out = tmp_path / "box.txt"
+        assert main(["plot", "--kind", "box", "--in", str(sweep_dir), "--ascii",
+                     "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[:-1]
+        assert [row.split()[0] for row in rows] == [
+            "4g_national", "4g_regional", "5g_edge", "5g_national", "5g_regional"]
+        assert all(row.count("|") == 1 for row in rows)
 
     def test_five_scenario_rows(self, sweep_dir):
         rows = read_csv(sweep_dir / "comparison.csv")
@@ -702,7 +734,7 @@ class TestSweepCollector:
     @pytest.mark.parametrize("case, seed, flags", [
         ("default", 42, []),
         ("retransmit", 3, []),
-        ("lossy", 5, ["--match", "seq", "--frame-owd", "first-first", "--alpha", "0.25"]),
+        ("lossy", 5, ["--frame-owd", "first-first", "--alpha", "0.25"]),
     ])
     def test_scenario_builds_no_reference_cycles(self, tmp_path, case, seed, flags):
         cfg, opts = _analysis_options(
@@ -915,6 +947,42 @@ class TestPlot:
                      "--out", str(tmp_path / "tp.svg")]) == 1
         err = one_line_error(capsys)
         assert f"{report}: line 3: bad report record: " in err and why in err
+
+    @pytest.mark.parametrize("ascii_flag", [[], ["--ascii"]], ids=["svg", "ascii"])
+    def test_throughput_negative_zero_reads_zero(self, tmp_path, ascii_flag):
+        report, out = tmp_path / "report.ndjson", tmp_path / "tp.out"
+        report.write_text('{"scenario":"a","metric":"demanded_throughput","value":-0.0}\n')
+        assert main(["plot", "--kind", "throughput", "--in", str(report), "--out", str(out),
+                     *ascii_flag]) == 0
+        if ascii_flag:
+            assert out.read_text().splitlines()[0].split() == ["a", "0.0"]
+        else:
+            texts = [el.text for el in ET.parse(out).iter("{http://www.w3.org/2000/svg}text")]
+            assert "0.0" in texts and "-0.0" not in texts
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--kind", "cdf"], "--in is required for cdf plots"),
+        (["--kind", "box"], "--in is required for box plots"),
+        (["--kind", "cdf", "--in", "{tmp}/absent.ndjson"],
+         "samples file not found: {tmp}/absent.ndjson"),
+        (["--kind", "box", "--in", "{tmp}/absent.ndjson"],
+         "samples file not found: {tmp}/absent.ndjson"),
+        (["--kind", "box", "--in", "{tmp}"], "no samples found for box plot"),
+        (["--kind", "throughput"],
+         "--in (a report.ndjson) or --defaults is required for throughput plots"),
+        (["--kind", "throughput", "--in", "{tmp}/report.ndjson"],
+         "report contains no demanded_throughput rows"),
+    ], ids=["cdf-no-in", "box-no-in", "cdf-no-file", "box-no-file", "box-dir-without-samples",
+            "throughput-no-in", "throughput-no-demand"])
+    def test_missing_input_is_an_error(self, tmp_path, capsys, argv, message):
+        # a directory with no scenario samples, holding a report without a
+        # demanded_throughput row
+        (tmp_path / "report.ndjson").write_text('{"metric":"availability","value":100.0}\n')
+        out = tmp_path / "plot.out"
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert main(["plot", *argv, "--out", str(out)]) == 1
+        assert one_line_error(capsys) == f"error: {message.format(tmp=tmp_path)}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["cdf", "box"])
     @pytest.mark.parametrize("line, why", [

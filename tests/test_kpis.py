@@ -294,8 +294,9 @@ class TestBuildReport:
             e2e_srt(latency_at(frame_vals, 0.95), 20.3, 5.0))
         assert report.velocity_kmh[1.0] == pytest.approx(
             velocity(1.0, report.e2e_srt_at_percentile_ms))
-        assert report.availability_pct == availability(analysis.sent_uplink,
-                                                       analysis.delivered_uplink)
+        owd_pkt = analysis.samples["OWD-packet"]
+        assert report.availability_pct == availability(len(owd_pkt) + owd_pkt.excluded,
+                                                       len(owd_pkt))
 
     def test_missing_video_marks_frame_kpis_absent(self):
         analysis, report = self._report(ping_run(count=5))
@@ -337,16 +338,21 @@ class TestBuildReport:
                           for name in ("latency_at", "e2e_srt")]
 
     def test_cap_verdict_rows(self):
-        # an offered rate equal to a cap fits it; one just above exceeds it
+        # each cap judges the demanded_throughput row as written: a rate that
+        # writes as a cap fits it, one that writes above it exceeds it
         analysis, _ = self._report(video_run(duration_s=0.5, cv=0.1, seed=49))
-        for offered, verdicts in ((32.2, ("FITS", "FITS")),
-                                  (math.nextafter(32.2, math.inf), ("EXCEEDS", "FITS")),
-                                  (54.6, ("EXCEEDS", "FITS")),
-                                  (60.0, ("EXCEEDS", "EXCEEDS"))):
+        for offered, written, verdicts in (
+                (32.2, 32.2, ("FITS", "FITS")),
+                (math.nextafter(32.2, math.inf), 32.2, ("FITS", "FITS")),
+                (32.20003, 32.2, ("FITS", "FITS")),
+                (32.20006, 32.2001, ("EXCEEDS", "FITS")),
+                (54.6, 54.6, ("EXCEEDS", "FITS")),
+                (60.0, 60.0, ("EXCEEDS", "EXCEEDS"))):
             report = build_report(dataclasses.replace(analysis, offered_mbps=offered))
             rows = [(r["metric"], r["value"]) for r in report_rows(report)
-                    if r["metric"].startswith("cap_")]
-            assert rows == [("cap_32.2", verdicts[0]), ("cap_54.6", verdicts[1])]
+                    if r["metric"] == "demanded_throughput" or r["metric"].startswith("cap_")]
+            assert rows == [("demanded_throughput", written),
+                            ("cap_32.2", verdicts[0]), ("cap_54.6", verdicts[1])]
 
     def test_final_srtt_for_latency_classes_only(self):
         _, report = self._report(video_run(duration_s=0.5, cv=0.1, seed=48, pings=5))

@@ -177,7 +177,9 @@ class TestDecodeRejects:
         (NEXT_LINE + NEXT_LINE, "invalid JSON: Extra data"),
         (NEXT_LINE + " garbage", "invalid JSON: Extra data"),
         ("\ufeff" + NEXT_LINE, "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
-    ], ids=["split-over-two-lines", "two-records-on-one-line", "trailing-garbage", "bom"])
+        ("[1, 2]", "record is not an object"),
+    ], ids=["split-over-two-lines", "two-records-on-one-line", "trailing-garbage", "bom",
+            "not-an-object"])
     def test_rejected_at_its_line(self, tmp_path, second, message):
         path = tmp_path / "ue.ndjson"
         path.write_text(f"{record_to_json(rec(pid=1))}\n{second}\n", encoding="utf-8")

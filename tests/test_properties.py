@@ -77,7 +77,8 @@ def test_damaged_capture_ends_in_result_or_analyzer_error(ops):
     frames = segment_frames(reassemble(taps[Tap.UE]))
     latency = analysis.samples["STREAM-frame"]
     assert len(latency) + latency.excluded == len(frames)
-    assert 0.0 <= availability(analysis.sent_uplink, analysis.delivered_uplink) <= 100.0
+    owd_pkt = analysis.samples["OWD-packet"]
+    assert 0.0 <= availability(len(owd_pkt) + owd_pkt.excluded, len(owd_pkt)) <= 100.0
     try:
         build_report(analysis)
     except InsufficientDataError:
