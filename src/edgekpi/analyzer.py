@@ -80,7 +80,6 @@ class SampleSet:
 class FrameExtent:
     """Data segments strictly between two consecutive boundary markers."""
 
-    start: int
     end: int
     segments: list[CaptureRecord]
     complete: bool        # a closing boundary was observed
@@ -135,10 +134,9 @@ def segment_frames(segments: Sequence[CaptureRecord]) -> list[FrameExtent]:
 
 def _make_extent(segs: list[CaptureRecord], complete: bool) -> FrameExtent:
     if not segs:
-        return FrameExtent(start=0, end=0, segments=[], complete=complete, contiguous=True)
+        return FrameExtent(end=0, segments=[], complete=complete, contiguous=True)
     contiguous = all(b.seq == _end(a) for a, b in zip(segs, segs[1:]))
-    return FrameExtent(start=segs[0].seq, end=_end(segs[-1]),
-                       segments=segs, complete=complete, contiguous=contiguous)
+    return FrameExtent(end=_end(segs[-1]), segments=segs, complete=complete, contiguous=contiguous)
 
 
 def rtt_control(ue_records: Sequence[CaptureRecord]) -> SampleSet:
@@ -297,19 +295,23 @@ def frame_samples(ue_records: Sequence[CaptureRecord], app_records: Sequence[Cap
                   endpoints: FrameEndpoints = FrameEndpoints.FIRST_TO_LAST,
                   ) -> tuple[SampleSet, SampleSet]:
     """Per-frame service latency and clock-corrected uplink frame OWD of the
-    video stream, from one reassembly of each tap.
+    video stream, the frames as the UE tap delimits them.
 
     Latency runs at the UE tap from a frame's first data segment to the first
-    subsequent ACK covering its final byte. FIRST_TO_LAST OWD (default) runs
-    from the frame's first segment leaving the UE to its last segment reaching
-    the app, so serialization time is part of the sample and larger frames
-    read slower. Frames that are incomplete or have gaps at the UE count as
-    excluded in both sets; frames without a covering ACK, or not delivered
-    whole to the app, are excluded from the latency or OWD set respectively.
+    subsequent ACK covering its final byte. For the OWD, each of the frame's
+    byte ranges is timed by its earliest record at the APP tap; the frame is
+    delivered when every range is there. FIRST_TO_LAST OWD (default) runs
+    from the frame's first segment leaving the UE to the latest of those
+    arrivals, the moment the app holds the whole frame, so serialization and
+    retransmission time are part of the sample. FIRST_TO_FIRST runs to the
+    earliest of them. APP-side boundary markers play no part. Frames that
+    are incomplete or have gaps at the UE count as excluded in both sets;
+    frames without a covering ACK, or not delivered, are excluded from the
+    latency or OWD set respectively.
     """
     ue_frames = segment_frames(reassemble(ue_records))
-    app_frames = segment_frames(reassemble(app_records))
-    app_by_start = {f.start: f for f in app_frames if f.segments}
+    app_first = {(r.seq, r.payload_len): r.t_us for r in reassemble(app_records)}
+    pick = max if endpoints is FrameEndpoints.FIRST_TO_LAST else min
     pos = {r.pid: i for i, r in enumerate(ue_records)}
     acks = _AckIndex(ue_records)
     off_ue = _offset_us(offsets, Tap.UE)
@@ -329,16 +331,11 @@ def frame_samples(ue_records: Sequence[CaptureRecord], app_records: Sequence[Cap
             latency_excluded += 1
         else:
             latency.append((covering.t_us - first.t_us) / 1000.0)
-        af = app_by_start.get(fr.start)
-        if af is None or not af.contiguous or af.end != fr.end:
+        arrivals = [app_first.get((s.seq, s.payload_len)) for s in fr.segments]
+        if None in arrivals:
             owd_excluded += 1
             continue
-        t_ue = first.t_us - off_ue
-        if endpoints is FrameEndpoints.FIRST_TO_LAST:
-            t_app = af.segments[-1].t_us - off_app
-        else:
-            t_app = af.segments[0].t_us - off_app
-        owd.append((t_app - t_ue) / 1000.0)
+        owd.append(((pick(arrivals) - off_app) - (first.t_us - off_ue)) / 1000.0)
     return SampleSet(tuple(latency), latency_excluded), SampleSet(tuple(owd), owd_excluded)
 
 

@@ -283,7 +283,9 @@ class TruthPacket:
 
 @dataclass
 class TruthFrame:
-    """True timing of one video frame's data segments and its command reply."""
+    """True timing of one video frame's data segments and its command reply.
+    ``t_last_app_us`` is the latest, over the frame's byte ranges, of each
+    range's earliest app arrival: the moment the app holds the whole frame."""
 
     frame_idx: int
     byte_len: int
@@ -318,10 +320,11 @@ def frame_truth(packets: Iterable[TruthPacket]) -> list[TruthFrame]:
     """Per-frame truth of a packet log, in ``frame_idx`` order.
 
     A frame's data segments are the uplink packets carrying its index and no
-    marker; its size and emit times come from the original segments, its
-    app arrival times from every copy. It is delivered when the distinct
-    segments that reached the app add up to its size. Its command is the
-    downlink packet carrying its index.
+    marker; its size and emit times come from the original segments. Each
+    byte range is timed by the earliest app arrival of any of its copies;
+    the frame is delivered when every range arrived, first reached the app
+    at the earliest of those times and was whole at the latest. Its command
+    is the downlink packet carrying its index.
     """
     segments: dict[int, list[TruthPacket]] = {}
     commands: dict[int, TruthPacket] = {}
@@ -341,10 +344,13 @@ def frame_truth(packets: Iterable[TruthPacket]) -> list[TruthFrame]:
         emits = [p.t_ue_us for p in originals if p.t_ue_us is not None]
         if emits:
             tf.t_first_emit_us, tf.t_last_emit_us = min(emits), max(emits)
-        arrived = [p for p in segs if p.t_app_us is not None]
-        if arrived and sum({p.seq: p.payload_len for p in arrived}.values()) == tf.byte_len:
-            tf.t_first_app_us = min(p.t_app_us for p in arrived)
-            tf.t_last_app_us = max(p.t_app_us for p in arrived)
+        first_app: dict[int, int] = {}
+        for p in segs:
+            if p.t_app_us is not None and p.t_app_us <= first_app.get(p.seq, p.t_app_us):
+                first_app[p.seq] = p.t_app_us
+        arrivals = [first_app.get(p.seq) for p in originals]
+        if None not in arrivals:
+            tf.t_first_app_us, tf.t_last_app_us = min(arrivals), max(arrivals)
             tf.delivered = True
         cmd = commands.get(k)
         if cmd is not None:

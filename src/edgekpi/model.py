@@ -317,14 +317,15 @@ def _record_from_match(match: re.Match, num=int) -> CaptureRecord:
         num(seq), num(ack), num(payload_len), _MARKERS[marker], int(pid)))
 
 
-def record_from_json(line: str) -> CaptureRecord:
+def record_from_json(line: str, num=int) -> CaptureRecord:
     """Decode one capture line: a line in record_to_json's exact form
-    through one pattern, any other line through ``json.loads``. The pattern
+    through one pattern, its integers made by ``num`` (see
+    _record_from_match), any other line through ``json.loads``. The pattern
     only takes lines that ``json.loads`` decodes to the same record, so
     which path runs never changes the result or the error."""
     match = _match_wire_line(line)
     if match is not None:
-        return _record_from_match(match)
+        return _record_from_match(match, num)
     try:
         d = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -346,19 +347,13 @@ def write_capture_file(path: str | Path, records: Iterable[CaptureRecord]) -> No
 
 @acyclic()
 def read_capture_file(path: str | Path) -> list[CaptureRecord]:
-    """Decode a capture file through read_ndjson: a line in record_to_json's
-    form is matched as read, any other is decoded with its surrounding
-    whitespace stripped. Equal integers of wire-form lines are one object:
-    timestamps, seq, ack and len repeat many times."""
+    """Decode a capture file through read_ndjson: each line, its surrounding
+    whitespace stripped, through record_from_json. Equal integers of
+    wire-form lines are one object: timestamps, seq, ack and len repeat
+    many times."""
     num = _IntTable().__getitem__
-
-    def decode(line: str) -> CaptureRecord:
-        match = _match_wire_line(line)
-        if match is not None:
-            return _record_from_match(match, num)
-        return record_from_json(line.strip())
-
-    return read_ndjson(path, decode, "capture record")
+    return read_ndjson(path, lambda line: record_from_json(line.strip(), num),
+                       "capture record")
 
 
 @dataclass(frozen=True)

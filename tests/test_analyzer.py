@@ -22,8 +22,8 @@ from edgekpi.analyzer import (
     segment_frames,
     srtt,
 )
-from edgekpi.emulator import run
-from edgekpi.model import ClockModel, Direction, Marker, NtpSample, Proto, Tap
+from edgekpi.emulator import TruthFrame, run
+from edgekpi.model import ClockModel, Direction, Marker, NtpSample, Proto, RangeBand, Tap, Tech
 
 
 class TestReassemble:
@@ -327,6 +327,36 @@ class TestFrameLatency:
         assert samples.excluded == 1
 
 
+#: The truth-log value each FrameEndpoints rule must reproduce.
+TRUTH_OWD = {FrameEndpoints.FIRST_TO_LAST: TruthFrame.owd_first_last_ms,
+             FrameEndpoints.FIRST_TO_FIRST: TruthFrame.owd_first_first_ms}
+
+
+@pytest.fixture(scope="module")
+def frame_owd_figures():
+    """Per FrameEndpoints rule, the analyzer's frame OWD samples and the
+    truth log's values of the delivered frames, for 5 s of VGA MJPEG at
+    20 fps with 100 pings, 1 ms jitter and perfect clocks, by (tech, range,
+    loss, retransmit, seed); each run is made once."""
+    cache = {}
+
+    def figures(tech, band, loss, retransmit, seed) -> dict:
+        key = tech, band, loss, retransmit, seed
+        if key not in cache:
+            result = run(video_run(duration_s=5.0, mean_frame_bytes=None, cv=0.1, base_up=None,
+                                   base_down=None, tech=tech, range_band=band, seed=seed,
+                                   pings=100, jitter_std=1.0, loss_prob=loss,
+                                   retransmit=retransmit))
+            delivered = [f for f in result.truth.frames if f.delivered]
+            cache[key] = {
+                endpoints: (frame_samples(result.records[Tap.UE], result.records[Tap.APP],
+                                          endpoints=endpoints)[1].values_ms,
+                            tuple(map(truth_ms, delivered)))
+                for endpoints, truth_ms in TRUTH_OWD.items()}
+        return cache[key]
+    return figures
+
+
 class TestFrameOwd:
     def _single_frame_taps(self, shift_us=10_000):
         ue = [rec(tap=Tap.UE, seq=0, payload_len=64, marker=Marker.FRAME_BOUNDARY, t_us=0, pid=1),
@@ -345,13 +375,20 @@ class TestFrameOwd:
             _, samples = frame_samples(ue, app, endpoints=endpoints)
             assert samples.values_ms == (10.0,)
 
-    def test_matches_truth_log(self):
-        result = run(video_run(duration_s=1.0, cv=0.1, seed=24))
-        _, samples = frame_samples(result.records[Tap.UE], result.records[Tap.APP])
-        truth = [f.owd_first_last_ms() for f in result.truth.frames if f.delivered]
-        assert len(samples.values_ms) == len(truth)
-        for got, expected in zip(samples.values_ms, truth):
-            assert got == pytest.approx(expected, abs=1e-3)
+    @pytest.mark.parametrize("endpoints", FrameEndpoints, ids=lambda e: e.value)
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    @pytest.mark.parametrize("retransmit", (False, True), ids=("rtx-off", "rtx-on"))
+    @pytest.mark.parametrize("loss", (0.0, 0.02))
+    @pytest.mark.parametrize("tech, band", ((Tech.FIVE_G, RangeBand.EDGE),
+                                            (Tech.FOUR_G, RangeBand.REGIONAL)),
+                             ids=("5G-EDGE", "4G-REGIONAL"))
+    def test_matches_truth_log(self, frame_owd_figures, tech, band, loss, retransmit, seed,
+                               endpoints):
+        # at 2 % loss without retransmission, seed 2 loses a frame delimiter
+        # on the way to the app; frames are still delimited at the UE
+        got, expected = frame_owd_figures(tech, band, loss, retransmit, seed)[endpoints]
+        assert len(got) == len(expected)
+        assert got == pytest.approx(expected, abs=1e-3)
 
     def test_default_video_mean_matches_truth_within_50us(self):
         cfg = video_run(duration_s=1.0, mean_frame_bytes=None, cv=0.1, seed=35,

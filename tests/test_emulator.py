@@ -5,7 +5,7 @@ import heapq
 import math
 import random
 import statistics
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
@@ -662,6 +662,14 @@ class TestFrameTruth:
         assert (frame.t_first_app_us, frame.t_last_app_us) == (10_000, 910_000)
         assert (frame.t_cmd_emit_us, frame.t_cmd_ue_us) == (930_000, 935_000)
 
+    def test_late_copy_of_arrived_range_changes_nothing(self):
+        # a spurious copy: the app held the range before the copy was sent
+        log = [seg(0, 0, 100, 0, 10_000), seg(1, 100, 50, 5, 12_000),
+               seg(2, 100, 50, 300_000, 310_000, retransmission=True)]
+        [frame] = emulator.frame_truth(log)
+        assert frame.delivered and frame.byte_len == 150
+        assert (frame.t_first_app_us, frame.t_last_app_us) == (10_000, 12_000)
+
     def test_lost_segment_without_copy_is_not_delivered(self):
         [frame] = emulator.frame_truth([seg(0, 0, 100, 0, 10_000), seg(1, 100, 50, 5, None)])
         assert not frame.delivered and frame.byte_len == 150
@@ -965,26 +973,15 @@ ping_count = 100
 
 
 def sender_figures(truth) -> dict:
-    """From a truth log: uplink data emissions, unique byte ranges, and the
-    mean frame completion in ms. A frame completes at the latest, over its
-    data ranges, of each range's earliest app arrival; it is timed from the
-    frame's first emission."""
-    copies: dict[tuple[int, int], list] = defaultdict(list)
-    for p in truth.packets:
-        if p.dir is Direction.UPLINK and p.proto is Proto.STREAM and p.payload_len > 0:
-            copies[p.seq, p.payload_len].append(p)
-    frames: dict[int, list] = defaultdict(list)
-    for sent in copies.values():
-        if sent[0].frame_idx is not None and sent[0].marker is Marker.NONE:
-            frames[sent[0].frame_idx].append(sent)
-    completion = []
-    for ranges in frames.values():
-        first_emit = min(p.t_ue_us for sent in ranges for p in sent if not p.retransmission)
-        arrivals = [[p.t_app_us for p in sent if p.t_app_us is not None] for sent in ranges]
-        if all(arrivals):
-            completion.append((max(min(a) for a in arrivals) - first_emit) / 1000.0)
-    return {"emissions": sum(map(len, copies.values())), "ranges": len(copies),
-            "frames": len(frames), "complete": len(completion),
+    """From a truth log: uplink data emissions, unique byte ranges, the
+    frames, those delivered, and the mean of their ``owd_first_last_ms`` in
+    ms: from a frame's first emission to the moment the app holds it whole."""
+    ranges = Counter((p.seq, p.payload_len) for p in truth.packets
+                     if p.dir is Direction.UPLINK and p.proto is Proto.STREAM
+                     and p.payload_len > 0)
+    completion = [f.owd_first_last_ms() for f in truth.frames if f.delivered]
+    return {"emissions": sum(ranges.values()), "ranges": len(ranges),
+            "frames": len(truth.frames), "complete": len(completion),
             "mean_completion_ms": statistics.fmean(completion)}
 
 
