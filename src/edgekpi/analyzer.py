@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import statistics
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Mapping, Sequence
 
 from .model import (
@@ -194,23 +196,18 @@ def rtt_tcp(ue_records: Sequence[CaptureRecord]) -> SampleSet:
     excluded, as are retransmitted byte ranges (Karn's rule)."""
     data = [r for r in ue_records
             if r.proto is STREAM and r.dir is UPLINK and r.payload_len > 0]
-    seen: dict[tuple[int, int], int] = {}
-    for r in data:
-        key = (r.seq, r.payload_len)
-        seen[key] = seen.get(key, 0) + 1
+    copies = Counter((r.seq, r.payload_len) for r in data)
     acks = _AckIndex(ue_records)
+    # covering_after(-1, end): with no position to skip, the first ACK
+    # whose running maximum reaches ``end``
+    firsts = map(bisect_left, repeat(acks.max_acks), [r.seq + r.payload_len for r in data])
     samples = []
     excluded = 0
-    for r in data:
-        key = (r.seq, r.payload_len)
-        if seen[key] > 1:
+    for r, i in zip(data, firsts):
+        if copies[r.seq, r.payload_len] > 1 or i == len(acks.records):
             excluded += 1
             continue
-        covering = acks.covering_after(-1, r.seq + r.payload_len)
-        if covering is None:
-            excluded += 1
-            continue
-        samples.append((covering.t_us - r.t_us) / 1000.0)
+        samples.append((acks.records[i].t_us - r.t_us) / 1000.0)
     return SampleSet(tuple(samples), excluded)
 
 

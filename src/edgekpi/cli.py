@@ -410,7 +410,7 @@ def cmd_sweep(args) -> int:
 
 
 def _sample(line: str) -> tuple[str, float]:
-    d = json.loads(line.strip())
+    d = json.loads(line)
     if not isinstance(d["class"], str):
         raise ValueError(f"class {d['class']!r} is not a string")
     return d["class"], finite_number(d, "value_ms")
@@ -418,7 +418,7 @@ def _sample(line: str) -> tuple[str, float]:
 
 def _demand_bar(line: str) -> tuple[str, float] | None:
     """A report line's demanded-throughput bar, None for any other metric."""
-    d = json.loads(line.strip())
+    d = json.loads(line)
     if d.get("metric") != "demanded_throughput":
         return None
     scenario = d.get("scenario", "")

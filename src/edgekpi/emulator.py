@@ -26,7 +26,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .model import (
     ADDED_OWD_MS,
@@ -155,9 +155,10 @@ class EmulationRun:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class SegmentPlan:
-    """One stream segment scheduled for emission at the UE."""
+class SegmentPlan(NamedTuple):
+    """One stream segment scheduled for emission at the UE. A NamedTuple:
+    a run builds one per segment, and a frozen dataclass costs several
+    times as much to construct."""
 
     t_us: int
     seq: int

@@ -14,6 +14,7 @@ import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from functools import partial
 from itertools import islice
 from pathlib import Path
 from enum import Enum
@@ -160,25 +161,43 @@ class CaptureFormatError(InputError):
     """A line of an NDJSON input could not be decoded."""
 
 
+#: Lines per write call of write_ndjson and per read of read_ndjson: few
+#: enough that a block's string stays small beside the records it holds.
+NDJSON_BLOCK_LINES = 256
+
+
 def not_utf8(exc: UnicodeDecodeError) -> str:
     """A file's failed UTF-8 decode, in one line. The codec counts its
     position from the chunk it was decoding, not the file, so none is given."""
     return f"not UTF-8 text: byte 0x{exc.object[exc.start]:02x} ({exc.reason})"
 
 
-def read_ndjson(path: str | Path, decode: Callable[[str], object], kind: str) -> list:
+def read_ndjson(path: str | Path, decode: Callable[[str], object], kind: str,
+                decode_block: Callable[[list[str]], list | None] | None = None) -> list:
     """``decode(line)`` of each non-blank line of the NDJSON file ``path``,
-    the line as read, its newline included. Every failure is a
-    CaptureFormatError that names the file and, but for a file that is not
-    UTF-8, the line, numbered from 1. A line ``decode`` rejects with a
-    CaptureFormatError keeps its message; one it rejects with another error
-    reads ``bad {kind}: …``."""
+    its surrounding whitespace stripped. The file is read NDJSON_BLOCK_LINES
+    lines at a time. Given ``decode_block``, each block goes to it first, its
+    lines as read, newlines included: it returns the rows ``decode`` gives
+    for the whole block, or None, and only then is the block decoded line
+    by line. Every failure is a CaptureFormatError that names the file and,
+    but for a file that is not UTF-8, the line, numbered from 1. A line
+    ``decode`` rejects with a CaptureFormatError keeps its message; one it
+    rejects with another error reads ``bad {kind}: …``. A byte that is not
+    UTF-8 fails the read of a whole block, so it may be reported before a
+    bad line that comes earlier in the file."""
     rows = []
+    lineno = 0
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.isspace():
-                    rows.append(decode(line))
+            while block := list(islice(fh, NDJSON_BLOCK_LINES)):
+                decoded = None if decode_block is None else decode_block(block)
+                if decoded is not None:
+                    rows += decoded
+                    lineno += len(block)
+                    continue
+                for lineno, line in enumerate(block, start=lineno + 1):
+                    if line := line.strip():
+                        rows.append(decode(line))
         except UnicodeDecodeError as exc:  # raised by the read, outside every line
             raise CaptureFormatError(not_utf8(exc), path) from exc
         except CaptureFormatError as exc:
@@ -187,11 +206,6 @@ def read_ndjson(path: str | Path, decode: Callable[[str], object], kind: str) ->
             why = f"missing field {exc}" if isinstance(exc, KeyError) else exc
             raise CaptureFormatError(f"bad {kind}: {why}", path, lineno) from exc
     return rows
-
-
-#: Lines per write call of write_ndjson: few enough that a block's string
-#: stays small beside the records it was made from.
-NDJSON_BLOCK_LINES = 256
 
 
 def write_ndjson(path: str | Path, lines: Iterable[str]) -> None:
@@ -292,9 +306,11 @@ def _wire_field(key: str) -> str:
 
 #: Match a line in the exact form record_to_json writes, with or without
 #: its newline. A line that matches is a valid JSON object that json.loads
-#: decodes to the same record, so the match stands in for it.
-_match_wire_line = re.compile(
-    "{" + ",".join(map(_wire_field, _WIRE_KEYS)) + "}\n?").fullmatch
+#: decodes to the same record, so the match stands in for it. ``^`` and
+#: ``$`` hold it to whole lines, so ``findall`` over a block of lines finds
+#: one row per line in that form.
+_WIRE_LINE = re.compile(
+    "^{" + ",".join(map(_wire_field, _WIRE_KEYS)) + "}$\n?", re.MULTILINE)
 
 
 class _IntTable(dict):
@@ -307,25 +323,26 @@ class _IntTable(dict):
         return value
 
 
-def _record_from_match(match: re.Match, num=int) -> CaptureRecord:
-    """The record of a wire-form line; ``num`` turns the digits of each
-    integer field but ``pid`` (unique per tap) into an int."""
-    tap, t_us, flow, direction, proto, seq, ack, payload_len, marker, pid = match.groups()
+def _wire_records(rows: Iterable[tuple[str, ...]], num=int) -> list[CaptureRecord]:
+    """The records of wire-form lines, each given as _WIRE_LINE's groups;
+    ``num`` turns the digits of each integer field but ``pid`` (unique per
+    tap) into an int."""
     # tuple.__new__ skips the NamedTuple's generated __new__
-    return tuple.__new__(CaptureRecord, (
-        _TAPS[tap], num(t_us), num(flow), _DIRS[direction], _PROTOS[proto],
-        num(seq), num(ack), num(payload_len), _MARKERS[marker], int(pid)))
+    return [tuple.__new__(CaptureRecord, (
+                _TAPS[tap], num(t_us), num(flow), _DIRS[direction], _PROTOS[proto],
+                num(seq), num(ack), num(payload_len), _MARKERS[marker], int(pid)))
+            for tap, t_us, flow, direction, proto, seq, ack, payload_len, marker, pid in rows]
 
 
 def record_from_json(line: str, num=int) -> CaptureRecord:
     """Decode one capture line: a line in record_to_json's exact form
-    through one pattern, its integers made by ``num`` (see
-    _record_from_match), any other line through ``json.loads``. The pattern
-    only takes lines that ``json.loads`` decodes to the same record, so
-    which path runs never changes the result or the error."""
-    match = _match_wire_line(line)
+    through _WIRE_LINE, its integers made by ``num`` (see _wire_records),
+    any other line through ``json.loads``. The pattern only takes lines
+    that ``json.loads`` decodes to the same record, so which path runs
+    never changes the result or the error."""
+    match = _WIRE_LINE.fullmatch(line)
     if match is not None:
-        return _record_from_match(match, num)
+        return _wire_records((match.groups(),), num)[0]
     try:
         d = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -347,13 +364,18 @@ def write_capture_file(path: str | Path, records: Iterable[CaptureRecord]) -> No
 
 @acyclic()
 def read_capture_file(path: str | Path) -> list[CaptureRecord]:
-    """Decode a capture file through read_ndjson: each line, its surrounding
-    whitespace stripped, through record_from_json. Equal integers of
-    wire-form lines are one object: timestamps, seq, ack and len repeat
-    many times."""
+    """Decode a capture file through read_ndjson. A block of lines all in
+    record_to_json's form decodes in one _WIRE_LINE pass; any other block
+    goes line by line through record_from_json, with the same records and
+    errors. Equal integers of wire-form lines are one object: timestamps,
+    seq, ack and len repeat many times."""
     num = _IntTable().__getitem__
-    return read_ndjson(path, lambda line: record_from_json(line.strip(), num),
-                       "capture record")
+
+    def wire_block(lines: list[str]) -> list[CaptureRecord] | None:
+        rows = _WIRE_LINE.findall("".join(lines))
+        return _wire_records(rows, num) if len(rows) == len(lines) else None
+
+    return read_ndjson(path, partial(record_from_json, num=num), "capture record", wire_block)
 
 
 @dataclass(frozen=True)
@@ -561,7 +583,7 @@ def write_ntp_file(path: str | Path, samples: Iterable[NtpSample]) -> None:
 
 
 def _ntp_sample(line: str) -> NtpSample:
-    d = json.loads(line.strip())
+    d = json.loads(line)
     t_s, offset_ms = finite_number(d, "t_s"), finite_number(d, "offset_ms")
     return NtpSample(t_s, Tap(d["node"]), offset_ms)
 

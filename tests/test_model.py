@@ -64,12 +64,21 @@ class TestNdjsonRoundTrip:
             record = random_record(rng)
             assert record_from_json(record_to_json(record)) == record
 
-    def test_file_round_trip(self, tmp_path):
+    @pytest.mark.parametrize("n, mixed", [(50, False), (600, True)],
+                             ids=["writer-form", "mixed-second-block"])
+    def test_file_round_trip(self, tmp_path, n, mixed):
         rng = random.Random(7)
-        records = [random_record(rng) for _ in range(50)]
+        records = [random_record(rng) for _ in range(n)]
+        lines = [record_to_json(r) for r in records]
+        if mixed:  # in the second block: blank, padded and spaced-out lines
+            lines[300] = " "
+            lines[301] = f" \t{lines[301]}  "
+            lines[302] = json.dumps(json.loads(lines[302]))
         path = tmp_path / "ue.ndjson"
-        write_capture_file(path, records)
-        assert read_capture_file(path) == records
+        write_ndjson(path, lines)
+        expected = [record_from_json(line.strip()) for line in lines if not line.isspace()]
+        assert read_capture_file(path) == expected
+        assert expected == (records[:300] + records[301:] if mixed else records)
 
     def test_field_names_and_enum_spelling(self):
         line = record_to_json(rec(tap=Tap.CORE, dir=Direction.DOWNLINK, proto=Proto.CTRL,
@@ -170,9 +179,12 @@ SPLIT_AT = NEXT_LINE.index(',"dir"')
 
 
 class TestDecodeRejects:
-    """Damaged lines end with the message and line number json.loads gives."""
+    """Damaged lines end with the message and line number json.loads gives,
+    wherever they sit in the blocks the reader takes."""
 
-    @pytest.mark.parametrize("second, message", [
+    @pytest.mark.parametrize("at", [2, NDJSON_BLOCK_LINES, NDJSON_BLOCK_LINES + 1,
+                                    2 * NDJSON_BLOCK_LINES + 1, 600])
+    @pytest.mark.parametrize("damaged, message", [
         (f"{NEXT_LINE[:SPLIT_AT]}\n{NEXT_LINE[SPLIT_AT:]}", "invalid JSON: Expecting ',' delimiter"),
         (NEXT_LINE + NEXT_LINE, "invalid JSON: Extra data"),
         (NEXT_LINE + " garbage", "invalid JSON: Extra data"),
@@ -180,13 +192,16 @@ class TestDecodeRejects:
         ("[1, 2]", "record is not an object"),
     ], ids=["split-over-two-lines", "two-records-on-one-line", "trailing-garbage", "bom",
             "not-an-object"])
-    def test_rejected_at_its_line(self, tmp_path, second, message):
+    def test_rejected_at_its_line(self, tmp_path, damaged, message, at):
+        """Line ``at`` of a 600-line file is damaged; the others are in writer form."""
+        lines = [record_to_json(rec(pid=k)) for k in range(1, 601)]
+        lines[at - 1] = damaged
         path = tmp_path / "ue.ndjson"
-        path.write_text(f"{record_to_json(rec(pid=1))}\n{second}\n", encoding="utf-8")
+        write_ndjson(path, lines)
         with pytest.raises(CaptureFormatError) as err:
             read_capture_file(path)
-        assert str(err.value) == f"{path}: line 2: {message}"
-        assert (err.value.path, err.value.lineno) == (path, 2)
+        assert str(err.value) == f"{path}: line {at}: {message}"
+        assert (err.value.path, err.value.lineno) == (path, at)
 
 
 def old_record_json(r: CaptureRecord) -> str:
@@ -254,10 +269,14 @@ class TestCodecBytes:
         for tap in Tap:
             write_capture_file(tmp_path / f"{tap.value}.ndjson", result.records[tap])
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("a writer-form line reached json.loads")
+        def refuse(name):
+            def refused(*args, **kwargs):
+                raise AssertionError(f"a writer-form line reached {name}")
+            return refused
 
-        monkeypatch.setattr(json, "loads", refuse)
+        # a block of writer-form lines decodes whole, never line by line
+        monkeypatch.setattr(json, "loads", refuse("json.loads"))
+        monkeypatch.setattr(model, "record_from_json", refuse("record_from_json"))
         for tap in Tap:
             assert read_capture_file(tmp_path / f"{tap.value}.ndjson") == result.records[tap]
 
