@@ -24,7 +24,6 @@ import random
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
@@ -94,10 +93,10 @@ CLOCK_TRACE_SLACK_S = 5.0
 #: indexed by int hash no enum member per capture stamp.
 _UE, _CORE, _APP = range(len(NODES))
 
-#: A scheduled event: (true time us, insertion counter, method, args).
-_Event = tuple[float, int, Callable[..., None], tuple]
-#: Later than every event, for a source with none left.
-_END = (math.inf, math.inf)
+#: A scheduled event: (true time us, insertion counter, handler, argument),
+#: run as ``handler(time, argument)``.
+_Handler = Callable[[float, object], None]
+_Event = tuple[float, int, _Handler, object]
 
 
 @dataclass(frozen=True)
@@ -263,7 +262,9 @@ def sample_ntp_trace(clocks: ClockModel, duration_s: float,
 class TruthPacket:
     """One emulated packet: what it carries, and its true (noise-free)
     per-tap times, None where never seen. The simulation routes this object
-    and the truth log keeps it."""
+    and the truth log keeps it. The fields known when a packet is made come
+    first, so that the simulation builds it positionally, at about a third
+    of the cost of keyword arguments."""
 
     pid: int
     flow: int
@@ -271,15 +272,15 @@ class TruthPacket:
     proto: Proto
     seq: int
     payload_len: int
-    t_ue_us: int | None = None
-    t_core_us: int | None = None
-    t_app_us: int | None = None
-    delivered: bool = False
     ack: int = 0
     marker: Marker = Marker.NONE
     frame_idx: int | None = None
     end_of_frame: bool = False
     retransmission: bool = False
+    t_ue_us: int | None = None
+    t_core_us: int | None = None
+    t_app_us: int | None = None
+    delivered: bool = False
 
 
 @dataclass
@@ -505,23 +506,29 @@ class _Receiver:
     def segment(self, t_us: float, pkt: TruthPacket) -> tuple[range, int | None, float | None]:
         """Take a data segment; return the frames now ready, the cumulative
         ACK to send now or None, and the delayed-ACK deadline set or None."""
+        seq = pkt.seq
+        ack_now = False
+        if self._ack_out_of_order:
+            # out of order: above the cumulative point, or while a gap
+            # remains below data already received
+            cum = self.cumulative()
+            ack_now = seq > cum or bool(self._ends) and self._ends[-1] > cum
+        self.add(seq, seq + pkt.payload_len)
         cum = self.cumulative()
-        # out of order: above the cumulative point, or while a gap remains
-        # below data already received
-        ack_now = self._ack_out_of_order and (
-            pkt.seq > cum or bool(self._ends) and self._ends[-1] > cum)
-        self.add(pkt.seq, pkt.seq + pkt.payload_len)
         # a frame is ready once the cumulative point passes its last byte,
         # so in byte order and once, however many copies of it arrive
         i = self._next_frame
-        self._next_frame = j = bisect_right(self._frame_ends, self.cumulative(), i)
-        self._ack_pending += 1
-        ack = deadline = None
-        if ack_now or self._ack_pending >= ACK_EVERY_SEGMENTS or pkt.end_of_frame:
-            ack = self._flush()
-        elif self._ack_deadline is None:
+        self._next_frame = j = bisect_right(self._frame_ends, cum, i)
+        pending = self._ack_pending + 1
+        if ack_now or pending >= ACK_EVERY_SEGMENTS or pkt.end_of_frame:
+            self._ack_pending = 0
+            self._ack_deadline = None
+            return range(i, j), cum, None
+        self._ack_pending = pending
+        deadline = None
+        if self._ack_deadline is None:
             deadline = self._ack_deadline = t_us + DELAYED_ACK_MS * 1000.0
-        return range(i, j), ack, deadline
+        return range(i, j), None, deadline
 
     def ack_timer(self, t_us: float) -> int | None:
         """The delayed-ACK timer expires: the ACK due, or None if one went out since."""
@@ -549,6 +556,7 @@ class _Access:
         self._rng_loss = rng_loss
         self._rng_jitter = rng_jitter
         self._cap_mbps = cap  # Mbit/s == bit/us
+        self._capped = cap != math.inf
         self._free_us = 0.0  # when the limiter has sent all it holds
         # Jitter lets a packet overtake its flow's previous one, so the hop
         # keeps flow -> latest arrival time.
@@ -557,8 +565,10 @@ class _Access:
     def carry(self, t_us: float, pkt: TruthPacket) -> float | None:
         """When ``pkt``, handed to the hop at ``t_us``, reaches its far end,
         or None if the hop loses it."""
-        if pkt.proto is STREAM and self._cap_mbps != math.inf:
-            t_us = max(t_us, self._free_us) + pkt.payload_len * 8.0 / self._cap_mbps
+        # each `b if b > a else a` below is max(a, b), ties included
+        if self._capped and pkt.proto is STREAM:
+            free = self._free_us
+            t_us = (free if free > t_us else t_us) + pkt.payload_len * 8.0 / self._cap_mbps
             self._free_us = t_us
         p = self._p_loss
         if p > 0.0 and self._rng_loss.random() < p:
@@ -566,9 +576,12 @@ class _Access:
         arrival = t_us + self._base_us
         if self._jitter_ms > 0:
             # floored, so that no packet arrives before it left
-            arrival = max(t_us, arrival + self._rng_jitter.gauss(0.0, self._jitter_ms) * 1000.0)
-        arrival = max(arrival, self._last.get(pkt.flow, 0.0))
-        self._last[pkt.flow] = arrival
+            arrival += self._rng_jitter.gauss(0.0, self._jitter_ms) * 1000.0
+            arrival = arrival if arrival > t_us else t_us
+        flow = pkt.flow
+        last = self._last.get(flow, 0.0)
+        arrival = last if last > arrival else arrival
+        self._last[flow] = arrival
         return arrival
 
 
@@ -600,13 +613,14 @@ class _Simulation:
         # instant come back to back and share the two ints.
         self._last_stamp: list[tuple[float, int, int]] = [(math.nan, 0, 0)] * len(NODES)
 
-        # Events are (true time us, insertion counter, method, args) and run
-        # in (time, counter) order: the counter is unique, so no two methods
-        # are compared, and events at one time run in the order they were
-        # scheduled. They come from three sources, each already in that
-        # order: the planned sends, sorted once before the run; the core
-        # hop's events, due a constant delay after they are scheduled and
-        # so appended in order; and a heap for the rest.
+        # Events are (true time us, insertion counter, handler, argument),
+        # run as handler(time, argument), in (time, counter) order: the
+        # counter is unique, so no two handlers or arguments are compared,
+        # and events at one time run in the order they were scheduled. They
+        # come from three sources, each already in that order: the planned
+        # sends, sorted once before the run; the core hop's events, due a
+        # constant delay after they are scheduled and so appended in order;
+        # and a heap for the rest.
         self._planned: list[_Event] = []
         self._core: deque[_Event] = deque()
         self._q: list[_Event] = []
@@ -631,20 +645,23 @@ class _Simulation:
         self._dl_seq = 0
 
     # -- plumbing ---------------------------------------------------------
+    # The only three ways to schedule an event; the event-order tests hook
+    # all three. An event carries one argument, so that scheduling builds
+    # no argument tuple and running it unpacks none.
 
-    def _schedule(self, t_us: float, fn: Callable[..., None], *args) -> None:
-        """Run ``fn(t_us, *args)`` at true time ``t_us``."""
-        heapq.heappush(self._q, (t_us, next(self._counter), fn, args))
+    def _schedule(self, t_us: float, handler: _Handler, arg) -> None:
+        """Run ``handler(t_us, arg)`` at true time ``t_us``."""
+        heapq.heappush(self._q, (t_us, next(self._counter), handler, arg))
 
-    def _plan(self, t_us: float, fn: Callable[..., None], *args) -> None:
-        """Before the run: run ``fn(t_us, *args)`` at true time ``t_us``."""
-        self._planned.append((t_us, next(self._counter), fn, args))
+    def _plan(self, t_us: float, handler: _Handler, arg) -> None:
+        """Before the run: run ``handler(t_us, arg)`` at true time ``t_us``."""
+        self._planned.append((t_us, next(self._counter), handler, arg))
 
-    def _after_core(self, t_us: float, fn: Callable[..., None], *args) -> None:
-        """Run ``fn`` when a packet that enters the core hop now, at
+    def _after_core(self, t_us: float, handler: _Handler, arg) -> None:
+        """Run ``handler`` when a packet that enters the core hop now, at
         ``t_us``, leaves it. Simulated time never goes back, so these events
         are due in the order they are scheduled."""
-        self._core.append((t_us + self._added_us, next(self._counter), fn, args))
+        self._core.append((t_us + self._added_us, next(self._counter), handler, arg))
 
     def _stamp(self, node: int, t_us: float, pkt: TruthPacket) -> int:
         """Capture ``pkt`` at ``NODES[node]`` on that node's clock; return
@@ -667,22 +684,23 @@ class _Simulation:
     # -- uplink path ------------------------------------------------------
 
     def _send_original(self, t_us: float, pkt: TruthPacket) -> None:
-        self._schedule(self._sender.send(t_us, pkt), self._retransmit_check, pkt, 1)
+        self._schedule(self._sender.send(t_us, pkt), self._retransmit_check, (pkt, 1))
         self._send_up(t_us, pkt)
 
-    def _retransmit_check(self, t_us: float, pkt: TruthPacket, attempt: int) -> None:
+    def _retransmit_check(self, t_us: float, timer: tuple[TruthPacket, int]) -> None:
+        """``timer`` is (segment, attempt): that segment's timer expires
+        for the attempt-th time."""
+        pkt, attempt = timer
         next_check = self._sender.timeout(t_us, pkt, attempt)
         if next_check is not None:
             self._resend(t_us, pkt)
-            self._schedule(next_check, self._retransmit_check, pkt, attempt + 1)
+            self._schedule(next_check, self._retransmit_check, (pkt, attempt + 1))
 
     def _resend(self, t_us: float, pkt: TruthPacket) -> None:
         """Send a copy of the stream segment ``pkt`` again."""
-        clone = TruthPacket(pid=next(self._pids), flow=pkt.flow, dir=pkt.dir, proto=pkt.proto,
-                            seq=pkt.seq, payload_len=pkt.payload_len, marker=pkt.marker,
-                            frame_idx=pkt.frame_idx, end_of_frame=pkt.end_of_frame,
-                            retransmission=True)
-        self._send_up(t_us, clone)
+        self._send_up(t_us, TruthPacket(next(self._pids), pkt.flow, pkt.dir, pkt.proto, pkt.seq,
+                                        pkt.payload_len, 0, pkt.marker, pkt.frame_idx,
+                                        pkt.end_of_frame, True))
 
     def _send_up(self, t_us: float, pkt: TruthPacket) -> None:
         """Log and stamp ``pkt`` at the UE, then schedule its core arrival
@@ -701,29 +719,30 @@ class _Simulation:
         pkt.t_app_us = self._stamp(_APP, t_us, pkt)
         pkt.delivered = True
         if pkt.proto is CTRL:
-            reply = TruthPacket(pid=next(self._pids), flow=pkt.flow, dir=DOWNLINK,
-                                proto=CTRL, seq=0, payload_len=pkt.payload_len,
-                                ack=pkt.pid)
+            reply = TruthPacket(next(self._pids), pkt.flow, DOWNLINK, CTRL, 0, pkt.payload_len,
+                                pkt.pid)
             self._emit_downlink(t_us, reply)
             return
         frames, ack, deadline = self._receiver.segment(t_us, pkt)
-        for frame_idx in frames:
-            self._start_processing(t_us, frame_idx)
-        self._send_ack(t_us, ack)
-        if deadline is not None:
-            self._schedule(deadline, self._ack_timer)
+        if frames:
+            for frame_idx in frames:
+                self._start_processing(t_us, frame_idx)
+        if ack is not None:
+            self._send_ack(t_us, ack)
+        elif deadline is not None:
+            self._schedule(deadline, self._ack_timer, None)
 
     # -- app --------------------------------------------------------------
 
-    def _ack_timer(self, t_us: float) -> None:
-        self._send_ack(t_us, self._receiver.ack_timer(t_us))
-
-    def _send_ack(self, t_us: float, ack: int | None) -> None:
-        """Send the cumulative ACK ``ack``, if there is one."""
+    def _ack_timer(self, t_us: float, _: None) -> None:
+        ack = self._receiver.ack_timer(t_us)
         if ack is not None:
-            self._emit_downlink(t_us, TruthPacket(pid=next(self._pids), flow=self._receiver.flow,
-                                                  dir=DOWNLINK, proto=STREAM, seq=0,
-                                                  payload_len=0, ack=ack))
+            self._send_ack(t_us, ack)
+
+    def _send_ack(self, t_us: float, ack: int) -> None:
+        """Send the cumulative ACK ``ack``."""
+        self._emit_downlink(t_us, TruthPacket(next(self._pids), self._receiver.flow, DOWNLINK,
+                                              STREAM, 0, 0, ack))
 
     def _start_processing(self, t_us: float, frame_idx: int) -> None:
         start = max(t_us, self._proc_free_us)
@@ -735,8 +754,8 @@ class _Simulation:
         seq = self._dl_seq
         size = self.run.processing.response_bytes
         self._dl_seq = seq + size
-        cmd = TruthPacket(pid=next(self._pids), flow=self._receiver.flow, dir=DOWNLINK,
-                          proto=STREAM, seq=seq, payload_len=size, frame_idx=frame_idx)
+        cmd = TruthPacket(next(self._pids), self._receiver.flow, DOWNLINK, STREAM, seq, size,
+                          0, NO_MARKER, frame_idx)
         self._emit_downlink(t_us, cmd)
 
     # -- downlink path ----------------------------------------------------
@@ -765,40 +784,40 @@ class _Simulation:
     def _plan_uplink_stream(self, flow: int, plans: list[SegmentPlan]) -> None:
         send = self._send_up if self._sender is None else self._send_original
         for plan in plans:
-            pkt = TruthPacket(pid=next(self._pids), flow=flow, dir=UPLINK,
-                              proto=STREAM, seq=plan.seq, payload_len=plan.payload_len,
-                              marker=plan.marker, frame_idx=plan.frame_idx,
-                              end_of_frame=plan.end_of_frame)
+            pkt = TruthPacket(next(self._pids), flow, UPLINK, STREAM, plan.seq, plan.payload_len,
+                              0, plan.marker, plan.frame_idx, plan.end_of_frame)
             self._plan(plan.t_us, send, pkt)
         self._receiver = _Receiver(flow, plans, self._sender is not None)
 
     def _run_queue(self) -> None:
-        """Run every event, the next of the three sources' heads each time."""
+        """Run every event, the least of the three sources' heads each time."""
         # latest first, so that pop() takes the next send and frees it
         planned = self._planned
         planned.sort(reverse=True)
         core, q = self._core, self._q
-        take_planned, take_core, take_q = planned.pop, core.popleft, partial(heapq.heappop, q)
+        pop_planned, pop_core, heappop = planned.pop, core.popleft, heapq.heappop
         while True:
-            ev, take = _END, None
             if planned:
-                ev, take = planned[-1], take_planned
-            if q and q[0] < ev:
-                ev, take = q[0], take_q
-            if core and core[0] < ev:
-                ev, take = core[0], take_core
-            if take is None:
+                ev = planned[-1]
+                if q and q[0] < ev:
+                    ev = pop_core() if core and core[0] < q[0] else heappop(q)
+                else:
+                    ev = pop_core() if core and core[0] < ev else pop_planned()
+            elif q:
+                ev = pop_core() if core and core[0] < q[0] else heappop(q)
+            elif core:
+                ev = pop_core()
+            else:
                 return
-            take()
-            t, _, fn, args = ev
-            fn(t, *args)
+            t, _, handler, arg = ev
+            handler(t, arg)
 
     def run_events(self) -> RunResult:
         w = self.run.workload
         if w.ping_count > 0:
             for t in gen_control_pings(w.ping_interval_ms, w.ping_count):
-                pkt = TruthPacket(pid=next(self._pids), flow=CONTROL_FLOW, dir=UPLINK,
-                                  proto=CTRL, seq=0, payload_len=CTRL_PAYLOAD_BYTES)
+                pkt = TruthPacket(next(self._pids), CONTROL_FLOW, UPLINK, CTRL, 0,
+                                  CTRL_PAYLOAD_BYTES)
                 self._plan(t, self._send_up, pkt)
         if w.video is not None:
             self._plan_uplink_stream(VIDEO_FLOW, gen_video_stream(w.video, w.mss, self.rng_sizes))

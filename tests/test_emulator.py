@@ -402,20 +402,47 @@ class TestBandwidthCap:
 
 class _OneHeap(emulator._Simulation):
     """The reference event queue: every event, the planned sends and the
-    core hop's included, goes through the one heap, which runs until empty."""
+    core hop's included, goes through the one heap, which runs until empty.
+    It counts the events its three hooks schedule and the events it runs:
+    an event put on the heap past the hooks makes the two differ."""
 
-    def _plan(self, t_us, fn, *args):
-        self._schedule(t_us, fn, *args)
+    scheduled = ran = 0
 
-    def _after_core(self, t_us, fn, *args):
-        self._schedule(t_us + self._added_us, fn, *args)
+    def _schedule(self, t_us, handler, arg):
+        self.scheduled += 1
+        heapq.heappush(self._q, (t_us, next(self._counter), handler, arg))
+
+    def _plan(self, t_us, handler, arg):
+        self._schedule(t_us, handler, arg)
+
+    def _after_core(self, t_us, handler, arg):
+        self._schedule(t_us + self._added_us, handler, arg)
 
     def _run_queue(self):
         assert not self._planned and not self._core
         q = self._q
         while q:
-            t, _, fn, args = heapq.heappop(q)
-            fn(t, *args)
+            t, _, handler, arg = heapq.heappop(q)
+            self.ran += 1
+            handler(t, arg)
+        assert not self._planned and not self._core
+
+
+def count_hooks(monkeypatch) -> Counter:
+    """Count, from now on, every event that _Simulation's three hooks
+    schedule, by hook name, and the heap's peak size as "heap peak"."""
+    counts = Counter()
+
+    def counting(method):
+        def hook(self, t_us, handler, arg):
+            method(self, t_us, handler, arg)
+            counts[method.__name__] += 1
+            counts["heap peak"] = max(counts["heap peak"], len(self._q))
+        return hook
+
+    for name in ("_plan", "_schedule", "_after_core"):
+        monkeypatch.setattr(emulator._Simulation, name, counting(getattr(emulator._Simulation, name)))
+    return counts
 
 
 def random_run(i: int) -> EmulationRun:
@@ -466,9 +493,32 @@ class TestEventOrder:
     and the heap) run events in the order one heap of them all would."""
 
     @pytest.mark.parametrize("i", range(60))
-    def test_same_bytes_as_one_heap(self, i, tmp_path):
+    def test_same_bytes_as_one_heap(self, i, tmp_path, monkeypatch):
         cfg = random_run(i)
-        assert output_bytes(run(cfg), tmp_path) == output_bytes(_OneHeap(cfg).run_events(), tmp_path)
+        counts = count_hooks(monkeypatch)
+        out = output_bytes(run(cfg), tmp_path)
+        reference = _OneHeap(cfg)  # overrides every hook, so counts no more
+        assert out == output_bytes(reference.run_events(), tmp_path)
+        # the same events, each through a hook
+        scheduled = counts["_plan"] + counts["_schedule"] + counts["_after_core"]
+        assert scheduled == reference.scheduled == reference.ran
+
+    @pytest.mark.parametrize("config,seed,expected", [
+        # (heap pushes, heap peak, planned sends, core events), as the README quotes them
+        ("default", 0, (17_569, 112, 8_684, 13_202)),
+        ("rtx-video", 1, (26_653, 703, 8_820, 16_398)),
+    ])
+    def test_event_counts(self, config, seed, expected, tmp_path, monkeypatch):
+        if config == "default":
+            path = Path(__file__).parent.parent / "configs" / "default.ini"
+        else:
+            path = tmp_path / "rtx-video.ini"
+            path.write_text(RTX_VIDEO.format(loss=0.02))
+        cfg = parse_config(path).to_run(seed)
+        counts = count_hooks(monkeypatch)
+        run(cfg)
+        assert (counts["_schedule"], counts["heap peak"], counts["_plan"],
+                counts["_after_core"]) == expected
 
     def test_ties_run_in_counter_order(self):
         # At EDGE the core hop adds no delay, so all six events fall due at
@@ -1048,7 +1098,8 @@ class TestEventQueue:
         def __init__(self, calls):
             self.calls = calls
 
-        def __call__(self, t_us, tag, then=None):
+        def __call__(self, t_us, arg):
+            tag, then = arg
             self.calls.append((t_us, tag))
             if then is not None:
                 then()
@@ -1064,10 +1115,10 @@ class TestEventQueue:
         fn = self.Unordered(calls)
 
         def late():
-            sim._schedule(5.0, fn, "late")
+            sim._schedule(5.0, fn, ("late", None))
 
         for tag, t_us in enumerate([5.0, 1.0, 5.0, 1.0, 5.0]):
-            sim._schedule(t_us, fn, tag, late if tag == 0 else None)
+            sim._schedule(t_us, fn, (tag, late if tag == 0 else None))
         sim.run_events()
         assert calls == [(1.0, 1), (1.0, 3), (5.0, 0), (5.0, 2), (5.0, 4), (5.0, "late")]
 
