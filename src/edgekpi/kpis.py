@@ -60,18 +60,6 @@ def ecdf(samples: Sequence[float]) -> Ecdf:
     return Ecdf(tuple(values), tuple(counts), len(ordered))
 
 
-def _quantile(ordered: Sequence[float], p: float) -> float:
-    """Linear-interpolation quantile on pre-sorted data (position (n-1)*p)."""
-    n = len(ordered)
-    if n == 1:
-        return ordered[0]
-    pos = (n - 1) * p
-    lo = int(math.floor(pos))
-    hi = min(lo + 1, n - 1)
-    frac = pos - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
-
-
 @dataclass(frozen=True)
 class BoxplotStats:
     minimum: float
@@ -85,14 +73,12 @@ class BoxplotStats:
 
 
 def boxplot_stats(samples: Sequence[float]) -> BoxplotStats:
-    """Tukey boxplot statistics: interpolated quartiles, whiskers at the most
-    extreme points within 1.5*IQR of the quartile box."""
+    """Tukey boxplot statistics: nearest-rank quartiles (``latency_at``),
+    whiskers at the most extreme points within 1.5*IQR of the quartile box."""
     if not samples:
         raise ValueError("boxplot_stats requires at least one sample")
     ordered = sorted(samples)
-    q1 = _quantile(ordered, 0.25)
-    med = _quantile(ordered, 0.50)
-    q3 = _quantile(ordered, 0.75)
+    q1, med, q3 = (latency_at(ordered, p) for p in (0.25, 0.5, 0.75))
     iqr = q3 - q1
     lo_fence = q1 - 1.5 * iqr
     hi_fence = q3 + 1.5 * iqr
@@ -212,15 +198,18 @@ class ReportOptions:
 
     def __post_init__(self):
         check_finite(self)
-        for name in ("processing_ms", "owd_down_assumed_ms"):
-            if getattr(self, name) < 0:
+        # abs() keeps a value >= 0 as it is but writes -0.0 as 0.0, so that
+        # no report row or label prints a minus sign.
+        for name in ("processing_ms", "owd_down_assumed_ms", "distances_m", "reliability_bound_ms"):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            many = isinstance(value, tuple)
+            if any(v < 0 for v in (value if many else (value,))):
                 raise ValueError(f"{name} must be >= 0")
-        if any(d < 0 for d in self.distances_m):
-            raise ValueError("distances_m must be >= 0")
+            object.__setattr__(self, name, tuple(map(abs, value)) if many else abs(value))
         if not 0.0 < self.reliability_percentile <= 1.0:
             raise ValueError("reliability_percentile must be in (0, 1]")
-        if self.reliability_bound_ms is not None and self.reliability_bound_ms < 0:
-            raise ValueError("reliability_bound_ms must be >= 0")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
 
@@ -257,12 +246,13 @@ def _class_stats(samples: SampleSet, alpha: float | None = None) -> ClassStats |
     if not samples.values_ms:
         return None
     vals = samples.values_ms
+    ordered = sorted(vals)
     return ClassStats(
         count=len(vals),
         excluded=samples.excluded,
         mean_ms=statistics.fmean(vals),
-        median_ms=_quantile(sorted(vals), 0.5),
-        p95_ms=latency_at(vals, 0.95),
+        median_ms=latency_at(ordered, 0.5),
+        p95_ms=latency_at(ordered, 0.95),
         srtt_final_ms=srtt(vals, alpha)[-1] if alpha is not None else None,
     )
 
@@ -355,8 +345,8 @@ def report_rows(report: KpiReport) -> list[dict]:
             "unit": unit, "sigma": sigma if sigma is not None else "",
         })
 
-    # A latency class writes its exclusions and final SRTT; a one-way delay
-    # class writes the run's clock-error budget instead.
+    # Every class writes its exclusions; a latency class also writes its
+    # final SRTT, and a one-way delay class the run's clock-error budget.
     budget = report.error_budget
     sigma = round(budget.quadrature_ms, 6) if budget is not None else None
     for cls, stats in report.classes.items():
@@ -365,8 +355,7 @@ def report_rows(report: KpiReport) -> list[dict]:
             add(cls, "latency" if latency else "owd_up", None, "ms")
             continue
         add(cls, "count", stats.count, "packets")
-        if latency:
-            add(cls, "excluded", stats.excluded, "packets")
+        add(cls, "excluded", stats.excluded, "packets")
         add(cls, "mean", round(stats.mean_ms, 6), "ms", sigma=None if latency else sigma)
         add(cls, "median", round(stats.median_ms, 6), "ms")
         add(cls, "p95", round(stats.p95_ms, 6), "ms")

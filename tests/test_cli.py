@@ -492,6 +492,25 @@ class TestAnalyze:
         assert float(report["e2e_srt_p50"]) == pytest.approx(
             float(report["latency_at_p50"]) + 20.3 + 5.0, abs=1e-6)
 
+    def test_median_row_is_the_50th_percentile_row(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(GOLDEN / "default.ini"), "--out", str(out)]) == 0
+        assert main(["analyze", "--in", str(out), "--reliability-p", "0.5"]) == 0
+        frame = {r["metric"]: r["value"] for r in read_csv(out / "report.csv")
+                 if r["class"] == "OWD-frame"}
+        assert frame["median"] == frame["latency_at_p50"] == "24.826621"
+
+    def test_negative_zero_flags_print_as_zero(self, capture_dir):
+        assert main(["analyze", "--in", str(capture_dir), "--distance-m", "-0.0",
+                     "--bound-ms", "-0.0", "--owd-down-ms", "-0.0"]) == 0
+        rows = {r["metric"]: r["value"] for r in read_csv(capture_dir / "report.csv")}
+        assert rows["velocity_ds_0.0m"] == "0.0"
+        assert "reliability_within_0.0ms" in rows
+        assert rows["assumed_down"] == "0.0"
+        assert not [(metric, value) for metric, value in rows.items()
+                    if metric.startswith(("velocity_ds_", "reliability_within_", "assumed_down"))
+                    and "-" in metric + value]
+
     def test_refuses_overwrite(self, capture_dir, capsys):
         assert main(["analyze", "--in", str(capture_dir)]) == 0
         assert main(["analyze", "--in", str(capture_dir)]) == 1

@@ -86,6 +86,19 @@ class TestLatencyAt:
         with pytest.raises(ValueError):
             latency_at([1.0], 1.1)
 
+    def test_inverts_the_ecdf(self):
+        # latency_at(s, p) is the smallest sample value whose ECDF reaches p,
+        # so the report's percentiles are read off the CDF plot's steps
+        rng = random.Random(17)
+        for _ in range(50):
+            samples = [round(rng.uniform(0, 100), rng.choice((0, 1, 3)))
+                       for _ in range(rng.randint(1, 300))]
+            dist = ecdf(samples)
+            for p in (0.01, 0.25, 0.29, 0.5, 0.75, 0.95, 0.995, 1.0, rng.uniform(0.001, 1.0)):
+                k = dist.values.index(latency_at(samples, p))
+                assert dist.prob_at(dist.values[k]) >= p
+                assert k == 0 or dist.prob_at(dist.values[k - 1]) < p
+
 
 class TestBoxplot:
     def test_constant_samples(self):
@@ -95,14 +108,24 @@ class TestBoxplot:
 
     def test_outlier_flagged(self):
         stats = boxplot_stats([1, 2, 3, 4, 100])
-        # quartiles by linear interpolation: q1=2, q3=4, fences at [-1, 7]
+        # nearest-rank quartiles: q1=2, q3=4, fences at [-1, 7]
         assert stats.q1 == 2 and stats.q3 == 4
         assert stats.outliers == (100,)
         assert stats.whisker_hi == 4
         assert stats.maximum == 100
 
-    def test_even_count_median_interpolates(self):
-        assert boxplot_stats([1, 2, 3, 4]).median == 2.5
+    def test_even_count_median_is_nearest_rank(self):
+        stats = boxplot_stats([1, 2, 3, 4])
+        assert (stats.q1, stats.median, stats.q3) == (1, 2, 3)
+
+    def test_quartiles_are_latency_at(self):
+        rng = random.Random(18)
+        for _ in range(50):
+            samples = [round(rng.gauss(20, 5), rng.choice((0, 2)))
+                       for _ in range(rng.randint(1, 300))]
+            stats = boxplot_stats(samples)
+            assert (stats.q1, stats.median, stats.q3) == tuple(
+                latency_at(samples, p) for p in (0.25, 0.5, 0.75))
 
     def test_whiskers_within_fences(self):
         rng = random.Random(14)
@@ -297,6 +320,18 @@ class TestBuildReport:
         owd_pkt = analysis.samples["OWD-packet"]
         assert report.availability_pct == availability(len(owd_pkt) + owd_pkt.excluded,
                                                        len(owd_pkt))
+
+    def test_every_class_writes_nearest_rank_median_and_exclusions(self):
+        analysis, report = self._report(video_run(duration_s=1.0, cv=0.1, seed=43, pings=10,
+                                                  loss_prob=0.05))
+        rows = {(r["class"], r["metric"]): r["value"] for r in report_rows(report)}
+        for cls, stats in report.classes.items():
+            samples = analysis.samples[cls]
+            assert stats.median_ms == latency_at(samples.values_ms, 0.5)
+            assert rows[cls, "excluded"] == samples.excluded
+        count, excluded = rows["OWD-packet", "count"], rows["OWD-packet", "excluded"]
+        assert excluded > 0
+        assert rows["overall", "availability"] == round(100.0 * count / (count + excluded), 6)
 
     def test_missing_video_marks_frame_kpis_absent(self):
         analysis, report = self._report(ping_run(count=5))
