@@ -1,10 +1,20 @@
-"""Emulator behaviour: generators, delay bookkeeping, loss, clocks, queues."""
+"""Emulator behaviour: generators, delay bookkeeping, loss, clocks, queues.
+
+``golden/random_runs.json`` holds, per config of :func:`random_run`, the
+sha256 of its captures, truth log and NTP trace. A change that moves them on
+purpose rewrites the file with ``PYTHONPATH=src python tests/test_emulator.py``
+and says in CHANGES.md which runs moved.
+"""
 
 import dataclasses
+import hashlib
 import heapq
+import json
 import math
 import random
 import statistics
+import sys
+import tempfile
 from collections import Counter, defaultdict
 from pathlib import Path
 
@@ -479,6 +489,10 @@ def random_run(i: int) -> EmulationRun:
                         seed=rng.randrange(10_000))
 
 
+RANDOM_RUNS = Path(__file__).parent / "golden" / "random_runs.json"
+RANDOM_RUN_COUNT = 60
+
+
 def output_bytes(result, tmp_path: Path) -> tuple[str, bytes, bytes]:
     """A run's records, truth file and NTP trace file, as written."""
     write_truth_file(tmp_path / "truth.ndjson", result.truth)
@@ -488,17 +502,27 @@ def output_bytes(result, tmp_path: Path) -> tuple[str, bytes, bytes]:
             (tmp_path / "ntp.ndjson").read_bytes())
 
 
+def output_digests(out: tuple[str, bytes, bytes]) -> dict[str, str]:
+    """The sha256 of each of output_bytes' three outputs."""
+    records, truth, ntp = out
+    return {name: hashlib.sha256(data).hexdigest()
+            for name, data in (("captures", records.encode()), ("truth", truth), ("ntp", ntp))}
+
+
 class TestEventOrder:
     """The event queue's three sources (planned sends, the core hop's FIFO
     and the heap) run events in the order one heap of them all would."""
 
-    @pytest.mark.parametrize("i", range(60))
+    @pytest.mark.parametrize("i", range(RANDOM_RUN_COUNT))
     def test_same_bytes_as_one_heap(self, i, tmp_path, monkeypatch):
         cfg = random_run(i)
         counts = count_hooks(monkeypatch)
         out = output_bytes(run(cfg), tmp_path)
         reference = _OneHeap(cfg)  # overrides every hook, so counts no more
         assert out == output_bytes(reference.run_events(), tmp_path)
+        # both share the stream's ends, so only the committed digests see them move
+        expected = json.loads(RANDOM_RUNS.read_text(encoding="utf-8"))[i]
+        assert output_digests(out) == expected, f"random_run({i}) differs from golden/random_runs.json"
         # the same events, each through a hook
         scheduled = counts["_plan"] + counts["_schedule"] + counts["_after_core"]
         assert scheduled == reference.scheduled == reference.ran
@@ -1218,3 +1242,11 @@ class TestReceiveBuffer:
         late = emulator.SegmentPlan(0, 300, 50, Marker.NONE, None, False)
         _, ack, deadline = arrive(receiver, 10_000.0, late)
         assert (ack, deadline) == ((64, None) if ack_out_of_order else (None, 15_000.0))
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as scratch:
+        table = [output_digests(output_bytes(run(random_run(i)), Path(scratch)))
+                 for i in range(RANDOM_RUN_COUNT)]
+    RANDOM_RUNS.write_text(json.dumps(table, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(table)} runs' digests to {RANDOM_RUNS}", file=sys.stderr)
