@@ -21,7 +21,6 @@ import itertools
 import json
 import math
 import random
-from bisect import bisect_left, bisect_right
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -469,56 +468,51 @@ class _Sender:
 
 
 class _Receiver:
-    """The app's end of the stream ``flow`` that ``plans`` send: it takes
-    segments and delayed-ACK timer expiries, and answers which frames are
-    ready and what to acknowledge."""
+    """The app's end of the stream: it takes segments and delayed-ACK timer
+    expiries, and answers which frames are ready and what to acknowledge.
+    The stream's segments tile it and a copy repeats its segment exactly,
+    so a segment either starts at the cumulative point, lies wholly below
+    it, or lies wholly above it."""
 
-    def __init__(self, flow: int, plans: list[SegmentPlan], ack_out_of_order: bool):
-        self.flow = flow
-        # frame k ends at byte _frame_ends[k]; frames before _next_frame are ready
-        self._frame_ends = [p.seq + p.payload_len for p in plans if p.end_of_frame]
+    def __init__(self, ack_out_of_order: bool):
+        self.flow = 0  # the stream's, from the segments it takes
+        self._cum = 0  # every byte below it is held
+        self._held: dict[int, int] = {}  # seq -> end of each segment held above _cum
+        # frame k ends at byte _frame_ends[k], known once the segment ending
+        # it arrives; frames before _next_frame are ready
+        self._frame_ends: dict[int, int] = {}
         self._next_frame = 0
         # with retransmission, a segment out of order is acknowledged at once
         # (RFC 5681 section 4.2), so that the sender sees duplicate ACKs
         self._ack_out_of_order = ack_out_of_order
         self._ack_pending = 0
         self._ack_deadline: float | None = None
-        # the received [start, end) ranges, disjoint and non-touching: both lists ascend
-        self._starts: list[int] = []
-        self._ends: list[int] = []
-
-    def add(self, start: int, end: int) -> None:
-        """Merge the range [start, end) with every range it overlaps or touches."""
-        starts, ends = self._starts, self._ends
-        i = bisect_left(ends, start)         # first range not wholly before
-        j = bisect_right(starts, end, i)     # first range wholly after
-        if i < j:
-            start = min(start, starts[i])
-            end = max(end, ends[j - 1])
-        starts[i:j] = (start,)
-        ends[i:j] = (end,)
-
-    def cumulative(self) -> int:
-        if self._starts and self._starts[0] == 0:
-            return self._ends[0]
-        return 0
 
     def segment(self, t_us: float, pkt: TruthPacket) -> tuple[range, int | None, float | None]:
         """Take a data segment; return the frames now ready, the cumulative
         ACK to send now or None, and the delayed-ACK deadline set or None."""
-        seq = pkt.seq
-        ack_now = False
-        if self._ack_out_of_order:
-            # out of order: above the cumulative point, or while a gap
-            # remains below data already received
-            cum = self.cumulative()
-            ack_now = seq > cum or bool(self._ends) and self._ends[-1] > cum
-        self.add(seq, seq + pkt.payload_len)
-        cum = self.cumulative()
+        self.flow = pkt.flow
+        seq, cum, held = pkt.seq, self._cum, self._held
+        end = seq + pkt.payload_len
+        # out of order: above the cumulative point, or while a gap remains
+        # below data already held
+        ack_now = self._ack_out_of_order and (seq > cum or bool(held))
+        if pkt.end_of_frame:
+            self._frame_ends[pkt.frame_idx] = end
+        if seq == cum:
+            cum = end
+            while cum in held:
+                cum = held.pop(cum)
+            self._cum = cum
+        elif seq > cum:
+            held[seq] = end
         # a frame is ready once the cumulative point passes its last byte,
         # so in byte order and once, however many copies of it arrive
-        i = self._next_frame
-        self._next_frame = j = bisect_right(self._frame_ends, cum, i)
+        i = j = self._next_frame
+        ends = self._frame_ends
+        while j in ends and ends[j] <= cum:
+            j += 1
+        self._next_frame = j
         pending = self._ack_pending + 1
         if ack_now or pending >= ACK_EVERY_SEGMENTS or pkt.end_of_frame:
             self._ack_pending = 0
@@ -533,13 +527,10 @@ class _Receiver:
     def ack_timer(self, t_us: float) -> int | None:
         """The delayed-ACK timer expires: the ACK due, or None if one went out since."""
         if self._ack_deadline is not None and t_us >= self._ack_deadline:
-            return self._flush()
+            self._ack_pending = 0
+            self._ack_deadline = None
+            return self._cum
         return None
-
-    def _flush(self) -> int:
-        self._ack_pending = 0
-        self._ack_deadline = None
-        return self.cumulative()
 
 
 class _Access:
@@ -637,10 +628,10 @@ class _Simulation:
                              loss_down, jitter_down)
         self._added_us = ADDED_OWD_MS[base.range] * 1000.0
 
-        # The stream (Workload allows at most one): its two ends, the receiver
-        # made when the stream is planned, and the app's processing state.
+        # The stream (Workload allows at most one): its two ends and the
+        # app's processing state.
         self._sender = _Sender() if base.retransmit else None
-        self._receiver: _Receiver | None = None
+        self._receiver = _Receiver(base.retransmit)
         self._proc_free_us = 0.0
         self._dl_seq = 0
 
@@ -787,7 +778,6 @@ class _Simulation:
             pkt = TruthPacket(next(self._pids), flow, UPLINK, STREAM, plan.seq, plan.payload_len,
                               0, plan.marker, plan.frame_idx, plan.end_of_frame)
             self._plan(plan.t_us, send, pkt)
-        self._receiver = _Receiver(flow, plans, self._sender is not None)
 
     def _run_queue(self) -> None:
         """Run every event, the least of the three sources' heads each time."""

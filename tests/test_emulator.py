@@ -1147,26 +1147,6 @@ class TestEventQueue:
         assert calls == [(1.0, 1), (1.0, 3), (5.0, 0), (5.0, 2), (5.0, 4), (5.0, "late")]
 
 
-def old_receive_ranges(ranges: list[list[int]], start: int, end: int) -> list[list[int]]:
-    """The receiver's range merge before bisection: rebuild the whole range list."""
-    new = [start, end]
-    out = []
-    placed = False
-    for r in ranges:
-        if r[1] < new[0]:
-            out.append(r)
-        elif new[1] < r[0]:
-            if not placed:
-                out.append(new)
-                placed = True
-            out.append(r)
-        else:
-            new = [min(r[0], new[0]), max(r[1], new[1])]
-    if not placed:
-        out.append(new)
-    return out
-
-
 def video_plans(frame_bytes: list[int]) -> list[emulator.SegmentPlan]:
     """One boundary segment then one data segment per frame, as
     gen_video_stream lays them out."""
@@ -1179,31 +1159,65 @@ def video_plans(frame_bytes: list[int]) -> list[emulator.SegmentPlan]:
     return plans
 
 
+def tiled_plans(rng: random.Random) -> list[emulator.SegmentPlan]:
+    """A random video layout: per frame, a boundary segment then 1-5 data
+    segments of random sizes, tiling the stream as gen_video_stream does."""
+    plans, seq = [], 0
+    for k in range(rng.randrange(1, 8)):
+        plans.append(emulator.SegmentPlan(0, seq, BOUNDARY_SEGMENT_BYTES, Marker.FRAME_BOUNDARY,
+                                          k, False))
+        seq += BOUNDARY_SEGMENT_BYTES
+        n = rng.randrange(1, 6)
+        for i in range(n):
+            size = rng.randrange(1, 200)
+            plans.append(emulator.SegmentPlan(0, seq, size, Marker.NONE, k, i == n - 1))
+            seq += size
+    return plans
+
+
 def arrive(receiver, t_us, plan):
     """Hand ``plan``'s segment to ``receiver`` at ``t_us``; its answer."""
     pkt = emulator.TruthPacket(0, VIDEO_FLOW, Direction.UPLINK, Proto.STREAM, plan.seq,
-                               plan.payload_len, end_of_frame=plan.end_of_frame)
+                               plan.payload_len, 0, plan.marker, plan.frame_idx,
+                               plan.end_of_frame)
     frames, ack, deadline = receiver.segment(t_us, pkt)
     return list(frames), ack, deadline
 
 
 class TestReceiveBuffer:
-    def test_matches_rebuilt_range_list(self):
+    @pytest.mark.parametrize("ack_out_of_order", [False, True])
+    def test_matches_a_prefix_reference_on_tiled_streams(self, ack_out_of_order):
         rng = random.Random(5)
-        for _ in range(200):
-            buf, reference = emulator._Receiver(VIDEO_FLOW, [], False), []
-            for _ in range(rng.randrange(1, 30)):
-                start = rng.randrange(0, 60)
-                end = start + rng.randrange(1, 12)
-                buf.add(start, end)
-                reference = old_receive_ranges(reference, start, end)
-                assert [list(r) for r in zip(buf._starts, buf._ends)] == reference
-                expected = reference[0][1] if reference[0][0] == 0 else 0
-                assert buf.cumulative() == expected
+        for _ in range(300):
+            plans = tiled_plans(rng)
+            frame_ends = [p.seq + p.payload_len for p in plans if p.end_of_frame]
+            arrivals = [p for p in plans for _ in range(rng.randrange(1, 4))]
+            rng.shuffle(arrivals)
+            receiver = emulator._Receiver(ack_out_of_order)
+            received, ready, pending = set(), [], 0
+            prefix = 0  # the longest fully received prefix of the stream
+            for t_us, plan in enumerate(arrivals):
+                # out of order: above the prefix, or some segment held above it
+                out_of_order = plan.seq > prefix or any(
+                    p.seq > prefix for p in plans if p.seq in received)
+                received.add(plan.seq)
+                for p in plans:  # in seq order, so one pass extends the prefix
+                    if p.seq == prefix and p.seq in received:
+                        prefix = p.seq + p.payload_len
+                frames, ack, _ = arrive(receiver, float(t_us), plan)
+                ready += frames
+                assert ready == [k for k, end in enumerate(frame_ends) if end <= prefix]
+                pending += 1
+                if (ack_out_of_order and out_of_order or pending >= emulator.ACK_EVERY_SEGMENTS
+                        or plan.end_of_frame):
+                    assert ack == prefix
+                    pending = 0
+                else:
+                    assert ack is None
 
     def test_acks_every_second_segment_each_frame_end_and_on_its_timer(self):
         plans = video_plans([100, 100])
-        receiver = emulator._Receiver(VIDEO_FLOW, plans, False)
+        receiver = emulator._Receiver(False)
         deadline = 1_000.0 + emulator.DELAYED_ACK_MS * 1000
         # a boundary segment alone waits for the timer
         assert arrive(receiver, 1_000.0, plans[0]) == ([], None, deadline)
@@ -1219,7 +1233,7 @@ class TestReceiveBuffer:
 
     def test_frames_ready_in_byte_order_once(self):
         plans = video_plans([100, 100, 100])
-        receiver = emulator._Receiver(VIDEO_FLOW, plans, False)
+        receiver = emulator._Receiver(False)
         # frame 1 arrives whole before frame 0's data: it waits for it
         assert arrive(receiver, 1.0, plans[2])[0] == []
         assert arrive(receiver, 2.0, plans[3])[0] == []
@@ -1234,7 +1248,7 @@ class TestReceiveBuffer:
     def test_segment_out_of_order_acknowledged_at_once_only_with_retransmission(
             self, ack_out_of_order):
         plans = video_plans([100])
-        receiver = emulator._Receiver(VIDEO_FLOW, plans, ack_out_of_order)
+        receiver = emulator._Receiver(ack_out_of_order)
         _, ack, deadline = arrive(receiver, 1.0, plans[0])
         assert (ack, deadline) == (None, 1.0 + emulator.DELAYED_ACK_MS * 1000)
         receiver.ack_timer(deadline)
