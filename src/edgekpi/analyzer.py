@@ -355,15 +355,20 @@ def measured_goodput_mbps(app_records: Sequence[CaptureRecord],
 
 
 def offered_rate_mbps(ue_records: Sequence[CaptureRecord]) -> float | None:
-    """Uplink stream payload rate offered at the UE tap (demand estimate)."""
-    emissions = [(r.t_us, r.payload_len) for r in ue_records
-                 if r.proto is STREAM and r.dir is UPLINK and r.payload_len > 0]
-    if len(emissions) < 2:
+    """Uplink stream payload rate offered at the UE tap (demand estimate).
+    Each byte range counts once, at its first record: that is its original,
+    so resent copies add neither bytes nor time."""
+    first: dict[tuple[int, int], int] = {}  # (seq, len) -> stamp, in record order
+    for r in ue_records:
+        if r.proto is STREAM and r.dir is UPLINK and r.payload_len > 0:
+            first.setdefault((r.seq, r.payload_len), r.t_us)
+    if len(first) < 2:
         return None
-    span_us = emissions[-1][0] - emissions[0][0]
+    stamps = list(first.values())
+    span_us = stamps[-1] - stamps[0]
     if span_us <= 0:
         return None
-    return sum(ln for _, ln in emissions) * 8.0 / span_us
+    return sum(ln for _, ln in first) * 8.0 / span_us
 
 
 @dataclass

@@ -15,6 +15,7 @@ from edgekpi.analyzer import (
     analyze_captures,
     estimate_offsets,
     frame_samples,
+    offered_rate_mbps,
     owd_packet,
     reassemble,
     rtt_control,
@@ -453,6 +454,30 @@ class TestCrossMetricInvariants:
         assert len(lat.values_ms) == len(owd.values_ms)
         for a, b in zip(lat.values_ms, owd.values_ms):
             assert a >= b - 1e-9
+
+
+class TestOfferedRate:
+    def test_resent_copies_add_nothing(self):
+        ue = [rec(seq=0, payload_len=1000, t_us=0), rec(seq=1000, payload_len=1000, t_us=1000),
+              rec(seq=0, payload_len=1000, t_us=500_000)]  # a late resend of the first range
+        assert offered_rate_mbps(ue) == 2000 * 8.0 / 1000
+
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    @pytest.mark.parametrize("loss", (0.02, 0.05))
+    @pytest.mark.parametrize("tech, band", ((Tech.FIVE_G, RangeBand.EDGE),
+                                            (Tech.FOUR_G, RangeBand.REGIONAL)),
+                             ids=("5G-EDGE", "4G-REGIONAL"))
+    def test_retransmission_leaves_the_demand_unchanged(self, tech, band, loss, seed):
+        # a range's first record is its original, sent at the planned time
+        # with the same clock error whether or not retransmission is on; the
+        # report's demanded_throughput row is this rate rounded
+        def demand(retransmit):
+            result = run(video_run(duration_s=2.0, mean_frame_bytes=None, cv=0.1, base_up=None,
+                                   base_down=None, tech=tech, range_band=band, seed=seed,
+                                   pings=20, jitter_std=1.0, loss_prob=loss,
+                                   retransmit=retransmit, clocks=ClockModel()))
+            return offered_rate_mbps(result.records[Tap.UE])
+        assert demand(True) == demand(False)
 
 
 class TestAnalyzeCaptures:
