@@ -274,6 +274,9 @@ def owd_packet(ue_records: Sequence[CaptureRecord], app_records: Sequence[Captur
     for r in far_pool:
         far_by_pid.setdefault(r.pid, r)
 
+    # the stamps' int difference first, so that no sample depends on where
+    # the clocks' time starts
+    off = off_far - off_origin
     samples = []
     for r in origin_pool:
         far = far_by_pid.get(r.pid)
@@ -283,7 +286,7 @@ def owd_packet(ue_records: Sequence[CaptureRecord], app_records: Sequence[Captur
             raise MalformedCaptureError(
                 f"pid {r.pid} names another packet at tap {far.tap.value} "
                 f"than at tap {r.tap.value}", far.tap)
-        samples.append(((far.t_us - off_far) - (r.t_us - off_origin)) / 1000.0)
+        samples.append(((far.t_us - r.t_us) - off) / 1000.0)
     return SampleSet(tuple(samples), len(origin_pool) - len(samples))
 
 
@@ -311,8 +314,7 @@ def frame_samples(ue_records: Sequence[CaptureRecord], app_records: Sequence[Cap
     pick = max if endpoints is FrameEndpoints.FIRST_TO_LAST else min
     pos = {r.pid: i for i, r in enumerate(ue_records)}
     acks = _AckIndex(ue_records)
-    off_ue = _offset_us(offsets, Tap.UE)
-    off_app = _offset_us(offsets, Tap.APP)
+    off = _offset_us(offsets, Tap.APP) - _offset_us(offsets, Tap.UE)
     latency: list[float] = []
     owd: list[float] = []
     latency_excluded = owd_excluded = 0
@@ -332,7 +334,7 @@ def frame_samples(ue_records: Sequence[CaptureRecord], app_records: Sequence[Cap
         if None in arrivals:
             owd_excluded += 1
             continue
-        owd.append(((pick(arrivals) - off_app) - (first.t_us - off_ue)) / 1000.0)
+        owd.append(((pick(arrivals) - first.t_us) - off) / 1000.0)
     return SampleSet(tuple(latency), latency_excluded), SampleSet(tuple(owd), owd_excluded)
 
 

@@ -456,6 +456,23 @@ class TestCrossMetricInvariants:
             assert a >= b - 1e-9
 
 
+class TestTimeOrigin:
+    @pytest.mark.parametrize("origin_us", (1_700_000_000_000_000, 2 ** 62 - 10 ** 10))
+    def test_samples_do_not_depend_on_where_time_starts(self, origin_us):
+        # every stamp at every tap moves by origin_us; the clock offsets,
+        # and so every delay, stay as they were
+        result = run(video_run(duration_s=2.0, mean_frame_bytes=None, cv=0.1, seed=4, pings=20,
+                               jitter_std=1.0, loss_prob=0.02, retransmit=True,
+                               clocks=ClockModel(3.0, -1.0, 7.5)))
+        taps = [result.records[tap] for tap in (Tap.UE, Tap.CORE, Tap.APP)]
+        shifted = [[r._replace(t_us=r.t_us + origin_us) for r in records] for records in taps]
+        base = analyze_captures(*taps, result.ntp)
+        moved = analyze_captures(*shifted, result.ntp)
+        assert all(base.samples[name].values_ms for name in ("OWD-packet", "OWD-frame",
+                                                              "OWD-command"))
+        assert moved.samples == base.samples
+
+
 class TestOfferedRate:
     def test_resent_copies_add_nothing(self):
         ue = [rec(seq=0, payload_len=1000, t_us=0), rec(seq=1000, payload_len=1000, t_us=1000),
