@@ -494,8 +494,8 @@ class _Receiver:
         self.flow = pkt.flow
         seq, cum, held = pkt.seq, self._cum, self._held
         end = seq + pkt.payload_len
-        # out of order: above the cumulative point, or while a gap remains
-        # below data already held
+        # out of order: above the cumulative point, or while a segment is
+        # held above it
         ack_now = self._ack_out_of_order and (seq > cum or bool(held))
         if pkt.end_of_frame:
             self._frame_ends[pkt.frame_idx] = end
@@ -506,7 +506,7 @@ class _Receiver:
             self._cum = cum
         elif seq > cum:
             held[seq] = end
-        # a frame is ready once the cumulative point passes its last byte,
+        # a frame is ready once the cumulative point reaches its end,
         # so in byte order and once, however many copies of it arrive
         i = j = self._next_frame
         ends = self._frame_ends
